@@ -13,6 +13,7 @@ and the conjugacy class of a product are unaffected by this choice.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -299,6 +300,7 @@ def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
             counts[length] += 1
 
     rec(tuple(range(m)))
+    del rec  # rec's closure refers to rec; empty that cell so `out` is freed by refcount
     out.sort()
     return out
 
@@ -489,13 +491,18 @@ def find_generating_triple(
 
     A ranges over one representative per even class of order a (the
     lexicographically minimal element; up to simultaneous conjugation one
-    representative suffices).  B ranges over every element of every even
-    class of order b, in lexicographic order, so the first validated hit is
-    the lexicographically minimal witness.  A shape_hint pins the three
-    classes to search.  Candidates are discarded early when the product
-    order is wrong, when Scott's bound sum of cycle counts > m + 2 rules
-    out transitivity, or when <A, B> is not transitive; survivors are
-    settled by the exact stabilizer-chain order.
+    representative suffices).  B ranges over the elements of the even
+    classes of order b, in lexicographic order, so the first validated hit
+    is the lexicographically minimal witness.  A shape_hint pins the three
+    classes to search.  The filters, cheapest first:
+
+    - a B class whose cycle count, added to A's and to the smallest cycle
+      count among the allowed AB classes, exceeds m + 2 is excluded by
+      Scott's bound for that A and is never enumerated for it;
+    - a pair whose product AB has the wrong order or class is skipped;
+    - a pair whose own cycle counts exceed Scott's bound is skipped;
+    - a pair with <A, B> not transitive is skipped;
+    - the survivors are settled by the exact stabilizer-chain order.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -514,16 +521,19 @@ def find_generating_triple(
     target = factorial(m) // 2
     allowed_c = {t.parts: t.cycle_count for t in types_c}
     scott_cap = m + 2
+    min_count_c = min(allowed_c.values())
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # B classes enumerated so far
 
     reps = sorted(lex_min_of_type(m, t).images for t in types_a)
-    b_imgs: list[tuple[int, ...]] = []
-    for t in types_b:
-        b_imgs.extend(_class_images(m, t.parts))
-    b_imgs.sort()
-
     for a_img in reps:
         count_a = len(_cycle_lengths(a_img))
-        for b_img in b_imgs:
+        # Every allowed product has at least min_count_c cycles, so a B class
+        # over this cap would fail the per-pair Scott test below for every B.
+        kept = [t.parts for t in types_b if count_a + t.cycle_count + min_count_c <= scott_cap]
+        for b_parts in kept:
+            if b_parts not in classes:
+                classes[b_parts] = _class_images(m, b_parts)
+        for b_img in heapq.merge(*(classes[b_parts] for b_parts in kept)):
             prod = tuple(b_img[i] for i in a_img)
             lengths = _cycle_lengths(prod)
             parts = tuple(sorted(lengths, reverse=True))

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+from math import factorial
 
 import pytest
 
 from trisat import (
     CycleType,
+    GenerationWitness,
     NonGenerated,
     NotFound,
     Permutation,
@@ -19,7 +22,12 @@ from trisat import (
     prove_non_generation,
     scott_min_sum,
 )
+from trisat import permgrp
 from trisat.tables import generating_pair_hint
+
+# The triples of the decide --alt-search benchmark grid.
+SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
+                       (2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 3, 7))
 
 
 def naive_order(gens):
@@ -37,6 +45,46 @@ def naive_order(gens):
                     new.append(q)
         frontier = new
     return len(elems)
+
+
+def unpruned_search(m, tr):
+    """Reference generation search: every B class is enumerated up front and
+    Scott's bound is only applied pair by pair."""
+    a, b, c = tr.orders
+    types_a = cycle_types_of_order(m, a, even_only=True)
+    types_b = cycle_types_of_order(m, b, even_only=True)
+    types_c = cycle_types_of_order(m, c, even_only=True)
+    if not (types_a and types_b and types_c):
+        return NotFound("no elements of required order")
+    target = factorial(m) // 2
+    allowed_c = {t.parts: t.cycle_count for t in types_c}
+    reps = sorted(lex_min_of_type(m, t).images for t in types_a)
+    b_imgs = []
+    for t in types_b:
+        b_imgs.extend(permgrp._class_images(m, t.parts))
+    b_imgs.sort()
+    for a_img in reps:
+        count_a = len(permgrp._cycle_lengths(a_img))
+        for b_img in b_imgs:
+            prod = tuple(b_img[i] for i in a_img)
+            parts = tuple(sorted(permgrp._cycle_lengths(prod), reverse=True))
+            count_c = allowed_c.get(parts)
+            if count_c is None:
+                continue
+            if count_a + len(permgrp._cycle_lengths(b_img)) + count_c > m + 2:
+                continue
+            if not permgrp._is_transitive(a_img, b_img, m):
+                continue
+            if permgrp._bsgs_order([a_img, b_img], m) == target:
+                ga, gb = Permutation(a_img), Permutation(b_img)
+                return GenerationWitness(
+                    ga, gb, (a, b, c), (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                )
+    return NotFound("exhausted all class pairs")
+
+
+def search_outcome(found):
+    return found.reason if isinstance(found, NotFound) else found.as_dict()
 
 
 class TestPermutation:
@@ -112,6 +160,17 @@ class TestEnumerateClass:
             first = next(enumerate_class(m, ct))
             assert lex_min_of_type(m, ct) == first
 
+    def test_class_list_freed_without_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            imgs = permgrp._class_images(8, (2, 2, 2, 2))
+            assert len(imgs) == 105
+            del imgs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_class_size_formula_agreement(self):
         for m, shape in [(6, "2^2.1^2"), (7, "3.2^2"), (7, "5.1^2"), (8, "4.2.1^2")]:
             ct = CycleType.parse(shape)
@@ -181,6 +240,22 @@ class TestGenerationSearch:
 
     def test_not_generated(self):
         assert isinstance(find_generating_triple(8, Triple(3, 3, 6)), NotFound)
+
+    def test_scott_excluded_classes_are_never_enumerated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(permgrp, "_class_images", lambda *args: calls.append(args) or [])
+        out = find_generating_triple(11, Triple(2, 4, 5))
+        assert out == NotFound("exhausted all class pairs")
+        assert calls == []
+
+    @pytest.mark.parametrize("orders", SEARCH_GRID_TRIPLES + ((4, 4, 6),))
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_matches_unpruned_search(self, m, orders):
+        # Alt_9 (2,3,7): only the (2)^4(1) representative keeps a B class.
+        # Alt_9 (3,3,4): the (3)^3 representative walks a merge of two classes.
+        # Alt_8 (4,4,6): the witness is found inside a merge of two classes.
+        tr = Triple(*orders)
+        assert search_outcome(find_generating_triple(m, tr)) == search_outcome(unpruned_search(m, tr))
 
     def test_no_elements_reason(self):
         out = find_generating_triple(9, Triple(2, 3, 8))  # Alt_9 has no order-8 element

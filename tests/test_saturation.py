@@ -12,6 +12,7 @@ from trisat import (
     h1_principal,
     ladder_verdict,
 )
+from trisat import permgrp
 
 
 def T(label):
@@ -107,6 +108,17 @@ class TestDecide:
         v = decide(T("D4"), Triple(2, 3, 7))
         assert v.status == Status.UNKNOWN
         assert v.certificate["h1_principal"] == 2
+
+    def test_d9_alt_search_enumerates_no_class(self, monkeypatch):
+        # Scott's bound rules out every class pair in Alt_19, whose classes of
+        # order 3 hold up to ~10^11 elements: no class may be enumerated.
+        calls = []
+        monkeypatch.setattr(permgrp, "_class_images", lambda *args: calls.append(args) or [])
+        v = decide(T("D9"), Triple(2, 3, 7), alt_search=True)
+        assert v.status == Status.UNKNOWN
+        alt = next(s for s in v.certificate["stages"] if s["method"] == "alt")
+        assert alt["certificate"]["reason"] == "no generating pair: exhausted all class pairs"
+        assert calls == []
 
     def test_ladder_wins_first(self):
         v = decide(T("E8"), Triple(2, 3, 7))
