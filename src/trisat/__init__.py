@@ -27,22 +27,19 @@ from .permgrp import (
     Refuted,
     cycle_type,
     cycle_types_of_order,
-    enumerate_class,
     find_generating_triple,
     group_order,
     lex_min_of_type,
     prove_non_generation,
     scott_min_sum,
 )
-from .rootsys import DynkinType, RootSystemData, adjoint_dim, all_types, coxeter_number, exponents, root_data
+from .rootsys import DynkinType, adjoint_dim, all_types, coxeter_number, exponents
 from .saturation import Status, Verdict, classify_ladder, decide, ladder_verdict
 from .weil import (
     CohomologyReport,
     LawtherDecomposition,
     Triple,
-    WeilInvariants,
     codim_order_variety,
-    epi_dim_bound,
     h1_principal,
     principal_fixed_dim,
     weil_h1,
@@ -63,11 +60,9 @@ __all__ = [
     "NotFound",
     "Permutation",
     "Refuted",
-    "RootSystemData",
     "Status",
     "Triple",
     "Verdict",
-    "WeilInvariants",
     "adjoint_dim",
     "all_types",
     "alt_saturation_check",
@@ -79,8 +74,6 @@ __all__ = [
     "cycle_type",
     "cycle_types_of_order",
     "decide",
-    "enumerate_class",
-    "epi_dim_bound",
     "exponents",
     "find_generating_triple",
     "group_order",
@@ -93,7 +86,6 @@ __all__ = [
     "principal_block_eigenvalues",
     "principal_fixed_dim",
     "prove_non_generation",
-    "root_data",
     "scott_min_sum",
     "search_bibi",
     "so_fixed_dim",

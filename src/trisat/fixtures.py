@@ -1,6 +1,12 @@
 """Recompute every built-in table from first principles and diff it.
 
-Each checker returns a report dict:
+TABLES maps each table id to a pair (cases, judge).  ``cases(c_max)`` lists
+the concrete cases of the table, with c_max capping its parameterized rows.
+``judge(case)`` recomputes one case with the library calls and returns
+(row, mismatch, log line); a None row is left out of the regenerated rows,
+a None mismatch means the case agrees with the table, and a None log line
+is not logged.  check_table runs one loop over a table's cases and returns
+the report
 
     {"id": ..., "checked": n, "mismatches": [...], "ok": bool,
      "rows": [...]}        # rows only when detail=True
@@ -23,168 +29,143 @@ from .weil import Triple, h1_principal
 
 Log = Callable[[str], None] | None
 
-
-def _report(table_id: str, checked: int, mismatches: list, rows: list | None) -> dict:
-    out = {"id": table_id, "checked": checked, "mismatches": mismatches,
-           "ok": not mismatches}
-    if rows is not None:
-        out["rows"] = rows
-    return out
+#: Cap on a, b, c for the families sampled without a parameterized row.
+RIGID_SMALL_CAP = 20
+#: Largest rank the nonso3 table covers.
+NONSO3_MAX_RANK = 13
 
 
-def check_rigid(c_max: int = tables.DEFAULT_C_MAX, *, small_cap: int = 20,
-                detail: bool = False, log: Log = None) -> dict:
+def _unless_saturated(key: dict, status: str, **extra) -> dict | None:
+    if status == Status.SATURATED:
+        return None
+    return {**key, "expected": Status.SATURATED, "got": status, **extra}
+
+
+def _rigid_cases(c_max):
+    return tables.rigid_samples(small_cap=RIGID_SMALL_CAP, c_max=c_max)
+
+
+def _judge_rigid(case):
     """Principal H^1 must vanish on every sampled member of every rigid row."""
-    mismatches, rows = [], [] if detail else None
-    samples = tables.rigid_samples(small_cap=small_cap, c_max=c_max)
-    for label, tr in samples:
-        h1 = h1_principal(DynkinType.parse(label), tr).h1
-        if rows is not None:
-            rows.append({"type": label, "triple": list(tr.orders), "h1": h1})
-        if h1 != 0:
-            mismatches.append({"type": label, "triple": list(tr.orders),
-                               "expected_h1": 0, "got_h1": h1})
-        if log:
-            log(f"rigid {label} {tr}: h1={h1}")
-    return _report("rigid", len(samples), mismatches, rows)
+    label, tr = case
+    h1 = h1_principal(DynkinType.parse(label), tr).h1
+    key = {"type": label, "triple": list(tr.orders)}
+    bad = None if h1 == 0 else {**key, "expected_h1": 0, "got_h1": h1}
+    return {**key, "h1": h1}, bad, f"rigid {label} {tr}: h1={h1}"
 
 
-def check_nonso3(max_rank: int = 13, *, detail: bool = False, log: Log = None) -> dict:
-    """The ladder's unsettled set over the six special triples must equal the table.
-
-    Every tabulated pair must come out non-Saturated (RigidZero for A1,
-    Unknown otherwise) and everything else Saturated.
-    """
-    expected = tables.nonso3_pairs(max_rank)
-    mismatches, rows = [], [] if detail else None
-    checked = 0
-    for t in all_types(max_rank):
-        for orders in tables.S_TRIPLES:
-            checked += 1
-            verdict = ladder_verdict(t, Triple(*orders))
-            key = (str(t), orders)
-            in_table = key in expected
-            if rows is not None and verdict.status != Status.SATURATED:
-                rows.append({"type": str(t), "triple": list(orders),
-                             "status": verdict.status})
-            want = (Status.RIGID_ZERO if str(t) == "A1" else Status.UNKNOWN) \
-                if in_table else Status.SATURATED
-            if verdict.status != want:
-                mismatches.append({"type": str(t), "triple": list(orders),
-                                   "expected": want, "got": verdict.status})
-            if log:
-                log(f"nonso3 {t} {orders}: {verdict.status}")
-    return _report("nonso3", checked, mismatches, rows)
+def _nonso3_cases(c_max):
+    expected = tables.nonso3_pairs(NONSO3_MAX_RANK)
+    return [(t, orders, (str(t), orders) in expected)
+            for t in all_types(NONSO3_MAX_RANK) for orders in tables.S_TRIPLES]
 
 
-def check_bibi_results(c_max: int = tables.DEFAULT_C_MAX, *, detail: bool = False,
-                       log: Log = None) -> dict:
+def _judge_nonso3(case):
+    """Tabulated pairs come out RigidZero (A1) or Unknown, all others Saturated;
+    only the non-Saturated cases are rows."""
+    t, orders, in_table = case
+    status = ladder_verdict(t, Triple(*orders)).status
+    want = (Status.RIGID_ZERO if str(t) == "A1" else Status.UNKNOWN) \
+        if in_table else Status.SATURATED
+    key = {"type": str(t), "triple": list(orders)}
+    row = None if status == Status.SATURATED else {**key, "status": status}
+    bad = None if status == want else {**key, "expected": want, "got": status}
+    return row, bad, f"nonso3 {t} {orders}: {status}"
+
+
+def _bibi_results_cases(c_max):
+    return [(r, tr) for a, b, c_spec, ranks in tables.BIBI_RESULT_ROWS
+            for tr in tables.expand_triples(a, b, c_spec, c_max) for r in ranks]
+
+
+def _judge_bibi_results(case):
     """search_bibi must certify every (D_r, triple) the table rules out."""
-    mismatches, rows = [], [] if detail else None
-    checked = 0
-    for a, b, c_spec, ranks in tables.BIBI_RESULT_ROWS:
-        for tr in tables.expand_triples(a, b, c_spec, c_max):
-            for r in ranks:
-                checked += 1
-                verdict = search_bibi(r, tr)
-                if rows is not None:
-                    rows.append({"r": r, "triple": list(tr.orders),
-                                 "status": verdict.status})
-                if verdict.status != Status.SATURATED:
-                    mismatches.append({"r": r, "triple": list(tr.orders),
-                                       "expected": Status.SATURATED,
-                                       "got": verdict.status})
-                if log:
-                    log(f"bibi-results D{r} {tr}: {verdict.status}")
-    return _report("bibi-results", checked, mismatches, rows)
+    r, tr = case
+    status = search_bibi(r, tr).status
+    key = {"r": r, "triple": list(tr.orders)}
+    return ({**key, "status": status}, _unless_saturated(key, status),
+            f"bibi-results D{r} {tr}: {status}")
 
 
-def check_bibi_pairs(c_max: int = tables.DEFAULT_C_MAX, *, detail: bool = False,
-                     log: Log = None) -> dict:
+def _bibi_pairs_cases(c_max):
+    return [(BibiConfig(r, k), tr) for r, k, a_spec, b_spec, c_spec in tables.BIBI_PAIR_ROWS
+            for tr in tables.expand_triples(a_spec, b_spec, c_spec, c_max)]
+
+
+def _judge_bibi_pairs(case):
     """bibi_criterion must return Saturated with each row's own factor ranks."""
-    mismatches, rows = [], [] if detail else None
-    checked = 0
-    for r, k, a_spec, b_spec, c_spec in tables.BIBI_PAIR_ROWS:
-        cfg = BibiConfig(r, k)
-        for tr in tables.expand_triples(a_spec, b_spec, c_spec, c_max):
-            checked += 1
-            verdict = bibi_criterion(cfg, tr)
-            if rows is not None:
-                rows.append({"r": r, "k": k, "triple": list(tr.orders),
-                             "status": verdict.status,
-                             "lhs": verdict.certificate.get("lhs"),
-                             "rhs": verdict.certificate.get("rhs")})
-            if verdict.status != Status.SATURATED:
-                mismatches.append({"r": r, "k": k, "triple": list(tr.orders),
-                                   "expected": Status.SATURATED,
-                                   "got": verdict.status,
-                                   "certificate": verdict.certificate})
-            if log:
-                log(f"bibi-pairs D{r} k={k} {tr}: {verdict.status}")
-    return _report("bibi-pairs", checked, mismatches, rows)
+    cfg, tr = case
+    verdict = bibi_criterion(cfg, tr)
+    cert = verdict.certificate
+    key = {"r": cfg.r, "k": cfg.k, "triple": list(tr.orders)}
+    row = {**key, "status": verdict.status, "lhs": cert.get("lhs"), "rhs": cert.get("rhs")}
+    return (row, _unless_saturated(key, verdict.status, certificate=cert),
+            f"bibi-pairs D{cfg.r} k={cfg.k} {tr}: {verdict.status}")
 
 
-def check_alt_gen(*, detail: bool = False, log: Log = None) -> dict:
+def _judge_alt_gen(case):
     """Every tabulated generating pair must be refound with the same shapes,
     revalidate by exact group order, and have positive H^1."""
-    mismatches, rows = [], [] if detail else None
-    checked = 0
-    for m, orders, *shape_strs in tables.ALT_GEN_ROWS:
-        checked += 1
-        tr = Triple(*orders)
-        hint = tables.generating_pair_hint(m, orders)
-        found = find_generating_triple(m, tr, shape_hint=hint)
-        entry = {"m": m, "triple": list(orders), "shapes": shape_strs}
-        if isinstance(found, NotFound):
-            mismatches.append({**entry, "got": f"NotFound: {found.reason}"})
-            continue
-        ok_shapes = found.shapes == hint
-        ok_valid = found.validate()
-        h1 = h1_alt(m, found.shapes, tr).h1
-        if rows is not None:
-            rows.append({**entry, "witness": found.as_dict(), "h1": h1})
-        if not (ok_shapes and ok_valid and h1 > 0):
-            mismatches.append({**entry, "shapes_match": ok_shapes,
-                               "validates": ok_valid, "h1": h1})
-        if log:
-            log(f"alt-gen Alt_{m} {orders}: shapes_match={ok_shapes} h1={h1}")
-    return _report("alt-gen", checked, mismatches, rows)
+    m, orders, *shape_strs = case
+    tr = Triple(*orders)
+    hint = tables.generating_pair_hint(m, orders)
+    found = find_generating_triple(m, tr, shape_hint=hint)
+    key = {"m": m, "triple": list(orders), "shapes": shape_strs}
+    if isinstance(found, NotFound):
+        return None, {**key, "got": f"NotFound: {found.reason}"}, None
+    ok_shapes = found.shapes == hint
+    ok_valid = found.validate()
+    h1 = h1_alt(m, found.shapes, tr).h1
+    bad = None if ok_shapes and ok_valid and h1 > 0 else \
+        {**key, "shapes_match": ok_shapes, "validates": ok_valid, "h1": h1}
+    return ({**key, "witness": found.as_dict(), "h1": h1}, bad,
+            f"alt-gen Alt_{m} {orders}: shapes_match={ok_shapes} h1={h1}")
 
 
-def check_alt_nongen(c_max: int = tables.DEFAULT_C_MAX, *, detail: bool = False,
-                     log: Log = None) -> dict:
+def _alt_nongen_cases(c_max):
+    return [(m, tr) for m, a, b, c_spec in tables.ALT_NONGEN_ROWS
+            for tr in tables.expand_triples(a, b, c_spec, c_max)]
+
+
+def _judge_alt_nongen(case):
     """prove_non_generation must succeed on every sampled non-generation case."""
-    mismatches, rows = [], [] if detail else None
-    checked = 0
-    for m, a, b, c_spec in tables.ALT_NONGEN_ROWS:
-        for tr in tables.expand_triples(a, b, c_spec, c_max):
-            checked += 1
-            result = prove_non_generation(m, tr)
-            if rows is not None:
-                rows.append({"m": m, "triple": list(tr.orders),
-                             "result": result.as_dict()})
-            if isinstance(result, Refuted):
-                mismatches.append({"m": m, "triple": list(tr.orders),
-                                   "expected": "NonGenerated",
-                                   "got": result.as_dict()})
-            if log:
-                log(f"alt-nongen Alt_{m} {tr}: {result.as_dict().get('method', 'refuted')}")
-    return _report("alt-nongen", checked, mismatches, rows)
+    m, tr = case
+    result = prove_non_generation(m, tr)
+    got = result.as_dict()
+    key = {"m": m, "triple": list(tr.orders)}
+    bad = {**key, "expected": "NonGenerated", "got": got} if isinstance(result, Refuted) else None
+    return {**key, "result": got}, bad, f"alt-nongen Alt_{m} {tr}: {got.get('method', 'refuted')}"
+
+
+TABLES = {
+    "rigid": (_rigid_cases, _judge_rigid),
+    "nonso3": (_nonso3_cases, _judge_nonso3),
+    "bibi-results": (_bibi_results_cases, _judge_bibi_results),
+    "bibi-pairs": (_bibi_pairs_cases, _judge_bibi_pairs),
+    "alt-gen": (lambda c_max: tables.ALT_GEN_ROWS, _judge_alt_gen),
+    "alt-nongen": (_alt_nongen_cases, _judge_alt_nongen),
+}
+
+TABLE_IDS = tuple(TABLES)
 
 
 def check_table(table_id: str, c_max: int = tables.DEFAULT_C_MAX, *,
                 detail: bool = False, log: Log = None) -> dict:
     """Recompute one fixture by id and diff it; see TABLE_IDS for the ids."""
-    if table_id == "rigid":
-        return check_rigid(c_max, detail=detail, log=log)
-    if table_id == "nonso3":
-        return check_nonso3(detail=detail, log=log)
-    if table_id == "bibi-results":
-        return check_bibi_results(c_max, detail=detail, log=log)
-    if table_id == "bibi-pairs":
-        return check_bibi_pairs(c_max, detail=detail, log=log)
-    if table_id == "alt-gen":
-        return check_alt_gen(detail=detail, log=log)
-    if table_id == "alt-nongen":
-        return check_alt_nongen(c_max, detail=detail, log=log)
-    raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(tables.TABLE_IDS)}")
+    if table_id not in TABLES:
+        raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")
+    make_cases, judge = TABLES[table_id]
+    cases = make_cases(c_max)
+    mismatches, rows = [], []
+    for case in cases:
+        row, bad, line = judge(case)
+        if row is not None:
+            rows.append(row)
+        if bad is not None:
+            mismatches.append(bad)
+        if log and line is not None:
+            log(line)
+    out = {"id": table_id, "checked": len(cases), "mismatches": mismatches, "ok": not mismatches}
+    if detail:
+        out["rows"] = rows
+    return out

@@ -33,7 +33,6 @@ __all__ = [
     "Refuted",
     "cycle_type",
     "cycle_types_of_order",
-    "enumerate_class",
     "lex_min_of_type",
     "group_order",
     "find_generating_triple",
@@ -72,15 +71,10 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # apply self first, then other
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        return Permutation(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(_inv(self.images))
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -122,6 +116,21 @@ class Permutation:
         return f"Permutation[{text} on {self.degree}]"
 
 
+# Image-tuple kernel, shared by Permutation, the search and Schreier-Sims.
+
+
+def _mul(p, q):
+    # apply p first, then q
+    return tuple(q[i] for i in p)
+
+
+def _inv(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
 def _cycle_lengths(images) -> list[int]:
     seen = [False] * len(images)
     lengths = []
@@ -141,6 +150,7 @@ def _cycle_lengths(images) -> list[int]:
 
 _SHAPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
 _SHAPE_PRETTY = re.compile(r"\((\d+)\)(?:\^(\d+))?")
+_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\(\d+\)(?:\^\d+)?)+")
 
 
 @dataclass(frozen=True)
@@ -160,6 +170,8 @@ class CycleType:
         text = text.strip()
         parts: list[int] = []
         if "(" in text:
+            if not _SHAPE_PRETTY_WHOLE.fullmatch(text):
+                raise ValueError(f"cannot parse cycle type {text!r}")
             for length, mult in _SHAPE_PRETTY.findall(text):
                 parts.extend([int(length)] * int(mult or 1))
         else:
@@ -305,27 +317,8 @@ def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_class(m: int, ct: CycleType):
-    """Yield every permutation of cycle type ct exactly once, lexicographically."""
-    if ct.m != m:
-        raise ValueError(f"type {ct} has degree {ct.m}, expected {m}")
-    for images in _class_images(m, ct.parts):
-        yield Permutation(images)
-
-
 # ---------------------------------------------------------------------------
 # Schreier-Sims stabilizer chain
-
-
-def _mul(p, q):
-    return tuple(q[i] for i in p)
-
-
-def _inv(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:

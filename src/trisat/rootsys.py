@@ -63,15 +63,6 @@ class DynkinType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    """Derived quantities of a root system: exponents, adjoint dim, Coxeter number."""
-
-    exponents: tuple[int, ...]
-    dim: int
-    coxeter: int
-
-
 _EXCEPTIONAL_EXPONENTS = {
     ("E", 6): (1, 4, 5, 7, 8, 11),
     ("E", 7): (1, 5, 7, 9, 11, 13, 17),
@@ -106,11 +97,6 @@ def adjoint_dim(t: DynkinType) -> int:
 def coxeter_number(t: DynkinType) -> int:
     """Coxeter number h = largest exponent + 1 (equivalently |Phi| / rank)."""
     return exponents(t)[-1] + 1
-
-
-def root_data(t: DynkinType) -> RootSystemData:
-    """Bundle exponents, adjoint dimension and Coxeter number for ``t``."""
-    return RootSystemData(exponents(t), adjoint_dim(t), coxeter_number(t))
 
 
 def all_types(max_rank: int) -> list[DynkinType]:

@@ -120,9 +120,10 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
     Order: ladder, then the SO x SO embedding sweep (type D only), then the
     alternating-group method (types B of rank >= 3 and D of rank >= 4;
     by default only triples with a built-in generating pair are tried,
-    alt_search=True enables the exhaustive class search).  If nothing
-    certifies saturation the verdict is Unknown, or RigidZero when the
-    principal H^1 itself vanishes.
+    alt_search=True enables the exhaustive class search).  Each route adds
+    one stage to the certificate: its verdict, or "skipped" with the reason
+    it does not apply.  If nothing certifies saturation the verdict is
+    Unknown, or RigidZero when the principal H^1 itself vanishes.
     """
     from . import altmethod, bibi, tables
 
@@ -133,43 +134,33 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
             {"reason": "locally rigid in PGL_2", "h1_principal": 0},
         )
 
+    def run_bibi() -> Verdict | str:
+        if t.family != "D":
+            return "type is not D_r"
+        return bibi.search_bibi(t.rank, tr)
+
+    def run_alt() -> Verdict | str:
+        if t.family == "B" and t.rank >= 3:
+            alt_m = 2 * t.rank + 2
+        elif t.family == "D":
+            alt_m = 2 * t.rank + 1
+        else:
+            return "type is not B_r (r >= 3) or D_r"
+        if not alt_search and tables.generating_pair_hint(alt_m, tr.orders) is None:
+            return f"no built-in generating pair for Alt_{alt_m} and search disabled"
+        return altmethod.alt_saturation_check(alt_m, tr, search=alt_search)
+
     stages = []
-
-    def won(verdict: Verdict) -> Verdict:
-        stages.append({"method": verdict.method, "status": verdict.status,
+    for method, run in (("ladder", lambda: ladder_verdict(t, tr)),
+                        ("bibi", run_bibi), ("alt", run_alt)):
+        verdict = run()
+        if isinstance(verdict, str):
+            stages.append({"method": method, "status": "skipped", "reason": verdict})
+            continue
+        stages.append({"method": method, "status": verdict.status,
                        "certificate": verdict.certificate})
-        return Verdict(verdict.status, verdict.method, {"stages": stages})
-
-    lv = ladder_verdict(t, tr)
-    if lv.is_saturated:
-        return won(lv)
-    stages.append({"method": "ladder", "status": lv.status, "certificate": lv.certificate})
-
-    if t.family == "D":
-        bv = bibi.search_bibi(t.rank, tr)
-        if bv.is_saturated:
-            return won(bv)
-        stages.append({"method": "bibi", "status": bv.status, "certificate": bv.certificate})
-    else:
-        stages.append({"method": "bibi", "status": "skipped", "reason": "type is not D_r"})
-
-    alt_m = None
-    if t.family == "B" and t.rank >= 3:
-        alt_m = 2 * t.rank + 2
-    elif t.family == "D":
-        alt_m = 2 * t.rank + 1
-    if alt_m is None:
-        stages.append({"method": "alt", "status": "skipped",
-                       "reason": "type is not B_r (r >= 3) or D_r"})
-    elif not alt_search and tables.generating_pair_hint(alt_m, tr.orders) is None:
-        stages.append({"method": "alt", "status": "skipped",
-                       "reason": f"no built-in generating pair for Alt_{alt_m} "
-                                 "and search disabled"})
-    else:
-        av = altmethod.alt_saturation_check(alt_m, tr, search=alt_search)
-        if av.is_saturated:
-            return won(av)
-        stages.append({"method": "alt", "status": av.status, "certificate": av.certificate})
+        if verdict.is_saturated:
+            return Verdict(verdict.status, method, {"stages": stages})
 
     h1 = h1_principal(t, tr).h1
     if h1 == 0:

@@ -1,7 +1,7 @@
 """Built-in reference tables and their expansion into concrete cases.
 
-Six fixtures, all reproducible from first principles by this package (the
-`table` CLI command recomputes and diffs them):
+Six fixtures, all reproducible from first principles by this package
+(fixtures.TABLES recomputes and diffs them; so does the `table` CLI command):
 
   rigid         types and triple families with principal H^1 = 0
   nonso3        pairs (X, triple) left unsettled by the ladder criterion
@@ -252,5 +252,3 @@ ALT_NONGEN_ROWS = (
     (11, 3, 3, 4),
     (19, 2, 3, 7),
 )
-
-TABLE_IDS = ("rigid", "nonso3", "bibi-results", "bibi-pairs", "alt-gen", "alt-nongen")

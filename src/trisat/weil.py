@@ -18,7 +18,7 @@ evaluates as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rootsys import DynkinType, adjoint_dim, exponents
 
@@ -59,14 +59,6 @@ class Triple:
 
 
 @dataclass(frozen=True)
-class WeilInvariants:
-    """Invariant dimensions i (on g) and i* (on g*)."""
-
-    i: int = 0
-    i_star: int = 0
-
-
-@dataclass(frozen=True)
 class CohomologyReport:
     """Z^1 and H^1 dimensions together with the data that produced them."""
 
@@ -74,7 +66,6 @@ class CohomologyReport:
     fixed_dims: tuple[int, int, int]
     z1: int
     h1: int
-    invariants: WeilInvariants = field(default_factory=WeilInvariants)
 
     def as_dict(self) -> dict:
         return {
@@ -105,25 +96,21 @@ def principal_fixed_dim(t: DynkinType, n: int) -> int:
     return sum(1 + 2 * (e // n) for e in exponents(t))
 
 
-def weil_h1(
-    dim_g: int,
-    fixed: tuple[int, int, int],
-    inv: WeilInvariants = WeilInvariants(),
-) -> CohomologyReport:
+def weil_h1(dim_g: int, fixed: tuple[int, int, int]) -> CohomologyReport:
     """Apply Weil's Z^1/H^1 formulas to explicit fixed-space dimensions.
 
-    Callers in this package always pass i = i* = 0: every action fed into
-    the formula here has trivial invariants (dense or principal image in a
+    The invariants are taken as i = i* = 0: every action fed into the
+    formula here has trivial invariants (dense or principal image in a
     simple adjoint group).
     """
     if any(f < 0 or f > dim_g for f in fixed):
         raise ValueError(f"fixed dims {fixed} out of range [0, {dim_g}]")
     total = sum(fixed)
-    z1 = 2 * dim_g + inv.i_star - total
-    h1 = dim_g + inv.i + inv.i_star - total
+    z1 = 2 * dim_g - total
+    h1 = dim_g - total
     if h1 < 0:
         raise ValueError(f"negative H^1 = {h1}: inconsistent fixed dims {fixed} for dim {dim_g}")
-    return CohomologyReport(dim_g, tuple(fixed), z1, h1, inv)
+    return CohomologyReport(dim_g, tuple(fixed), z1, h1)
 
 
 def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
@@ -134,14 +121,6 @@ def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
     """
     fixed = tuple(principal_fixed_dim(t, n) for n in tr.orders)
     return weil_h1(adjoint_dim(t), fixed)
-
-
-def epi_dim_bound(t: DynkinType, tr: Triple) -> int:
-    """Upper bound on dim Epi(T, G) - dim G: the principal H^1 dimension.
-
-    This is the quantity every ladder comparison consumes on its left side.
-    """
-    return h1_principal(t, tr).h1
 
 
 def lawther_decomposition(h: int, a: int) -> LawtherDecomposition:

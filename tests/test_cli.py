@@ -69,6 +69,10 @@ class TestOtherCommands:
         assert report["h1"] == 4 and report["fixed"] == [10, 10, 4]
         assert report["target"] == "D4"
 
+    def test_alt_shapes_reject_garbage(self, capsys):
+        assert cli.main(["alt", "--m", "9", "--triple", "3,3,7",
+                         "--shapes", "(3)^3,(3)^3 oops,(7)(1)^2"]) == 2
+
     def test_alt_check(self, capsys):
         code, report = run_json(capsys, "alt", "--m", "9", "--triple", "3,3,9")
         assert code == 0 and report["status"] == "Saturated"

@@ -1,0 +1,90 @@
+"""Forced mismatches: the exact report, rows and log lines of every table.
+
+Each case replaces the one library call a table's checker makes with a fake
+that fails every case, so the mismatch entries, the rows and the trace log
+that a real failure would produce are pinned.
+"""
+
+import json
+import types
+
+import pytest
+
+from trisat import fixtures
+from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, Refuted
+from trisat.saturation import Status, Verdict
+
+_ID5 = Permutation.identity(5)
+_FIXED5 = CycleType((1,) * 5)
+_FAKE_WITNESS = GenerationWitness(_ID5, _ID5, (2, 3, 7), (_FIXED5,) * 3)
+_FAKE_WITNESS_DICT = {"A": [0, 1, 2, 3, 4], "B": [0, 1, 2, 3, 4], "orders": [2, 3, 7],
+                      "shapes": ["(1)^5", "(1)^5", "(1)^5"]}
+
+# table id -> (patched name, fake, checked, mismatches, rows, log lines,
+#              first mismatch, first row, first log line), at c_max = 12
+FORCED = {
+    "rigid": (
+        "h1_principal", lambda t, tr: types.SimpleNamespace(h1=1),
+        1500, 1500, 1500, 1500,
+        {"type": "A1", "triple": [2, 3, 7], "expected_h1": 0, "got_h1": 1},
+        {"type": "A1", "triple": [2, 3, 7], "h1": 1},
+        "rigid A1 (2,3,7): h1=1"),
+    "nonso3": (
+        # only non-Saturated cases get rows, so forcing Saturated leaves none
+        "ladder_verdict", lambda t, tr: Verdict(Status.SATURATED, "ladder", {}),
+        312, 25, 0, 312,
+        {"type": "A1", "triple": [2, 4, 6], "expected": "RigidZero", "got": "Saturated"},
+        None,
+        "nonso3 A1 (2, 4, 6): Saturated"),
+    "bibi-results": (
+        "search_bibi", lambda r, tr: Verdict(Status.UNKNOWN, "bibi", {"r": r}),
+        69, 69, 69, 69,
+        {"r": 7, "triple": [2, 3, 7], "expected": "Saturated", "got": "Unknown"},
+        {"r": 7, "triple": [2, 3, 7], "status": "Unknown"},
+        "bibi-results D7 (2,3,7): Unknown"),
+    "bibi-pairs": (
+        "bibi_criterion", lambda cfg, tr: Verdict(Status.UNKNOWN, "bibi", {"lhs": 1, "rhs": 1}),
+        69, 69, 69, 69,
+        {"r": 4, "k": 1, "triple": [2, 4, 5], "expected": "Saturated", "got": "Unknown",
+         "certificate": {"lhs": 1, "rhs": 1}},
+        {"r": 4, "k": 1, "triple": [2, 4, 5], "status": "Unknown", "lhs": 1, "rhs": 1},
+        "bibi-pairs D4 k=1 (2,4,5): Unknown"),
+    "alt-gen": (
+        # a NotFound case gets a mismatch but no row and no log line
+        "find_generating_triple", lambda m, tr, shape_hint=None: NotFound("forced"),
+        8, 8, 0, 0,
+        {"m": 8, "triple": [3, 3, 15], "shapes": ["3^2.1^2", "3^2.1^2", "5.3"],
+         "got": "NotFound: forced"},
+        None,
+        None),
+    "alt-nongen": (
+        "prove_non_generation", lambda m, tr: Refuted(_FAKE_WITNESS),
+        36, 36, 36, 36,
+        {"m": 8, "triple": [2, 3, 7], "expected": "NonGenerated",
+         "got": {"result": "Refuted", "witness": _FAKE_WITNESS_DICT}},
+        {"m": 8, "triple": [2, 3, 7],
+         "result": {"result": "Refuted", "witness": _FAKE_WITNESS_DICT}},
+        "alt-nongen Alt_8 (2,3,7): refuted"),
+}
+
+
+@pytest.mark.parametrize("table_id", list(FORCED))
+def test_forced_mismatch_report(table_id, monkeypatch):
+    name, fake, checked, n_mis, n_rows, n_log, mis0, row0, log0 = FORCED[table_id]
+    monkeypatch.setattr(fixtures, name, fake)
+    lines = []
+    report = fixtures.check_table(table_id, 12, detail=True, log=lines.append)
+    assert list(report) == ["id", "checked", "mismatches", "ok", "rows"]
+    assert (report["id"], report["checked"], report["ok"]) == (table_id, checked, False)
+    assert (len(report["mismatches"]), len(report["rows"]), len(lines)) == (n_mis, n_rows, n_log)
+    # json.dumps also pins the key order of each entry
+    assert json.dumps(report["mismatches"][0]) == json.dumps(mis0)
+    assert json.dumps(report["rows"][0] if report["rows"] else None) == json.dumps(row0)
+    assert (lines[0] if lines else None) == log0
+
+
+@pytest.mark.parametrize("table_id", list(FORCED))
+def test_rows_only_with_detail(table_id, monkeypatch):
+    monkeypatch.setattr(fixtures, FORCED[table_id][0], FORCED[table_id][1])
+    report = fixtures.check_table(table_id, 12)
+    assert list(report) == ["id", "checked", "mismatches", "ok"]

@@ -15,7 +15,6 @@ from trisat import (
     Triple,
     cycle_type,
     cycle_types_of_order,
-    enumerate_class,
     find_generating_triple,
     group_order,
     lex_min_of_type,
@@ -117,6 +116,16 @@ class TestCycleType:
         with pytest.raises(ValueError):
             CycleType.parse("3^^2")
 
+    @pytest.mark.parametrize("text", ["(3)^3 garbage (1)^2", "(3)^3(1)^2)(", "x(3)"])
+    def test_pretty_form_rejects_trailing_or_leading_garbage(self, text):
+        with pytest.raises(ValueError):
+            CycleType.parse(text)
+
+    def test_str_round_trips(self):
+        for m in (5, 8, 9):
+            for ct in cycle_types_of_order(m, 6, dividing=True):
+                assert CycleType.parse(str(ct)) == ct
+
     def test_properties(self):
         ct = CycleType.parse("4.3.2")
         assert ct.m == 9 and ct.order == 12 and ct.cycle_count == 3
@@ -141,13 +150,13 @@ class TestCycleType:
 
 class TestEnumerateClass:
     def test_small_counts(self):
-        assert sum(1 for _ in enumerate_class(4, CycleType.parse("2^2"))) == 3
-        assert sum(1 for _ in enumerate_class(9, CycleType.parse("3^3"))) == 2240
+        assert len(permgrp._class_images(4, CycleType.parse("2^2").parts)) == 3
+        assert len(permgrp._class_images(9, CycleType.parse("3^3").parts)) == 2240
 
     @pytest.mark.parametrize("m,shape", [(5, "3.1^2"), (5, "5"), (6, "2^2.1^2"), (6, "3.2.1")])
     def test_matches_brute_force(self, m, shape):
         ct = CycleType.parse(shape)
-        got = [p.images for p in enumerate_class(m, ct)]
+        got = permgrp._class_images(m, ct.parts)
         want = sorted(
             perm for perm in itertools.permutations(range(m))
             if cycle_type(Permutation(perm)) == ct
@@ -157,8 +166,8 @@ class TestEnumerateClass:
     def test_lex_min_matches_enumeration(self):
         for m, shape in [(5, "3.1^2"), (6, "3.2.1"), (6, "2^2.1^2"), (7, "4.2.1")]:
             ct = CycleType.parse(shape)
-            first = next(enumerate_class(m, ct))
-            assert lex_min_of_type(m, ct) == first
+            first = permgrp._class_images(m, ct.parts)[0]
+            assert lex_min_of_type(m, ct).images == first
 
     def test_class_list_freed_without_cycle_collector(self):
         gc.collect()
@@ -174,7 +183,7 @@ class TestEnumerateClass:
     def test_class_size_formula_agreement(self):
         for m, shape in [(6, "2^2.1^2"), (7, "3.2^2"), (7, "5.1^2"), (8, "4.2.1^2")]:
             ct = CycleType.parse(shape)
-            assert sum(1 for _ in enumerate_class(m, ct)) == ct.class_size()
+            assert len(permgrp._class_images(m, ct.parts)) == ct.class_size()
 
 
 class TestGroupOrder:

@@ -1,6 +1,6 @@
 import pytest
 
-from trisat import DynkinType, adjoint_dim, all_types, coxeter_number, exponents, root_data
+from trisat import DynkinType, adjoint_dim, all_types, coxeter_number, exponents
 
 
 def T(label):
@@ -59,13 +59,6 @@ def test_exponent_identities_sweep():
         assert h == exps[-1] + 1
         assert t.rank * h == 2 * sum(exps)
         assert adjoint_dim(t) == sum(2 * e + 1 for e in exps)
-
-
-def test_root_data_bundle():
-    data = root_data(T("F4"))
-    assert data.exponents == (1, 5, 7, 11)
-    assert data.dim == 52
-    assert data.coxeter == 12
 
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D3", "E5", "E9", "F3", "G3", "H2"])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +138,18 @@ class TestDecide:
         v = decide(T("B3"), Triple(3, 3, 15))
         assert v.method == "alt"
         assert v.certificate["stages"][-1]["certificate"]["h1"] > 0
+
+
+_STAGE_PINS = [json.loads(line)
+               for line in (Path(__file__).parent / "decide_stages.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "pin", _STAGE_PINS,
+    ids=[f"{p['type']}-{p['triple']}{'-search' if p['alt_search'] else ''}" for p in _STAGE_PINS])
+def test_decide_stages_pinned(pin):
+    # One case per stage branch: alt skipped (not B/D, B below rank 3, no
+    # built-in pair), RigidZero, Unknown, a win by each route, and an alt
+    # stage that ends Unknown.  json.dumps also pins the key order.
+    v = decide(T(pin["type"]), Triple(*pin["triple"]), alt_search=pin["alt_search"])
+    assert json.dumps(v.as_dict()) == json.dumps(pin["verdict"])

@@ -3,11 +3,9 @@ import pytest
 from trisat import (
     DynkinType,
     Triple,
-    WeilInvariants,
     all_types,
     codim_order_variety,
     coxeter_number,
-    epi_dim_bound,
     h1_principal,
     principal_fixed_dim,
     weil_h1,
@@ -85,11 +83,6 @@ class TestWeilFormula:
     def test_d7_pair_case(self):
         assert weil_h1(91, (43, 31, 13)).h1 == 4
 
-    def test_invariants_enter(self):
-        rep = weil_h1(14, (6, 4, 2), WeilInvariants(i=1, i_star=2))
-        assert rep.z1 == 2 * 14 + 2 - 12
-        assert rep.h1 == 14 + 3 - 12
-
     def test_negative_h1_raises(self):
         with pytest.raises(ValueError):
             weil_h1(3, (3, 3, 3))
@@ -117,11 +110,6 @@ class TestH1Principal:
         for orders in [(7, 3, 2), (3, 7, 2), (4, 6, 2)]:
             assert (h1_principal(T("F4"), Triple(*orders)).h1
                     == h1_principal(T("F4"), Triple(*sorted(orders))).h1)
-
-    def test_epi_dim_bound_is_h1(self):
-        assert epi_dim_bound(T("G2"), Triple(2, 3, 7)) == 2
-        assert epi_dim_bound(T("A1"), Triple(3, 3, 4)) == 0
-        assert epi_dim_bound(T("B5"), Triple(2, 3, 7)) == 2
 
     def test_rigid_rows_are_exactly_the_zero_set(self):
         # completeness sweep: H^1 vanishes iff (type, triple) is a rigid row
