@@ -37,7 +37,6 @@ from .rootsys import DynkinType, adjoint_dim, all_types, coxeter_number, exponen
 from .saturation import Status, Verdict, classify_ladder, decide, ladder_verdict
 from .weil import (
     CohomologyReport,
-    LawtherDecomposition,
     Triple,
     codim_order_variety,
     h1_principal,
@@ -55,7 +54,6 @@ __all__ = [
     "DynkinType",
     "EigenvalueMultiset",
     "GenerationWitness",
-    "LawtherDecomposition",
     "NonGenerated",
     "NotFound",
     "Permutation",

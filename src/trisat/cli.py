@@ -99,8 +99,6 @@ def _parse_shapes(text: str, m: int) -> tuple[CycleType, CycleType, CycleType]:
 def cmd_alt(args) -> int:
     tr = _parse_triple(args)
     m = args.m
-    if m is None:
-        raise ValueError("--m is required for the alt command")
     if args.shapes:
         shapes = _parse_shapes(args.shapes, m)
         report = h1_alt(m, shapes, tr)

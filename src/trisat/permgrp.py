@@ -2,9 +2,9 @@
 
 Covers what the alternating-group saturation method needs: cycle types and
 their conjugacy classes, deterministic class enumeration, exact group order
-via a Schreier-Sims stabilizer chain, search for generating pairs of
-prescribed orders in Alt_m, and non-generation proofs (Scott's cycle-count
-bound, else exhaustion over class pairs).
+via a Sims table, search for generating pairs of prescribed orders in
+Alt_m, and non-generation proofs (Scott's cycle-count bound, else
+exhaustion over class pairs).
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
@@ -76,47 +75,20 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self.images))
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycles (including fixed points), each led by its smallest element."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
-
     def order(self) -> int:
         return reduce(math.lcm, _cycle_lengths(self.images), 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 
     def __repr__(self) -> str:
-        moved = [c for c in self.cycles() if len(c) > 1]
-        if not moved:
-            return f"Permutation(identity on {self.degree})"
-        text = "".join("(" + " ".join(map(str, c)) + ")" for c in moved)
-        return f"Permutation[{text} on {self.degree}]"
+        return f"Permutation({self.images})"
 
 
-# Image-tuple kernel, shared by Permutation, the search and Schreier-Sims.
+# Image-tuple kernel, shared by Permutation, the search and the Sims table.
 
 
 def _mul(p, q):
@@ -228,21 +200,19 @@ def cycle_type(p: Permutation) -> CycleType:
     return CycleType(tuple(_cycle_lengths(p.images)))
 
 
-def cycle_types_of_order(
-    m: int, n: int, *, even_only: bool = False, dividing: bool = False
-) -> list[CycleType]:
+def cycle_types_of_order(m: int, n: int, *, even_only: bool = False) -> list[CycleType]:
     """All cycle types on m points whose element order is exactly n.
 
-    With dividing=True the order need only divide n.  With even_only=True
-    only types of even permutations (even count of even-length parts) are
-    kept.  Returned sorted by parts tuple, largest first.
+    With even_only=True only types of even permutations (even count of
+    even-length parts) are kept.  Returned sorted by parts tuple, largest
+    first.
     """
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     found: list[CycleType] = []
 
     def rec(remaining: int, max_part: int, chosen: list[int]):
         if remaining == 0:
-            if not dividing and reduce(math.lcm, chosen, 1) != n:
+            if reduce(math.lcm, chosen, 1) != n:
                 return
             if even_only and sum(1 for p in chosen if p % 2 == 0) % 2:
                 return
@@ -318,77 +288,43 @@ def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Schreier-Sims stabilizer chain
+# Sims table (Knuth, Combinatorica 11 (1991) 33-43), base 0..m-1
 
 
 def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
+    """Order of the group generated by the image tuples ``gens`` on m points."""
     ident = tuple(range(m))
-    strong = [g for g in gens if g != ident]
-    if not strong:
-        return 1
-    base: list[int] = []
-    for g in strong:
-        if all(g[x] == x for x in base):
-            base.append(next(x for x in range(m) if g[x] != x))
-    orbits: list[dict] = [None] * len(base)
+    reps = [{k: ident} for k in range(m)]  # reps[k][j] fixes 0..k-1 and sends k to j
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
 
-    def level_gens(i):
-        prefix = base[:i]
-        return [g for g in strong if all(g[x] == x for x in prefix)]
+    # Every strong generator added below level k lies in <strong[k]>, and
+    # R_{m-1}...R_k is closed under right multiplication by strong[k], so
+    # that product set is <strong[k]> and the order is prod |R_k|.
+    def add(k, g):
+        for i in range(k, m):
+            if g[i] != i:
+                u = reps[i].get(g[i])
+                if u is None:
+                    break
+                g = _mul(g, _inv(u))
+        else:
+            return  # g sifted to the identity: already a member
+        strong[k].append(g)
+        for u in list(reps[k].values()):
+            close(k, _mul(u, g))
 
-    def rebuild(i):
-        trans = {base[i]: ident}
-        queue = deque([base[i]])
-        gl = level_gens(i)
-        while queue:
-            a = queue.popleft()
-            ta = trans[a]
-            for g in gl:
-                b = g[a]
-                if b not in trans:
-                    trans[b] = _mul(ta, g)
-                    queue.append(b)
-        orbits[i] = trans
+    def close(k, g):
+        u = reps[k].get(g[k])
+        if u is None:
+            reps[k][g[k]] = g
+            for s in strong[k]:
+                close(k, _mul(g, s))
+        else:
+            add(k + 1, _mul(g, _inv(u)))
 
-    def strip(p, i):
-        while i < len(base):
-            u = orbits[i].get(p[base[i]])
-            if u is None:
-                return p, i
-            p = _mul(p, _inv(u))
-            i += 1
-        return p, len(base)
-
-    for i in range(len(base)):
-        rebuild(i)
-
-    i = len(base) - 1
-    while i >= 0:
-        rebuild(i)
-        added = False
-        for x in sorted(orbits[i]):
-            tx = orbits[i][x]
-            for s in level_gens(i):
-                sg = _mul(_mul(tx, s), _inv(orbits[i][s[x]]))
-                if sg == ident:
-                    continue
-                residue, j = strip(sg, i + 1)
-                if residue == ident:
-                    continue
-                strong.append(residue)
-                if j == len(base):
-                    base.append(next(z for z in range(m) if residue[z] != z))
-                    orbits.append(None)
-                for k in range(i + 1, j + 1):
-                    rebuild(k)
-                i = j
-                added = True
-                break
-            if added:
-                break
-        if not added:
-            i -= 1
-    return math.prod(len(t) for t in orbits)
+    for g in gens:
+        add(0, g)
+    return math.prod(len(r) for r in reps)
 
 
 def group_order(gens) -> int:
@@ -477,8 +413,6 @@ def find_generating_triple(
     m: int,
     tr: Triple,
     shape_hint: tuple[CycleType, CycleType, CycleType] | None = None,
-    *,
-    order_dividing: bool = False,
 ) -> GenerationWitness | NotFound:
     """Search Alt_m for A, B with |A| = a, |B| = b, |AB| = c and <A,B> = Alt_m.
 
@@ -495,14 +429,14 @@ def find_generating_triple(
     - a pair whose product AB has the wrong order or class is skipped;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
-    - the survivors are settled by the exact stabilizer-chain order.
+    - the survivors are settled by the exact group order from the Sims table.
     """
     if m < 5:
         raise ValueError("need m >= 5")
     a, b, c = tr.orders
-    types_a = cycle_types_of_order(m, a, even_only=True, dividing=order_dividing)
-    types_b = cycle_types_of_order(m, b, even_only=True, dividing=order_dividing)
-    types_c = cycle_types_of_order(m, c, even_only=True, dividing=order_dividing)
+    types_a = cycle_types_of_order(m, a, even_only=True)
+    types_b = cycle_types_of_order(m, b, even_only=True)
+    types_c = cycle_types_of_order(m, c, even_only=True)
     if shape_hint is not None:
         ha, hb, hc = shape_hint
         types_a = [_validated_hint(m, ha, types_a, "A")]

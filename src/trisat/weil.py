@@ -76,16 +76,6 @@ class CohomologyReport:
         }
 
 
-@dataclass(frozen=True)
-class LawtherDecomposition:
-    """Division data h = alpha*a + beta plus the two parity flags epsilon."""
-
-    alpha: int
-    beta: int
-    eps_a: int
-    eps_alpha: int
-
-
 def principal_fixed_dim(t: DynkinType, n: int) -> int:
     """Fixed-space dimension of an order-n generator under the principal action.
 
@@ -123,26 +113,21 @@ def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
     return weil_h1(adjoint_dim(t), fixed)
 
 
-def lawther_decomposition(h: int, a: int) -> LawtherDecomposition:
-    """Write h = alpha*a + beta with 0 <= beta < a and record parities."""
-    alpha, beta = divmod(h, a)
-    return LawtherDecomposition(alpha, beta, a % 2, alpha % 2)
-
-
 def lawther_closed_form(t: DynkinType, a: int) -> int:
     """Lawther's closed form for codim G_[a] in the classical families."""
     r = t.rank
+    h = {"A": r + 1, "B": 2 * r, "C": 2 * r, "D": 2 * r - 2}.get(t.family)
+    if h is None:
+        raise ValueError(f"{t} is not classical")
+    alpha, beta = divmod(h, a)  # h = alpha*a + beta, 0 <= beta < a
+    eps_a, eps_alpha = a % 2, alpha % 2
+    full = alpha**2 * a + beta * (2 * alpha + 1)
     if t.family == "A":
-        d = lawther_decomposition(r + 1, a)
-        return d.alpha**2 * a + d.beta * (2 * d.alpha + 1) - 1
-    if t.family in ("B", "C"):
-        d = lawther_decomposition(2 * r, a)
-        return (d.alpha**2 * a + d.beta * (2 * d.alpha + 1)) // 2 + d.eps_a * ((d.alpha + 1) // 2)
+        return full - 1
+    half = full // 2 + eps_a * ((alpha + 1) // 2)
     if t.family == "D":
-        d = lawther_decomposition(2 * r - 2, a)
-        half = (d.alpha**2 * a + d.beta * (2 * d.alpha + 1)) // 2
-        return half + d.eps_a * ((d.alpha + 1) // 2) + d.alpha + 1 - d.eps_alpha
-    raise ValueError(f"{t} is not classical")
+        return half + alpha + 1 - eps_alpha
+    return half
 
 
 def codim_order_variety(t: DynkinType, n: int) -> int:

@@ -1,7 +1,7 @@
 import gc
 import itertools
 import random
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -123,8 +123,9 @@ class TestCycleType:
 
     def test_str_round_trips(self):
         for m in (5, 8, 9):
-            for ct in cycle_types_of_order(m, 6, dividing=True):
-                assert CycleType.parse(str(ct)) == ct
+            for n in (1, 2, 3, 6):
+                for ct in cycle_types_of_order(m, n):
+                    assert CycleType.parse(str(ct)) == ct
 
     def test_properties(self):
         ct = CycleType.parse("4.3.2")
@@ -212,14 +213,71 @@ class TestGroupOrder:
                 gens.append(Permutation(imgs))
             assert group_order(gens) == naive_order(gens)
 
+    @pytest.mark.parametrize("m,orders", [(8, (3, 3, 6)), (9, (2, 3, 7))])
+    def test_exhaustive_proof_groups_against_naive_closure(self, monkeypatch, m, orders):
+        seen = []
+        real = permgrp._bsgs_order
+
+        def recording(gens, degree):
+            order = real(gens, degree)
+            seen.append((gens, order))
+            return order
+
+        monkeypatch.setattr(permgrp, "_bsgs_order", recording)
+        assert prove_non_generation(m, Triple(*orders)).method == "exhaustive"
+        assert seen
+        for gens, order in seen:
+            assert order == naive_order([Permutation(g) for g in gens])
+
+    def test_primitive_non_alternating_groups(self):
+        m11 = [Permutation.from_cycles(11, [tuple(range(11))]),
+               Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+        # PGL(2,7) on the projective line {0..6, inf = 7}: x+1, 3x, -1/x.
+        inf = 7
+        pgl27 = [Permutation([(x + 1) % 7 for x in range(7)] + [inf]),
+                 Permutation([3 * x % 7 for x in range(7)] + [inf]),
+                 Permutation([inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0])]
+        # PGammaL(2,8) on {GF(8), inf = 8}, GF(8) = GF(2)[w]/(w^3 + w + 1):
+        # x+1, wx, 1/x and the Frobenius x^2.
+        def gf8_mul(x, y):
+            prod = 0
+            for i in range(3):
+                if y >> i & 1:
+                    prod ^= x << i
+            for i in (4, 3):
+                if prod >> i & 1:
+                    prod ^= 0b1011 << (i - 3)
+            return prod
+
+        inv8 = {x: next(y for y in range(1, 8) if gf8_mul(x, y) == 1) for x in range(1, 8)}
+        inf = 8
+        pgaml28 = [Permutation([x ^ 1 for x in range(8)] + [inf]),
+                   Permutation([gf8_mul(2, x) for x in range(8)] + [inf]),
+                   Permutation([inf] + [inv8[x] for x in range(1, 8)] + [0]),
+                   Permutation([gf8_mul(x, x) for x in range(8)] + [inf])]
+        for gens, order in ((m11, 7920), (pgl27, 336), (pgaml28, 1512)):
+            assert group_order(gens) == order == naive_order(gens)
+
+    @pytest.mark.parametrize("m", [12, 16, 20])
+    def test_large_symmetric_and_alternating(self, m):
+        sym = [Permutation.from_cycles(m, [(0, 1)]), Permutation.from_cycles(m, [tuple(range(m))])]
+        assert group_order(sym) == factorial(m)
+        # m is even, so (0 1 2) and the (m-1)-cycle (1 2 ... m-1) generate Alt_m.
+        alt = [Permutation.from_cycles(m, [(0, 1, 2)]),
+               Permutation.from_cycles(m, [tuple(range(1, m))])]
+        assert group_order(alt) == factorial(m) // 2
+
 
 class TestTypesOfOrder:
     def test_exact_vs_dividing(self):
         exact = {t.parts for t in cycle_types_of_order(9, 6)}
-        dividing = {t.parts for t in cycle_types_of_order(9, 6, dividing=True)}
-        assert exact < dividing
         assert all(CycleType(p).order == 6 for p in exact)
-        assert (1,) * 9 in dividing and (1,) * 9 not in exact
+        assert (1,) * 9 not in exact
+        partitions = {
+            c[::-1] for k in range(1, 10)
+            for c in itertools.combinations_with_replacement(range(1, 10), k) if sum(c) == 9
+        }
+        assert exact == {p for p in partitions if lcm(*p) == 6}
 
     def test_even_filter(self):
         evens = cycle_types_of_order(11, 4, even_only=True)
@@ -273,9 +331,7 @@ class TestGenerationSearch:
 
     def test_order_dividing_variant(self):
         strict = find_generating_triple(5, Triple(2, 5, 5))
-        relaxed = find_generating_triple(5, Triple(2, 5, 5), order_dividing=True)
         assert not isinstance(strict, NotFound) and strict.validate()
-        assert not isinstance(relaxed, NotFound)
 
     def test_bad_hint_raises(self):
         odd = CycleType.parse("2.1^7")  # odd permutation
