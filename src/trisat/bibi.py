@@ -207,9 +207,7 @@ def search_bibi(r: int, tr: Triple) -> Verdict:
     if r < 4:
         raise ValueError("need r >= 4")
     attempts = []
-    for k in range(1, (r + 1) // 2):
-        if not k < r - k - 1:
-            break
+    for k in range(1, r // 2):
         verdict = bibi_criterion(BibiConfig(r, k), tr)
         if verdict.status == Status.SATURATED:
             return verdict

@@ -42,50 +42,32 @@ def _emit(report: dict, args) -> None:
         print(json.dumps(report, indent=2))
 
 
-def _trace_log(args):
-    if getattr(args, "trace", False):
-        return lambda line: print(line, file=sys.stderr)
-    return None
-
-
-def _parse_type(args) -> DynkinType:
-    return DynkinType.parse(args.type)
-
-
-def _parse_triple(args) -> Triple:
-    return Triple.parse(args.triple)
-
-
-def cmd_h1(args) -> int:
-    t, tr = _parse_type(args), _parse_triple(args)
-    report = h1_principal(t, tr)
-    _emit({"type": str(t), "triple": list(tr.orders), **report.as_dict()}, args)
-    return 0
-
-
-def cmd_codim(args) -> int:
-    t, tr = _parse_type(args), _parse_triple(args)
-    codims = [codim_order_variety(t, n) for n in tr.orders]
-    _emit({"type": str(t), "triple": list(tr.orders), "codim": codims}, args)
-    return 0
-
-
-def cmd_ladder(args) -> int:
-    t, tr = _parse_type(args), _parse_triple(args)
-    verdict = ladder_verdict(t, tr)
-    _emit({"type": str(t), "triple": list(tr.orders), **verdict.as_dict()}, args)
-    return 0
-
-
-def cmd_bibi(args) -> int:
-    t, tr = _parse_type(args), _parse_triple(args)
+def _bibi(t: DynkinType, tr: Triple, args) -> dict:
     if t.family != "D":
         raise ValueError(f"the bibi method applies to type D_r only, got {t}")
     if args.k is not None:
-        verdict = bibi_criterion(BibiConfig(t.rank, args.k), tr)
-    else:
-        verdict = search_bibi(t.rank, tr)
-    _emit({"type": str(t), "triple": list(tr.orders), **verdict.as_dict()}, args)
+        return bibi_criterion(BibiConfig(t.rank, args.k), tr).as_dict()
+    return search_bibi(t.rank, tr).as_dict()
+
+
+#: The subcommands taking --type and --triple: name -> (help, body of the report).
+TYPED = {
+    "h1": ("principal H^1 report for (type, triple)",
+           lambda t, tr, args: h1_principal(t, tr).as_dict()),
+    "codim": ("codimension of the order-dividing subvarieties",
+              lambda t, tr, args: {"codim": [codim_order_variety(t, n) for n in tr.orders]}),
+    "ladder": ("principal-ladder verdict with the H^1 chain",
+               lambda t, tr, args: ladder_verdict(t, tr).as_dict()),
+    "bibi": ("SO(2k+1) x SO(2r-2k-1) < D_r criterion or sweep over k", _bibi),
+    "decide": ("combined verdict: ladder, then bibi, then alt",
+               lambda t, tr, args: decide(t, tr, alt_search=args.alt_search).as_dict()),
+}
+
+
+def cmd_typed(args) -> int:
+    t, tr = DynkinType.parse(args.type), Triple.parse(args.triple)
+    body = TYPED[args.command][1](t, tr, args)
+    _emit({"type": str(t), "triple": list(tr.orders), **body}, args)
     return 0
 
 
@@ -97,7 +79,7 @@ def _parse_shapes(text: str, m: int) -> tuple[CycleType, CycleType, CycleType]:
 
 
 def cmd_alt(args) -> int:
-    tr = _parse_triple(args)
+    tr = Triple.parse(args.triple)
     m = args.m
     if args.shapes:
         shapes = _parse_shapes(args.shapes, m)
@@ -116,16 +98,10 @@ def cmd_alt(args) -> int:
     return 0
 
 
-def cmd_decide(args) -> int:
-    t, tr = _parse_type(args), _parse_triple(args)
-    verdict = decide(t, tr, alt_search=args.alt_search)
-    _emit({"type": str(t), "triple": list(tr.orders), **verdict.as_dict()}, args)
-    return 0
-
-
 def cmd_table(args) -> int:
+    log = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     report = fixtures.check_table(args.id, c_max=args.sample_c,
-                                  detail=args.regenerate, log=_trace_log(args))
+                                  detail=args.regenerate, log=log)
     if args.regenerate:
         _emit({"id": report["id"], "rows": report.get("rows", [])}, args)
         return 0
@@ -146,30 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def typed(p):
+    for name, (text, _) in TYPED.items():
+        p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument("--type", required=True, help="Dynkin type, e.g. D7")
         p.add_argument("--triple", required=True, help="triple a,b,c e.g. 2,3,7")
-
-    p = sub.add_parser("h1", parents=[common],
-                       help="principal H^1 report for (type, triple)")
-    typed(p)
-    p.set_defaults(func=cmd_h1)
-
-    p = sub.add_parser("codim", parents=[common],
-                       help="codimension of the order-dividing subvarieties")
-    typed(p)
-    p.set_defaults(func=cmd_codim)
-
-    p = sub.add_parser("ladder", parents=[common],
-                       help="principal-ladder verdict with the H^1 chain")
-    typed(p)
-    p.set_defaults(func=cmd_ladder)
-
-    p = sub.add_parser("bibi", parents=[common],
-                       help="SO(2k+1) x SO(2r-2k-1) < D_r criterion or sweep over k")
-    typed(p)
-    p.add_argument("--k", type=int, default=None, help="fix the smaller factor rank")
-    p.set_defaults(func=cmd_bibi)
+        p.set_defaults(func=cmd_typed)
+    sub.choices["bibi"].add_argument("--k", type=int, default=None,
+                                     help="fix the smaller factor rank")
+    sub.choices["decide"].add_argument(
+        "--alt-search", action="store_true",
+        help="allow the exhaustive Alt_m search beyond the built-in pairs")
 
     p = sub.add_parser("alt", parents=[common],
                        help="alternating-group method for Alt_m")
@@ -181,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-search", action="store_true",
                    help="only consult the built-in generating pairs")
     p.set_defaults(func=cmd_alt)
-
-    p = sub.add_parser("decide", parents=[common],
-                       help="combined verdict: ladder, then bibi, then alt")
-    typed(p)
-    p.add_argument("--alt-search", action="store_true",
-                   help="allow the exhaustive Alt_m search beyond the built-in pairs")
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("table", parents=[common],
                        help="recompute a built-in table and diff it")

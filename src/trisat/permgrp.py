@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 
+from . import rootsys
 from .weil import Triple
 
 __all__ = [
@@ -120,6 +121,10 @@ def _cycle_lengths(images) -> list[int]:
     return lengths
 
 
+#: Hard cap so that accidental huge degrees fail fast instead of allocating:
+#: the largest degree whose B/D target (B_r at m = 2r + 2) rootsys accepts.
+MAX_DEGREE = 2 * rootsys.MAX_RANK + 2
+
 _SHAPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
 _SHAPE_PRETTY = re.compile(r"\((\d+)\)(?:\^(\d+))?")
 _SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\(\d+\)(?:\^\d+)?)+")
@@ -140,20 +145,24 @@ class CycleType:
     def parse(cls, text: str) -> "CycleType":
         """Parse "3^3.1^2" (dot-separated) or the pretty form "(3)^3(1)^2"."""
         text = text.strip()
-        parts: list[int] = []
         if "(" in text:
             if not _SHAPE_PRETTY_WHOLE.fullmatch(text):
                 raise ValueError(f"cannot parse cycle type {text!r}")
-            for length, mult in _SHAPE_PRETTY.findall(text):
-                parts.extend([int(length)] * int(mult or 1))
+            matches = _SHAPE_PRETTY.findall(text)
         else:
+            matches = []
             for term in re.split(r"[.\s]+", text):
                 if not term:
                     continue
                 m = _SHAPE_TERM.match(term)
                 if not m:
                     raise ValueError(f"cannot parse cycle type term {term!r}")
-                parts.extend([int(m.group(1))] * int(m.group(2) or 1))
+                matches.append(m.groups())
+        terms = [(int(length), int(mult or 1)) for length, mult in matches]
+        # a zero length is rejected below, but still costs one list entry
+        if sum(max(length, 1) * mult for length, mult in terms) > MAX_DEGREE:
+            raise ValueError(f"cycle type {text!r} exceeds supported degree cap {MAX_DEGREE}")
+        parts = [length for length, mult in terms for _ in range(mult)]
         if not parts:
             raise ValueError(f"empty cycle type {text!r}")
         return cls(tuple(parts))
@@ -184,6 +193,8 @@ class CycleType:
 
     def padded(self, m: int) -> "CycleType":
         """Pad with fixed points up to degree m."""
+        if m > MAX_DEGREE:
+            raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
         if self.m > m:
             raise ValueError(f"cycle type {self} exceeds degree {m}")
         return CycleType(self.parts + (1,) * (m - self.m))

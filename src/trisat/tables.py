@@ -69,16 +69,6 @@ def expand_triples(a_spec, b_spec, c_spec, c_max: int = DEFAULT_C_MAX) -> list[T
 # ---------------------------------------------------------------------------
 # rigid: principal H^1 vanishes identically on these families
 
-RIGID_ROWS = (
-    ("A1", "any hyperbolic triple"),
-    ("A2", "a = 2"),
-    ("A3", "a = 2, b = 3"),
-    ("A4", "a = 2, b = 3"),
-    ("C2", "b = 3"),
-    ("G2", "a = 2, c = 5"),
-)
-
-
 def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:
     """Whether (t, triple) falls under some rigid row."""
     a, b, c = orders
@@ -98,27 +88,22 @@ def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:
 
 
 def rigid_samples(small_cap: int = 20, c_max: int = DEFAULT_C_MAX) -> list[tuple[str, Triple]]:
-    """Concrete (type, triple) members sampled from every rigid row."""
-    out: list[tuple[str, Triple]] = []
-    for a in range(2, small_cap + 1):
-        for b in range(a, small_cap + 1):
-            for c in range(b, small_cap + 1):
-                try:
-                    out.append(("A1", Triple(a, b, c)))
-                except ValueError:
-                    pass
-    for b in range(2, small_cap + 1):
-        for c in range(b, small_cap + 1):
-            try:
-                out.append(("A2", Triple(2, b, c)))
-            except ValueError:
-                pass
-    for label in ("A3", "A4"):
-        out.extend((label, Triple(2, 3, c)) for c in range(7, c_max + 1))
-    out.extend(("C2", Triple(2, 3, c)) for c in range(7, c_max + 1))
-    out.extend(("C2", Triple(3, 3, c)) for c in range(4, c_max + 1))
-    out.extend([("G2", Triple(2, 4, 5)), ("G2", Triple(2, 5, 5))])
-    return out
+    """Concrete (type, triple) members sampled from every rigid row.
+
+    A1 and A2 hold for whole families of (a, b, c), so their samples stop at
+    small_cap; the other rows only leave c open, up to c_max.
+    """
+    small = ("range", 2, small_cap)
+    rows = (
+        ("A1", small, small, small),
+        ("A2", 2, small, small),
+        ("A3", 2, 3, ("ge", 7)),
+        ("A4", 2, 3, ("ge", 7)),
+        ("C2", 2, 3, ("ge", 7)),
+        ("C2", 3, 3, ("ge", 4)),
+        ("G2", 2, ("in", (4, 5)), 5),
+    )
+    return [(label, tr) for label, *specs in rows for tr in expand_triples(*specs, c_max)]
 
 
 # ---------------------------------------------------------------------------

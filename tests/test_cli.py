@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,41 @@ class TestTableCommand:
     def test_check_table_rejects_bad_id(self):
         with pytest.raises(ValueError):
             fixtures.check_table("bogus")
+
+
+# argv, exit code, stdout and stderr of cli.main, captured before the typed
+# subcommands shared one handler.  Top-level usage errors are left out: they
+# list the subcommands, whose order is not part of the contract.
+_CLI_PINS = [json.loads(line)
+             for line in (Path(__file__).parent / "cli_outputs.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("pin", _CLI_PINS, ids=[" ".join(p["argv"]) for p in _CLI_PINS])
+def test_cli_outputs_pinned(pin, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
+    try:
+        code = cli.main(list(pin["argv"]))
+    except SystemExit as exc:  # --help and subcommand usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["alt", "--m", "9", "--triple", "3,3,7", "--shapes", "3^99999999999,3^3,7"],
+     "cycle type '3^99999999999' exceeds supported degree cap 1026"),
+    (["alt", "--m", "1000000000", "--triple", "3,3,7", "--shapes", "3^3,3^3,7"],
+     "degree 1000000000 exceeds supported cap 1026"),
+], ids=["multiplicity", "degree"])
+def test_oversized_degree_exits_2(argv, error):
+    # Under 1 GB of address space an unchecked degree dies of MemoryError
+    # (exit 1) instead of taking the machine's memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "trisat", *argv], capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
 
 
 def test_module_entry_point():

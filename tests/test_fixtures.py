@@ -10,9 +10,10 @@ import types
 
 import pytest
 
-from trisat import fixtures
+from trisat import fixtures, tables
 from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, Refuted
 from trisat.saturation import Status, Verdict
+from trisat.weil import Triple
 
 _ID5 = Permutation.identity(5)
 _FIXED5 = CycleType((1,) * 5)
@@ -88,3 +89,37 @@ def test_rows_only_with_detail(table_id, monkeypatch):
     monkeypatch.setattr(fixtures, FORCED[table_id][0], FORCED[table_id][1])
     report = fixtures.check_table(table_id, 12)
     assert list(report) == ["id", "checked", "mismatches", "ok"]
+
+
+def hand_rigid_samples(small_cap, c_max):
+    """Reference for tables.rigid_samples: the rigid rows as hand-written loops."""
+    out = []
+    for a in range(2, small_cap + 1):
+        for b in range(a, small_cap + 1):
+            for c in range(b, small_cap + 1):
+                try:
+                    out.append(("A1", Triple(a, b, c)))
+                except ValueError:
+                    pass
+    for b in range(2, small_cap + 1):
+        for c in range(b, small_cap + 1):
+            try:
+                out.append(("A2", Triple(2, b, c)))
+            except ValueError:
+                pass
+    for label in ("A3", "A4"):
+        out.extend((label, Triple(2, 3, c)) for c in range(7, c_max + 1))
+    out.extend(("C2", Triple(2, 3, c)) for c in range(7, c_max + 1))
+    out.extend(("C2", Triple(3, 3, c)) for c in range(4, c_max + 1))
+    out.extend([("G2", Triple(2, 4, 5)), ("G2", Triple(2, 5, 5))])
+    return out
+
+
+@pytest.mark.parametrize("small_cap", [3, 20])
+@pytest.mark.parametrize("c_max", [7, 60])
+def test_rigid_samples_match_hand_loops(small_cap, c_max):
+    def orders(samples):
+        return [(label, tr.orders) for label, tr in samples]
+
+    assert orders(tables.rigid_samples(small_cap, c_max)) == orders(
+        hand_rigid_samples(small_cap, c_max))
