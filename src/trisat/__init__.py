@@ -7,7 +7,7 @@ ladders, SO(2k+1) x SO(2r-2k-1) embeddings in type D, and alternating
 group quotients inside odd orthogonal groups.
 """
 
-from .altmethod import AltConfig, alt_saturation_check, h1_alt, perm_eigenvalues_on_standard
+from .altmethod import alt_saturation_check, h1_alt, perm_eigenvalues_on_standard
 from .bibi import (
     BibiConfig,
     EigenvalueMultiset,
@@ -33,7 +33,7 @@ from .permgrp import (
     prove_non_generation,
     scott_min_sum,
 )
-from .rootsys import DynkinType, adjoint_dim, all_types, coxeter_number, exponents
+from .rootsys import DynkinType, adjoint_dim, all_types, exponents
 from .saturation import Status, Verdict, classify_ladder, decide, ladder_verdict
 from .weil import (
     CohomologyReport,
@@ -47,7 +47,6 @@ from .weil import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AltConfig",
     "BibiConfig",
     "CohomologyReport",
     "CycleType",
@@ -68,7 +67,6 @@ __all__ = [
     "check_table",
     "classify_ladder",
     "codim_order_variety",
-    "coxeter_number",
     "cycle_type",
     "cycle_types_of_order",
     "decide",

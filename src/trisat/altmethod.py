@@ -17,8 +17,6 @@ modulo the lcm of the cycle lengths to make that merge exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
 from .bibi import EigenvalueMultiset, so_fixed_dim
 from .permgrp import CycleType, NotFound, find_generating_triple
@@ -27,27 +25,22 @@ from .saturation import Status, Verdict
 from .weil import CohomologyReport, Triple, weil_h1
 
 
-@dataclass(frozen=True)
-class AltConfig:
-    """Alt_m acting on so_{m-1}; valid once m >= 7 (irreducibility)."""
+def alt_degree(t: DynkinType) -> int | None:
+    """The m whose target is ``t``: 2r+2 for B_r (r >= 3), 2r+1 for D_r, else None."""
+    if t.family == "B" and t.rank >= 3:
+        return 2 * t.rank + 2
+    if t.family == "D":
+        return 2 * t.rank + 1
+    return None
 
-    m: int
 
-    def __post_init__(self):
-        if self.m < 7:
-            raise ValueError("need m >= 7 for Alt_m to be irreducible on so_{m-1}")
-
-    @property
-    def dim_v(self) -> int:
-        """dim so_{m-1}: r(2r+1) for m = 2r+2, r(2r-1) for m = 2r+1."""
-        return (self.m - 1) * (self.m - 2) // 2
-
-    @property
-    def target(self) -> DynkinType:
-        """B_r for even m, D_r for odd m.  m = 7 would be D3 and is rejected."""
-        if self.m % 2 == 0:
-            return DynkinType("B", (self.m - 2) // 2)
-        return DynkinType("D", (self.m - 1) // 2)
+def alt_target(m: int) -> DynkinType:
+    """B_r for m = 2r+2, D_r for m = 2r+1; refused below 8 (so_6 is of type A3)."""
+    if m < 8:
+        raise ValueError("need m >= 8: the m = 7 target so_6 is not of type B or D")
+    if m % 2 == 0:
+        return DynkinType("B", (m - 2) // 2)
+    return DynkinType("D", (m - 1) // 2)
 
 
 def perm_eigenvalues_on_standard(ct: CycleType) -> EigenvalueMultiset:
@@ -76,14 +69,15 @@ def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -
     Irreducibility kills the invariants, so H^1 = dim so_{m-1} minus the
     three fixed-space dimensions.
     """
-    cfg = AltConfig(m)
+    if m < 7:
+        raise ValueError("need m >= 7 for Alt_m to be irreducible on so_{m-1}")
     for shape, n, slot in zip(shapes, tr.orders, "xyz"):
         if shape.m != m:
             raise ValueError(f"shape {shape} for {slot} has degree {shape.m}, expected {m}")
         if shape.order != n:
             raise ValueError(f"shape {shape} for {slot} has order {shape.order}, expected {n}")
     fixed = tuple(so_fixed_dim(perm_eigenvalues_on_standard(s)) for s in shapes)
-    return weil_h1(cfg.dim_v, fixed)
+    return weil_h1((m - 1) * (m - 2) // 2, fixed)
 
 
 def alt_saturation_check(m: int, tr: Triple, *, search: bool = True) -> Verdict:
@@ -94,36 +88,18 @@ def alt_saturation_check(m: int, tr: Triple, *, search: bool = True) -> Verdict:
     search if ``search`` is set) and, given a witness, computes H^1 from
     the witness's actual cycle shapes; positive H^1 certifies saturation.
     """
-    if m < 8:
-        raise ValueError("need m >= 8: the m = 7 target so_6 is not of type B or D")
-    cfg = AltConfig(m)
-    target = str(cfg.target)
+    key = {"m": m, "target": str(alt_target(m)), "triple": list(tr.orders)}
     hint = tables.generating_pair_hint(m, tr.orders)
     if hint is None and not search:
-        return Verdict(
-            Status.UNKNOWN,
-            "alt",
-            {"m": m, "target": target, "triple": list(tr.orders),
-             "reason": "no built-in generating pair and search disabled"},
-        )
+        return Verdict(Status.UNKNOWN, "alt",
+                       {**key, "reason": "no built-in generating pair and search disabled"})
     found = find_generating_triple(m, tr, shape_hint=hint)
     if isinstance(found, NotFound):
-        return Verdict(
-            Status.UNKNOWN,
-            "alt",
-            {"m": m, "target": target, "triple": list(tr.orders),
-             "reason": f"no generating pair: {found.reason}"},
-        )
+        return Verdict(Status.UNKNOWN, "alt",
+                       {**key, "reason": f"no generating pair: {found.reason}"})
     report = h1_alt(m, found.shapes, tr)
-    cert = {
-        "m": m,
-        "target": target,
-        "triple": list(tr.orders),
-        "witness": found.as_dict(),
-        "dim_v": report.dim_g,
-        "fixed": list(report.fixed_dims),
-        "h1": report.h1,
-    }
+    cert = {**key, "witness": found.as_dict(), "dim_v": report.dim_g,
+            "fixed": list(report.fixed_dims), "h1": report.h1}
     if report.h1 > 0:
         return Verdict(Status.SATURATED, "alt", cert)
     cert["reason"] = "H^1 = 0"

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import fixtures, tables
-from .altmethod import AltConfig, alt_saturation_check, h1_alt
+from .altmethod import alt_saturation_check, alt_target, h1_alt
 from .bibi import BibiConfig, bibi_criterion, search_bibi
 from .permgrp import CycleType
 from .rootsys import DynkinType
@@ -84,10 +84,7 @@ def cmd_alt(args) -> int:
     if args.shapes:
         shapes = _parse_shapes(args.shapes, m)
         report = h1_alt(m, shapes, tr)
-        try:
-            target = str(AltConfig(m).target)
-        except ValueError:
-            target = None
+        target = str(alt_target(m)) if m >= 8 else None  # so_6 (m = 7) is not B or D
         _emit({"m": m, "target": target, "triple": list(tr.orders),
                "shapes": [str(s) for s in shapes], "dim_v": report.dim_g,
                "fixed": list(report.fixed_dims), "z1": report.z1, "h1": report.h1},
@@ -117,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="JSON output (default)")
     common.add_argument("--tsv", action="store_true", help="flat TSV output")
-    common.add_argument("--trace", action="store_true",
-                        help="verbose progress/detail on stderr")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -146,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="recompute a built-in table and diff it")
+    p.add_argument("--trace", action="store_true", help="verbose progress/detail on stderr")
     p.add_argument("--id", required=True, choices=fixtures.TABLE_IDS)
     p.add_argument("--sample-c", type=int, default=tables.DEFAULT_C_MAX,
                    help="cap for parameterized rows (default 60)")

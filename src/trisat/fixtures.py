@@ -29,20 +29,11 @@ from .weil import Triple, h1_principal
 
 Log = Callable[[str], None] | None
 
-#: Cap on a, b, c for the families sampled without a parameterized row.
-RIGID_SMALL_CAP = 20
-#: Largest rank the nonso3 table covers.
-NONSO3_MAX_RANK = 13
-
 
 def _unless_saturated(key: dict, status: str, **extra) -> dict | None:
     if status == Status.SATURATED:
         return None
     return {**key, "expected": Status.SATURATED, "got": status, **extra}
-
-
-def _rigid_cases(c_max):
-    return tables.rigid_samples(small_cap=RIGID_SMALL_CAP, c_max=c_max)
 
 
 def _judge_rigid(case):
@@ -55,9 +46,9 @@ def _judge_rigid(case):
 
 
 def _nonso3_cases(c_max):
-    expected = tables.nonso3_pairs(NONSO3_MAX_RANK)
+    expected = tables.nonso3_pairs()
     return [(t, orders, (str(t), orders) in expected)
-            for t in all_types(NONSO3_MAX_RANK) for orders in tables.S_TRIPLES]
+            for t in all_types(tables.NONSO3_MAX_RANK) for orders in tables.S_TRIPLES]
 
 
 def _judge_nonso3(case):
@@ -138,7 +129,7 @@ def _judge_alt_nongen(case):
 
 
 TABLES = {
-    "rigid": (_rigid_cases, _judge_rigid),
+    "rigid": (lambda c_max: tables.rigid_samples(c_max=c_max), _judge_rigid),
     "nonso3": (_nonso3_cases, _judge_nonso3),
     "bibi-results": (_bibi_results_cases, _judge_bibi_results),
     "bibi-pairs": (_bibi_pairs_cases, _judge_bibi_pairs),
@@ -154,6 +145,8 @@ def check_table(table_id: str, c_max: int = tables.DEFAULT_C_MAX, *,
     """Recompute one fixture by id and diff it; see TABLE_IDS for the ids."""
     if table_id not in TABLES:
         raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")
+    if c_max > tables.MAX_C:
+        raise ValueError(f"c_max {c_max} exceeds supported cap {tables.MAX_C}")
     make_cases, judge = TABLES[table_id]
     cases = make_cases(c_max)
     mismatches, rows = [], []

@@ -53,10 +53,6 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(m))
-
-    @classmethod
     def from_cycles(cls, m: int, cycles) -> "Permutation":
         images = list(range(m))
         for cyc in cycles:
@@ -225,9 +221,9 @@ def cycle_types_of_order(m: int, n: int, *, even_only: bool = False) -> list[Cyc
         if remaining == 0:
             if reduce(math.lcm, chosen, 1) != n:
                 return
-            if even_only and sum(1 for p in chosen if p % 2 == 0) % 2:
-                return
-            found.append(CycleType(tuple(chosen)))
+            ct = CycleType(tuple(chosen))
+            if ct.is_even or not even_only:
+                found.append(ct)
             return
         for d in reversed(divisors):
             if d > max_part or d > remaining:

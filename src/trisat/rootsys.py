@@ -1,9 +1,9 @@
 """Static data for irreducible root systems.
 
 Everything downstream needs only exponent-derived quantities: the exponent
-multiset e_1 <= ... <= e_r, the adjoint group dimension sum(2*e_j + 1), and
-the Coxeter number h = max(e_j) + 1.  Exponent lists are the classical ones
-(Bourbaki, Groupes et algebres de Lie, planches I-IX).
+multiset e_1 <= ... <= e_r and the adjoint group dimension sum(2*e_j + 1).
+Exponent lists are the classical ones (Bourbaki, Groupes et algebres de
+Lie, planches I-IX).
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ def exponents(t: DynkinType) -> tuple[int, ...]:
 def adjoint_dim(t: DynkinType) -> int:
     """Dimension of the adjoint simple group of type ``t``: sum(2*e_j + 1)."""
     return sum(2 * e + 1 for e in exponents(t))
-
-
-def coxeter_number(t: DynkinType) -> int:
-    """Coxeter number h = largest exponent + 1 (equivalently |Phi| / rank)."""
-    return exponents(t)[-1] + 1
 
 
 def all_types(max_rank: int) -> list[DynkinType]:

@@ -34,10 +34,6 @@ class Verdict:
     method: str
     certificate: dict = field(default_factory=dict)
 
-    @property
-    def is_saturated(self) -> bool:
-        return self.status == Status.SATURATED
-
     def as_dict(self) -> dict:
         return {"status": self.status, "method": self.method, "certificate": self.certificate}
 
@@ -140,11 +136,8 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
         return bibi.search_bibi(t.rank, tr)
 
     def run_alt() -> Verdict | str:
-        if t.family == "B" and t.rank >= 3:
-            alt_m = 2 * t.rank + 2
-        elif t.family == "D":
-            alt_m = 2 * t.rank + 1
-        else:
+        alt_m = altmethod.alt_degree(t)
+        if alt_m is None:
             return "type is not B_r (r >= 3) or D_r"
         if not alt_search and tables.generating_pair_hint(alt_m, tr.orders) is None:
             return f"no built-in generating pair for Alt_{alt_m} and search disabled"
@@ -159,7 +152,7 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
             continue
         stages.append({"method": method, "status": verdict.status,
                        "certificate": verdict.certificate})
-        if verdict.is_saturated:
+        if verdict.status == Status.SATURATED:
             return Verdict(verdict.status, method, {"stages": stages})
 
     h1 = h1_principal(t, tr).h1

@@ -12,7 +12,8 @@ Six fixtures, all reproducible from first principles by this package
   alt-nongen    (Alt_m, triple) families with no generating pair
 
 Parameterized rows ("c >= 7", "c not a multiple of 15") expand over an
-explicit finite range; DEFAULT_C_MAX caps the open-ended ones.
+explicit finite range; DEFAULT_C_MAX caps the open-ended ones, and
+fixtures.check_table refuses a cap above MAX_C.
 
 Row value specs: an int, ("in", values), ("range", lo, hi), or
 ("ge", lo[, excluded_moduli]) meaning lo <= v <= cap with v not divisible
@@ -22,10 +23,11 @@ by any excluded modulus.
 from __future__ import annotations
 
 from .permgrp import CycleType
-from .rootsys import DynkinType
 from .weil import Triple
 
 DEFAULT_C_MAX = 60
+#: Largest c_max a table is expanded to: the open-ended rows list every c up to it.
+MAX_C = 1000
 
 S_TRIPLES: tuple[tuple[int, int, int], ...] = (
     (2, 4, 6),
@@ -69,24 +71,6 @@ def expand_triples(a_spec, b_spec, c_spec, c_max: int = DEFAULT_C_MAX) -> list[T
 # ---------------------------------------------------------------------------
 # rigid: principal H^1 vanishes identically on these families
 
-def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:
-    """Whether (t, triple) falls under some rigid row."""
-    a, b, c = orders
-    label = str(t)
-    if label == "A1":
-        return True
-    if label == "A2":
-        return a == 2
-    if label in ("A3", "A4"):
-        return a == 2 and b == 3
-    if label in ("B2", "C2"):
-        # same root system, so B2 inherits the C2 row
-        return b == 3
-    if label == "G2":
-        return a == 2 and c == 5
-    return False
-
-
 def rigid_samples(small_cap: int = 20, c_max: int = DEFAULT_C_MAX) -> list[tuple[str, Triple]]:
     """Concrete (type, triple) members sampled from every rigid row.
 
@@ -120,8 +104,11 @@ NONSO3_ROWS = (
     ("E", (6,), ((2, 4, 6),)),
 )
 
+#: Largest rank the nonso3 table covers.
+NONSO3_MAX_RANK = 13
 
-def nonso3_pairs(max_rank: int = 13) -> set[tuple[str, tuple[int, int, int]]]:
+
+def nonso3_pairs(max_rank: int = NONSO3_MAX_RANK) -> set[tuple[str, tuple[int, int, int]]]:
     """Expand the nonso3 rows into (type label, triple) pairs up to max_rank."""
     out = set()
     for family, ranks, triples in NONSO3_ROWS:

@@ -1,16 +1,17 @@
-"""Independent numeric oracles for the exact fixed-space formulas.
+"""Independent oracles for the exact formulas.
 
 Builds explicit real orthogonal matrices (block rotations, permutation
 actions on the standard module), forms the antisymmetric square, and reads
-fixed-space dimensions off numeric ranks.  Deliberately shares no code
-with the integer formulas under test.
+fixed-space dimensions off numeric ranks; ``rigid_contains`` states the
+rigid table as a predicate instead of the spec rows ``tables`` expands.
+Deliberately shares no code with the integer formulas under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from trisat import EigenvalueMultiset, Permutation
+from trisat import DynkinType, EigenvalueMultiset, Permutation
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -74,3 +75,21 @@ def standard_module_matrix(p: Permutation) -> np.ndarray:
         basis[i + 1, i] = -1.0
     q, _ = np.linalg.qr(basis)
     return q.T @ perm @ q
+
+
+def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:
+    """Whether (t, triple) falls under some rigid row."""
+    a, b, c = orders
+    label = str(t)
+    if label == "A1":
+        return True
+    if label == "A2":
+        return a == 2
+    if label in ("A3", "A4"):
+        return a == 2 and b == 3
+    if label in ("B2", "C2"):
+        # same root system, so B2 inherits the C2 row
+        return b == 3
+    if label == "G2":
+        return a == 2 and c == 5
+    return False

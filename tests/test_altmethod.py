@@ -3,8 +3,8 @@ import random
 import pytest
 
 from trisat import (
-    AltConfig,
     CycleType,
+    DynkinType,
     Permutation,
     Status,
     Triple,
@@ -13,6 +13,8 @@ from trisat import (
     lex_min_of_type,
     perm_eigenvalues_on_standard,
 )
+from trisat.altmethod import alt_degree, alt_target
+from trisat.rootsys import all_types
 from trisat.tables import ALT_GEN_ROWS
 
 from oracles import fixed_dim_numeric, standard_module_matrix
@@ -22,21 +24,39 @@ def shapes(m, *texts):
     return tuple(CycleType.parse(t).padded(m) for t in texts)
 
 
-class TestAltConfig:
+class TestDegreeMap:
     def test_targets(self):
-        assert str(AltConfig(8).target) == "B3"
-        assert str(AltConfig(9).target) == "D4"
-        assert str(AltConfig(11).target) == "D5"
-        assert AltConfig(9).dim_v == 28
-        assert AltConfig(8).dim_v == 21
+        assert str(alt_target(8)) == "B3"
+        assert str(alt_target(9)) == "D4"
+        assert str(alt_target(11)) == "D5"
+        assert h1_alt(9, shapes(9, "3^3", "3^3", "7.1^2"), Triple(3, 3, 7)).dim_g == 28
+        assert h1_alt(8, shapes(8, "3^2.1^2", "3^2.1^2", "5.3"), Triple(3, 3, 15)).dim_g == 21
 
     def test_rejects_small_m(self):
-        with pytest.raises(ValueError):
-            AltConfig(6)
+        with pytest.raises(ValueError, match="m >= 7"):
+            h1_alt(6, shapes(6, "3^2", "3^2", "4.1^2"), Triple(3, 3, 4))
+        with pytest.raises(ValueError, match="m >= 8"):
+            alt_target(6)
 
     def test_m7_target_outside_bd(self):
-        with pytest.raises(ValueError):
-            AltConfig(7).target
+        with pytest.raises(ValueError, match="m >= 8"):
+            alt_target(7)
+        with pytest.raises(ValueError, match="m >= 8"):
+            alt_saturation_check(7, Triple(3, 3, 7))
+
+    def test_round_trip(self):
+        for r in range(3, 513):
+            t = DynkinType("B", r)
+            assert alt_degree(t) == 2 * r + 2 and alt_target(alt_degree(t)) == t
+        for r in range(4, 513):
+            t = DynkinType("D", r)
+            assert alt_degree(t) == 2 * r + 1 and alt_target(alt_degree(t)) == t
+
+    def test_degree_none_outside_bd(self):
+        others = [t for t in all_types(20) if t.family not in "BD"]
+        assert {t.family for t in others} == set("ACEFG")
+        for t in [DynkinType("B", 2), *others]:
+            assert alt_degree(t) is None, t
 
 
 class TestStandardModuleEigenvalues:

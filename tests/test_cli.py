@@ -131,8 +131,10 @@ class TestTableCommand:
 
 
 # argv, exit code, stdout and stderr of cli.main, captured before the typed
-# subcommands shared one handler.  Top-level usage errors are left out: they
-# list the subcommands, whose order is not part of the contract.
+# subcommands shared one handler; the usage and --help rows that named
+# --trace, and `bibi --trace`, were captured again once --trace became a
+# `table` option.  Other top-level usage errors are left out: they list the
+# subcommands, whose order is not part of the contract.
 _CLI_PINS = [json.loads(line)
              for line in (Path(__file__).parent / "cli_outputs.jsonl").read_text().splitlines()]
 
@@ -153,10 +155,12 @@ def test_cli_outputs_pinned(pin, capsys, monkeypatch):
      "cycle type '3^99999999999' exceeds supported degree cap 1026"),
     (["alt", "--m", "1000000000", "--triple", "3,3,7", "--shapes", "3^3,3^3,7"],
      "degree 1000000000 exceeds supported cap 1026"),
-], ids=["multiplicity", "degree"])
+    (["table", "--id", "rigid", "--sample-c", "1000000000000"],
+     "c_max 1000000000000 exceeds supported cap 1000"),
+], ids=["multiplicity", "degree", "sample-c"])
 def test_oversized_degree_exits_2(argv, error):
-    # Under 1 GB of address space an unchecked degree dies of MemoryError
-    # (exit 1) instead of taking the machine's memory.
+    # Under 1 GB of address space an unchecked degree or table cap dies of
+    # MemoryError (exit 1) instead of taking the machine's memory.
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -15,7 +15,7 @@ from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, 
 from trisat.saturation import Status, Verdict
 from trisat.weil import Triple
 
-_ID5 = Permutation.identity(5)
+_ID5 = Permutation(range(5))
 _FIXED5 = CycleType((1,) * 5)
 _FAKE_WITNESS = GenerationWitness(_ID5, _ID5, (2, 3, 7), (_FIXED5,) * 3)
 _FAKE_WITNESS_DICT = {"A": [0, 1, 2, 3, 4], "B": [0, 1, 2, 3, 4], "orders": [2, 3, 7],

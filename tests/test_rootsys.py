@@ -1,6 +1,6 @@
 import pytest
 
-from trisat import DynkinType, adjoint_dim, all_types, coxeter_number, exponents
+from trisat import DynkinType, adjoint_dim, all_types, exponents
 
 
 def T(label):
@@ -42,21 +42,21 @@ def test_classical_dim_closed_forms(family, closed):
 
 def test_coxeter_number():
     for r in range(1, 20):
-        assert coxeter_number(DynkinType("A", r)) == r + 1
+        assert exponents(DynkinType("A", r))[-1] + 1 == r + 1
     for r in range(4, 20):
-        assert coxeter_number(DynkinType("D", r)) == 2 * r - 2
-    assert coxeter_number(T("E8")) == 30
-    assert coxeter_number(T("G2")) == 6
+        assert exponents(DynkinType("D", r))[-1] + 1 == 2 * r - 2
+    assert exponents(T("E8"))[-1] + 1 == 30
+    assert exponents(T("G2"))[-1] + 1 == 6
 
 
 def test_exponent_identities_sweep():
-    # h = max exponent + 1 and rank * h = 2 * sum of exponents, every type
+    # h = max exponent + 1 is |Phi| / rank, and rank * h = 2 * sum of exponents
     for t in all_types(30):
         exps = exponents(t)
         assert list(exps) == sorted(exps)
         assert len(exps) == t.rank
-        h = coxeter_number(t)
-        assert h == exps[-1] + 1
+        h = exps[-1] + 1
+        assert t.rank * h == adjoint_dim(t) - t.rank
         assert t.rank * h == 2 * sum(exps)
         assert adjoint_dim(t) == sum(2 * e + 1 for e in exps)
 

@@ -5,12 +5,13 @@ from trisat import (
     Triple,
     all_types,
     codim_order_variety,
-    coxeter_number,
+    exponents,
     h1_principal,
     principal_fixed_dim,
     weil_h1,
 )
-from trisat.tables import rigid_contains
+
+from oracles import rigid_contains
 
 
 def T(label):
@@ -58,7 +59,7 @@ class TestPrincipalFixedDim:
 
     def test_rank_at_large_order(self):
         for t in all_types(10):
-            h = coxeter_number(t)
+            h = exponents(t)[-1] + 1
             assert principal_fixed_dim(t, h) == t.rank
             assert principal_fixed_dim(t, h + 13) == t.rank
 
@@ -141,7 +142,8 @@ class TestCodim:
 
     def test_equals_rank_beyond_coxeter(self):
         for t in all_types(12):
-            assert codim_order_variety(t, coxeter_number(t) + 1) == t.rank
+            h = exponents(t)[-1] + 1
+            assert codim_order_variety(t, h + 1) == t.rank
 
     def test_lawther_identity_modest_sweep(self):
         # codim_order_variety raises internally if the closed form disagrees
