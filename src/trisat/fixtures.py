@@ -147,6 +147,8 @@ def check_table(table_id: str, c_max: int = tables.DEFAULT_C_MAX, *,
         raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")
     if c_max > tables.MAX_C:
         raise ValueError(f"c_max {c_max} exceeds supported cap {tables.MAX_C}")
+    if c_max < tables.MIN_C:
+        raise ValueError(f"c_max {c_max} is below supported minimum {tables.MIN_C}")
     make_cases, judge = TABLES[table_id]
     cases = make_cases(c_max)
     mismatches, rows = [], []

@@ -4,7 +4,8 @@ Covers what the alternating-group saturation method needs: cycle types and
 their conjugacy classes, deterministic class enumeration, exact group order
 via a Sims table, search for generating pairs of prescribed orders in
 Alt_m, and non-generation proofs (Scott's cycle-count bound, else
-exhaustion over class pairs).
+exhaustion over class pairs).  The exhaustion settles each orbit of B
+under conjugation by the centraliser of A with one Sims-table call.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -97,6 +98,14 @@ def _inv(p):
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
+    return tuple(out)
+
+
+def _conj(p, c):
+    # c^-1 p c: sends c[x] to c[p[x]]
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[c[x]] = c[y]
     return tuple(out)
 
 
@@ -345,6 +354,60 @@ def group_order(gens) -> int:
     return _bsgs_order([g.images for g in gens], m)
 
 
+def _centraliser_gens(a) -> list[tuple[int, ...]]:
+    """Generators of the centraliser of the image tuple ``a`` in Sym_m.
+
+    For each cycle length l of a, with k cycles of that length: the rotation
+    of the first of them (l > 1), the swap of the first two (k > 1) and the
+    cyclic shift of all k (k > 2), each matching the points of the cycles
+    along a.  Together they generate prod_l C_l wr Sym_k, the whole
+    centraliser (Dixon-Mortimer, Permutation Groups, 1996, section 1.6).
+    """
+    m = len(a)
+    cycles_of: dict[int, list[list[int]]] = {}
+    seen = [False] * m
+    for start in range(m):
+        if seen[start]:
+            continue
+        cyc, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = a[x]
+        cycles_of.setdefault(len(cyc), []).append(cyc)
+    gens = []
+    for length, cycles in cycles_of.items():
+        # each move sends the points of cycles[i] to those of targets[i]
+        moves = []
+        if length > 1:
+            moves.append([cycles[0][1:] + cycles[0][:1]])  # rotate the first
+        if len(cycles) > 1:
+            moves.append(cycles[1::-1])  # swap the first two
+        if len(cycles) > 2:
+            moves.append(cycles[1:] + cycles[:1])  # shift all k
+        for targets in moves:
+            g = list(range(m))
+            for cyc, target in zip(cycles, targets):
+                for x, y in zip(cyc, target):
+                    g[x] = y
+            gens.append(tuple(g))
+    return gens
+
+
+def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
+    """All c^-1 b c for c in the group generated by ``gens`` (BFS)."""
+    orbit = {b}
+    frontier = [b]
+    while frontier:
+        p = frontier.pop()
+        for c in gens:
+            q = _conj(p, c)
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    return orbit
+
+
 def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
     seen = bytearray(m)
     seen[0] = 1
@@ -436,7 +499,15 @@ def find_generating_triple(
     - a pair whose product AB has the wrong order or class is skipped;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
+    - a pair whose B is conjugate, under the centraliser C(A) of A in
+      Sym_m, to a B already shown not to generate is skipped: c^-1 B c
+      keeps A, the classes of B and AB, transitivity and the order of
+      <A, B> (Alt_m is normal in Sym_m), so one Sims-table call settles a
+      whole C(A)-orbit;
     - the survivors are settled by the exact group order from the Sims table.
+
+    Only B's known not to generate are skipped, so the walk order and the
+    first witness are those of the search without the orbit step.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -467,6 +538,8 @@ def find_generating_triple(
         for b_parts in kept:
             if b_parts not in classes:
                 classes[b_parts] = _class_images(m, b_parts)
+        centraliser = _centraliser_gens(a_img)
+        known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
         for b_img in heapq.merge(*(classes[b_parts] for b_parts in kept)):
             prod = tuple(b_img[i] for i in a_img)
             lengths = _cycle_lengths(prod)
@@ -478,11 +551,17 @@ def find_generating_triple(
                 continue
             if not _is_transitive(a_img, b_img, m):
                 continue
+            if b_img in known:
+                known.remove(b_img)  # the walk meets each B once
+                continue
             if _bsgs_order([a_img, b_img], m) == target:
                 ga, gb = Permutation(a_img), Permutation(b_img)
                 return GenerationWitness(
                     ga, gb, (a, b, c), (cycle_type(ga), cycle_type(gb), CycleType(parts))
                 )
+            # B's earlier conjugates would have put B in `known`: the rest lie ahead
+            known |= _conjugacy_orbit(b_img, centraliser)
+            known.remove(b_img)
     return NotFound("exhausted all class pairs")
 
 

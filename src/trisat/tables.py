@@ -13,7 +13,7 @@ Six fixtures, all reproducible from first principles by this package
 
 Parameterized rows ("c >= 7", "c not a multiple of 15") expand over an
 explicit finite range; DEFAULT_C_MAX caps the open-ended ones, and
-fixtures.check_table refuses a cap above MAX_C.
+fixtures.check_table refuses a cap above MAX_C or below MIN_C.
 
 Row value specs: an int, ("in", values), ("range", lo, hi), or
 ("ge", lo[, excluded_moduli]) meaning lo <= v <= cap with v not divisible
@@ -28,6 +28,9 @@ from .weil import Triple
 DEFAULT_C_MAX = 60
 #: Largest c_max a table is expanded to: the open-ended rows list every c up to it.
 MAX_C = 1000
+#: Smallest c_max a table is expanded to: the least lo of any open ("ge", lo) c
+#: row, so below it every open row of every table expands to nothing.
+MIN_C = 4
 
 S_TRIPLES: tuple[tuple[int, int, int], ...] = (
     (2, 4, 6),

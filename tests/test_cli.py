@@ -157,7 +157,12 @@ def test_cli_outputs_pinned(pin, capsys, monkeypatch):
      "degree 1000000000 exceeds supported cap 1026"),
     (["table", "--id", "rigid", "--sample-c", "1000000000000"],
      "c_max 1000000000000 exceeds supported cap 1000"),
-], ids=["multiplicity", "degree", "sample-c"])
+    # below tables.MIN_C every open row is empty and the table used to pass
+    (["table", "--id", "alt-nongen", "--sample-c", "3"],
+     "c_max 3 is below supported minimum 4"),
+    (["table", "--id", "alt-nongen", "--sample-c", "-5"],
+     "c_max -5 is below supported minimum 4"),
+], ids=["multiplicity", "degree", "sample-c", "sample-c-3", "sample-c-negative"])
 def test_oversized_degree_exits_2(argv, error):
     # Under 1 GB of address space an unchecked degree or table cap dies of
     # MemoryError (exit 1) instead of taking the machine's memory.

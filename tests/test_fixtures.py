@@ -123,3 +123,26 @@ def test_rigid_samples_match_hand_loops(small_cap, c_max):
 
     assert orders(tables.rigid_samples(small_cap, c_max)) == orders(
         hand_rigid_samples(small_cap, c_max))
+
+
+def test_min_c_is_the_least_open_lower_bound(monkeypatch):
+    # Record the c spec of every row any table expands; the open ones are
+    # ("ge", lo, ...), and below the least lo all of them expand to nothing.
+    open_los = []
+    real = tables.expand_triples
+
+    def recording(a_spec, b_spec, c_spec, c_max=tables.DEFAULT_C_MAX):
+        if isinstance(c_spec, tuple) and c_spec[0] == "ge":
+            open_los.append(c_spec[1])
+        return real(a_spec, b_spec, c_spec, c_max)
+
+    monkeypatch.setattr(tables, "expand_triples", recording)
+    for make_cases, _ in fixtures.TABLES.values():
+        make_cases(tables.DEFAULT_C_MAX)
+    assert min(open_los) == tables.MIN_C
+
+
+@pytest.mark.parametrize("c_max", [tables.MIN_C - 1, 0, -5])
+def test_c_max_below_min_c_is_refused(c_max):
+    with pytest.raises(ValueError, match=f"c_max {c_max} is below supported minimum 4"):
+        fixtures.check_table("alt-nongen", c_max)

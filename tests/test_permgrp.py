@@ -268,6 +268,56 @@ class TestGroupOrder:
         assert group_order(alt) == factorial(m) // 2
 
 
+def partitions(n, largest=None):
+    """Every partition of n into parts of at most `largest`, descending."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+class TestCentraliser:
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_generators_give_the_centraliser_order(self, m):
+        # |C_Sym(A)| = m! / |class of A|, the class-size formula as the oracle
+        even = [CycleType(parts) for parts in partitions(m) if CycleType(parts).is_even]
+        assert even
+        for t in even:
+            a = lex_min_of_type(m, t)
+            gens = [Permutation(g) for g in permgrp._centraliser_gens(a.images)]
+            assert all(a * g == g * a for g in gens), t
+            assert group_order(gens) == factorial(m) // t.class_size(), t
+
+    def test_identity_and_single_cycles(self):
+        # A = identity: a transposition and an m-cycle, the whole of Sym_m
+        ident = permgrp._centraliser_gens(tuple(range(7)))
+        assert ident == [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+        assert group_order([Permutation(g) for g in ident]) == factorial(7)
+        # one m-cycle: its own rotation only, C_m
+        five = lex_min_of_type(5, CycleType((5,))).images
+        assert permgrp._centraliser_gens(five) == [five]
+        # one 3-cycle next to two fixed points: C_3 x Sym_2
+        a = lex_min_of_type(5, CycleType((3, 1, 1))).images
+        gens = [Permutation(g) for g in permgrp._centraliser_gens(a)]
+        assert len(gens) == 2 and group_order(gens) == 6
+
+    def test_orbit_is_closed_under_conjugation(self):
+        a = lex_min_of_type(9, CycleType((2, 2, 2, 2, 1))).images
+        gens = permgrp._centraliser_gens(a)
+        b = permgrp._class_images(9, (3, 3, 3))[0]
+        orbit = permgrp._conjugacy_orbit(b, gens)
+        assert b in orbit
+        for p in orbit:
+            assert all(permgrp._conj(p, c) in orbit for c in gens)
+            assert sorted(permgrp._cycle_lengths(p)) == [3, 3, 3]
+        # c^-1 b c applies c^-1, then b, then c
+        c = Permutation(gens[0])
+        assert Permutation(permgrp._conj(b, c.images)) == c.inverse() * Permutation(b) * c
+
+
 class TestTypesOfOrder:
     def test_exact_vs_dividing(self):
         exact = {t.parts for t in cycle_types_of_order(9, 6)}
@@ -315,7 +365,11 @@ class TestGenerationSearch:
         assert out == NotFound("exhausted all class pairs")
         assert calls == []
 
-    @pytest.mark.parametrize("orders", SEARCH_GRID_TRIPLES + ((4, 4, 6),))
+    # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
+    # alt-nongen table is compared with the search that calls the Sims table
+    # on every surviving pair.
+    @pytest.mark.parametrize("orders", SEARCH_GRID_TRIPLES + (
+        (4, 4, 6), (2, 3, 9), (3, 3, 6), (2, 3, 12), (2, 3, 15)))
     @pytest.mark.parametrize("m", [8, 9])
     def test_matches_unpruned_search(self, m, orders):
         # Alt_9 (2,3,7): only the (2)^4(1) representative keeps a B class.
@@ -323,6 +377,16 @@ class TestGenerationSearch:
         # Alt_8 (4,4,6): the witness is found inside a merge of two classes.
         tr = Triple(*orders)
         assert search_outcome(find_generating_triple(m, tr)) == search_outcome(unpruned_search(m, tr))
+
+    @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 4), ((3, 3, 6), 13)])
+    def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, calls):
+        # Alt_9 (2,3,9): the 2,112 surviving pairs fall into 4 C(A)-orbits, one
+        # for A = (2)^2(1)^5 and three for A = (2)^4(1).  Alt_9 (3,3,6) has 13.
+        seen = []
+        real = permgrp._bsgs_order
+        monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: seen.append(gens) or real(gens, m))
+        assert find_generating_triple(9, Triple(*orders)) == NotFound("exhausted all class pairs")
+        assert len(seen) == calls
 
     def test_no_elements_reason(self):
         out = find_generating_triple(9, Triple(2, 3, 8))  # Alt_9 has no order-8 element
