@@ -5,24 +5,26 @@ embedding Alt_m < SO(m-1) deforms to a Zariski dense representation as
 soon as H^1 is positive, because Alt_m acts irreducibly on so_{m-1} once
 m >= 7.  The target type is B_r for m = 2r+2 and D_r for m = 2r+1.
 
-H^1 is exact integer arithmetic: a permutation of cycle type
-(1)^{n_0}(b_1)^{n_1}...(b_s)^{n_s} acts on the standard module with
-eigenvalue 1 of multiplicity (number of cycles) - 1 and each nontrivial
-power of a primitive b_i-th root of unity with multiplicity n_i.
-Multiplicities of eigenvalues shared between different cycle lengths
-(e.g. -1 from both a 4-cycle and a 2-cycle) must be merged before the
-fixed-space formula squares them; everything is tracked as residues
-modulo the lcm of the cycle lengths to make that merge exact.
+H^1 is exact integer arithmetic.  A permutation g with cycle lengths
+l_1, ..., l_c permutes the basis e_i ^ e_j of the antisymmetric square of
+the permutation module up to sign, so its fixed vectors there are counted
+by the orbits of g on 2-subsets that g does not reverse: floor((l_i-1)/2)
+inside the i-th cycle and gcd(l_i, l_j) across two cycles.  The square
+splits as so_{m-1} plus the standard module, on which g fixes c - 1
+vectors, whence
+
+    dim so_{m-1}^g = sum_i floor((l_i-1)/2) + sum_{i<j} gcd(l_i, l_j) - (c-1).
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 from . import tables
-from .bibi import EigenvalueMultiset, so_fixed_dim
 from .permgrp import CycleType, NotFound, find_generating_triple
 from .rootsys import DynkinType
-from .saturation import Status, Verdict
-from .weil import CohomologyReport, Triple, weil_h1
+from .weil import CohomologyReport, Status, Triple, Verdict, weil_h1
 
 
 def alt_degree(t: DynkinType) -> int | None:
@@ -43,23 +45,18 @@ def alt_target(m: int) -> DynkinType:
     return DynkinType("D", (m - 1) // 2)
 
 
-def perm_eigenvalues_on_standard(ct: CycleType) -> EigenvalueMultiset:
-    """Eigenvalues on the (m-1)-dimensional standard module of Sym_m.
+def perm_fixed_dim(ct: CycleType) -> int:
+    """dim of the fixed space on so_{m-1} of a permutation of cycle type ``ct``.
 
-    Modulus is the lcm N of the cycle lengths; a length-b cycle contributes
-    residues j*(N/b) for 1 <= j <= b-1, and residue 0 carries one less than
-    the total cycle count (the all-ones line is removed).
+    The pair-orbit count of the module docstring.  sum_{i<j} gcd(l_i, l_j)
+    is half of the sum over all ordered pairs of cycles less its diagonal
+    sum_i l_i = m; the ordered sum runs over distinct lengths, weighted by
+    their multiplicities.
     """
-    n = ct.order
-    mults = {0: ct.cycle_count - 1}
-    for length in ct.parts:
-        if length == 1:
-            continue
-        step = n // length
-        for j in range(1, length):
-            r = j * step
-            mults[r] = mults.get(r, 0) + 1
-    return EigenvalueMultiset(n, mults)
+    counts = Counter(ct.parts)
+    ordered = sum(i * j * math.gcd(x, y) for x, i in counts.items() for y, j in counts.items())
+    within = sum((length - 1) // 2 for length in ct.parts)
+    return within + (ordered - ct.m) // 2 - (ct.cycle_count - 1)
 
 
 def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -> CohomologyReport:
@@ -76,7 +73,7 @@ def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -
             raise ValueError(f"shape {shape} for {slot} has degree {shape.m}, expected {m}")
         if shape.order != n:
             raise ValueError(f"shape {shape} for {slot} has order {shape.order}, expected {n}")
-    fixed = tuple(so_fixed_dim(perm_eigenvalues_on_standard(s)) for s in shapes)
+    fixed = tuple(perm_fixed_dim(s) for s in shapes)
     return weil_h1((m - 1) * (m - 2) // 2, fixed)
 
 

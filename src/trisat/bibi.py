@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .rootsys import DynkinType
-from .saturation import Status, Verdict
-from .weil import CohomologyReport, Triple, h1_principal, weil_h1
+from .weil import CohomologyReport, Status, Triple, Verdict, h1_principal, weil_h1
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from .altmethod import h1_alt
 from .bibi import BibiConfig, bibi_criterion, search_bibi
 from .permgrp import NotFound, Refuted, find_generating_triple, prove_non_generation
 from .rootsys import DynkinType, all_types
-from .saturation import Status, ladder_verdict
-from .weil import Triple, h1_principal
+from .saturation import ladder_verdict
+from .weil import Status, Triple, h1_principal
 
 Log = Callable[[str], None] | None
 

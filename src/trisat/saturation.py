@@ -14,28 +14,9 @@ principal H^1 vanishes, RigidZero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from . import altmethod, bibi, tables
 from .rootsys import DynkinType
-from .weil import Triple, h1_principal
-
-
-class Status:
-    SATURATED = "Saturated"
-    UNKNOWN = "Unknown"
-    RIGID_ZERO = "RigidZero"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """A saturation decision with a replayable certificate."""
-
-    status: str
-    method: str
-    certificate: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"status": self.status, "method": self.method, "certificate": self.certificate}
+from .weil import Status, Triple, Verdict, h1_principal
 
 
 _A1 = DynkinType("A", 1)
@@ -121,8 +102,6 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
     it does not apply.  If nothing certifies saturation the verdict is
     Unknown, or RigidZero when the principal H^1 itself vanishes.
     """
-    from . import altmethod, bibi, tables
-
     if t == _A1:
         return Verdict(
             Status.RIGID_ZERO,
@@ -141,7 +120,7 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
             return "type is not B_r (r >= 3) or D_r"
         if not alt_search and tables.generating_pair_hint(alt_m, tr.orders) is None:
             return f"no built-in generating pair for Alt_{alt_m} and search disabled"
-        return altmethod.alt_saturation_check(alt_m, tr, search=alt_search)
+        return altmethod.alt_saturation_check(alt_m, tr)
 
     stages = []
     for method, run in (("ladder", lambda: ladder_verdict(t, tr)),

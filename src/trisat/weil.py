@@ -14,11 +14,14 @@ invariants vanish.  The same exponent sum equals the codimension of the
 subvariety of elements of order dividing a; for classical types that
 codimension also has Lawther's closed form, which codim_order_variety
 evaluates as a cross-check.
+
+The value types every deformation route shares live here too: Triple,
+CohomologyReport, and the verdict (Status, Verdict) that each route returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rootsys import DynkinType, adjoint_dim, exponents
 
@@ -74,6 +77,24 @@ class CohomologyReport:
             "z1": self.z1,
             "h1": self.h1,
         }
+
+
+class Status:
+    SATURATED = "Saturated"
+    UNKNOWN = "Unknown"
+    RIGID_ZERO = "RigidZero"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A saturation decision with a replayable certificate."""
+
+    status: str
+    method: str
+    certificate: dict = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return {"status": self.status, "method": self.method, "certificate": self.certificate}
 
 
 def principal_fixed_dim(t: DynkinType, n: int) -> int:

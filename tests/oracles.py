@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from trisat import DynkinType, EigenvalueMultiset, Permutation
+from trisat.bibi import EigenvalueMultiset
+from trisat.permgrp import Permutation
+from trisat.rootsys import DynkinType
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:

@@ -8,27 +8,20 @@ stated wall-clock budgets.
 import random
 import time
 
-from trisat import (
-    CycleType,
-    DynkinType,
-    NonGenerated,
-    NotFound,
-    Status,
-    Triple,
-    all_types,
-    find_generating_triple,
-    h1_alt,
-    h1_principal,
-    ladder_verdict,
-    perm_eigenvalues_on_standard,
-    principal_fixed_dim,
-    prove_non_generation,
-    scott_min_sum,
-    so_fixed_dim,
-)
+from trisat import CycleType, DynkinType, Status, Triple, h1_alt, h1_principal, ladder_verdict
 from trisat import bibi as bibi_mod
 from trisat import tables
-from trisat.weil import lawther_closed_form
+from trisat.altmethod import perm_fixed_dim
+from trisat.bibi import so_fixed_dim
+from trisat.permgrp import (
+    NonGenerated,
+    NotFound,
+    find_generating_triple,
+    prove_non_generation,
+    scott_min_sum,
+)
+from trisat.rootsys import all_types
+from trisat.weil import lawther_closed_form, principal_fixed_dim
 
 from oracles import fixed_dim_numeric, matrix_from_multiset, standard_module_matrix
 from test_altmethod import _random_class_member, _random_partition
@@ -169,7 +162,7 @@ def test_criterion_8_randomized_oracle_suite():
         for _ in range(50):
             m = rng.randint(7, 20)
             ct = CycleType(tuple(_random_partition(rng, m)))
-            exact = so_fixed_dim(perm_eigenvalues_on_standard(ct))
+            exact = perm_fixed_dim(ct)
             perm = _random_class_member(rng, m, ct)
             assert exact == fixed_dim_numeric(standard_module_matrix(perm))
             instances += 1

@@ -2,18 +2,9 @@ import random
 
 import pytest
 
-from trisat import (
-    CycleType,
-    DynkinType,
-    Permutation,
-    Status,
-    Triple,
-    alt_saturation_check,
-    h1_alt,
-    lex_min_of_type,
-    perm_eigenvalues_on_standard,
-)
-from trisat.altmethod import alt_degree, alt_target
+from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt
+from trisat.altmethod import alt_degree, alt_target, perm_fixed_dim
+from trisat.permgrp import Permutation, cycle_types_of_order, lex_min_of_type
 from trisat.rootsys import all_types
 from trisat.tables import ALT_GEN_ROWS
 
@@ -60,45 +51,58 @@ class TestDegreeMap:
 
 
 class TestStandardModuleEigenvalues:
+    """Fixed dimensions on so_{m-1}, the antisymmetric square of the standard module."""
+
     def test_three_cubes(self):
-        ev = perm_eigenvalues_on_standard(CycleType.parse("3^3"))
-        assert (ev.modulus, ev.mults) == (3, {0: 2, 1: 3, 2: 3})
+        # 3 inside the cycles, 3 * gcd(3, 3) across them, 2 fixed lines of V
+        assert perm_fixed_dim(CycleType.parse("3^3")) == 3 + 9 - 2
 
     def test_seven_cycle(self):
-        ev = perm_eigenvalues_on_standard(CycleType.parse("7.1^2"))
-        assert ev.modulus == 7
-        assert ev.mults == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+        assert perm_fixed_dim(CycleType.parse("7.1^2")) == 3 + (1 + 1 + 1) - 2
 
     def test_identity(self):
         for m in (5, 9):
-            ev = perm_eigenvalues_on_standard(CycleType((1,) * m))
-            assert ev.mults == {0: m - 1}
+            assert perm_fixed_dim(CycleType((1,) * m)) == (m - 1) * (m - 2) // 2
 
     def test_shared_roots_are_merged(self):
-        # -1 arrives from both the 4-cycle and the 2-cycle
-        ev = perm_eigenvalues_on_standard(CycleType.parse("4.3.2"))
-        assert ev.modulus == 12
-        assert ev.mult(6) == 2
+        # -1 arrives from both the 4-cycle and the 2-cycle: gcd(4, 2) = 2
+        assert perm_fixed_dim(CycleType.parse("4.3.2")) == (1 + 1 + 0) + (1 + 2 + 1) - 2
 
     def test_invariants(self):
+        # dim of the <g>-invariants is the mean of the character of so_{m-1}
+        # over <g>: chi(h) = (f(h)^2 - f(h^2)) / 2 with f(h) = fix(h) - 1.
         rng = random.Random(424)
         for _ in range(40):
             m = rng.randint(4, 14)
-            parts = _random_partition(rng, m)
-            ev = perm_eigenvalues_on_standard(CycleType(tuple(parts)))
-            assert ev.dimension == m - 1
-            assert all(ev.mult(j) == ev.mult(ev.modulus - j) for j in ev.mults)
+            ct = CycleType(tuple(_random_partition(rng, m)))
+
+            def f(k):  # trace of g^k on the standard module
+                return sum(length for length in ct.parts if k % length == 0) - 1
+
+            n = ct.order
+            total = sum((f(k) ** 2 - f(2 * k)) // 2 for k in range(n))
+            assert total % n == 0
+            assert perm_fixed_dim(ct) == total // n
 
     def test_fixed_dims_match_numeric_oracle(self):
         rng = random.Random(977)
-        from trisat import so_fixed_dim
         for _ in range(40):
             m = rng.randint(7, 14)
             parts = _random_partition(rng, m)
             ct = CycleType(tuple(parts))
-            exact = so_fixed_dim(perm_eigenvalues_on_standard(ct))
+            exact = perm_fixed_dim(ct)
             perm = _random_class_member(rng, m, ct)
             assert exact == fixed_dim_numeric(standard_module_matrix(perm))
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 10])
+    def test_every_cycle_type_matches_numeric_oracle(self, m):
+        # The identity (test_identity) is left out: numpy's rank tolerance is
+        # relative to the largest singular value, and there g - 1 is rounding noise.
+        types = [ct for n in range(2, m * m) for ct in cycle_types_of_order(m, n)]
+        assert len(types) == len({ct.parts for ct in types}) == {7: 14, 8: 21, 9: 29, 10: 41}[m]
+        for ct in types:
+            perm = lex_min_of_type(m, ct)
+            assert perm_fixed_dim(ct) == fixed_dim_numeric(standard_module_matrix(perm)), ct
 
 
 def _random_partition(rng, m):

@@ -2,18 +2,8 @@ import random
 
 import pytest
 
-from trisat import (
-    BibiConfig,
-    EigenvalueMultiset,
-    Status,
-    Triple,
-    bibi_criterion,
-    h1_bibi,
-    h1_principal,
-    principal_block_eigenvalues,
-    search_bibi,
-    so_fixed_dim,
-)
+from trisat import BibiConfig, Status, Triple, bibi_criterion, h1_bibi, h1_principal, search_bibi
+from trisat.bibi import EigenvalueMultiset, principal_block_eigenvalues, so_fixed_dim
 from trisat.rootsys import DynkinType
 
 from oracles import fixed_dim_numeric, matrix_from_multiset

@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -162,16 +163,24 @@ def test_cli_outputs_pinned(pin, capsys, monkeypatch):
      "c_max 3 is below supported minimum 4"),
     (["table", "--id", "alt-nongen", "--sample-c", "-5"],
      "c_max -5 is below supported minimum 4"),
-], ids=["multiplicity", "degree", "sample-c", "sample-c-3", "sample-c-negative"])
+    # the Alt_m search counts its candidate pairs before enumerating a class
+    (["alt", "--m", "14", "--triple", "2,3,7"],
+     "Alt_14 (2,3,7) search over 22422400 candidate pairs exceeds supported cap 1000000"),
+    (["alt", "--m", "22", "--triple", "2,3,7"],
+     "Alt_22 (2,3,7) search over 101973487616000 candidate pairs exceeds supported cap 1000000"),
+], ids=["multiplicity", "degree", "sample-c", "sample-c-3", "sample-c-negative",
+        "alt-m14", "alt-m22"])
 def test_oversized_degree_exits_2(argv, error):
-    # Under 1 GB of address space an unchecked degree or table cap dies of
-    # MemoryError (exit 1) instead of taking the machine's memory.
+    # Under 1 GB of address space an unchecked degree, table cap or search
+    # dies of MemoryError (exit 1) instead of taking the machine's memory.
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "trisat", *argv], capture_output=True,
                           text=True, timeout=120, preexec_fn=cap_memory)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_module_entry_point():

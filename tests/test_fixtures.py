@@ -12,8 +12,7 @@ import pytest
 
 from trisat import fixtures, tables
 from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, Refuted
-from trisat.saturation import Status, Verdict
-from trisat.weil import Triple
+from trisat.weil import Status, Triple, Verdict
 
 _ID5 = Permutation(range(5))
 _FIXED5 = CycleType((1,) * 5)

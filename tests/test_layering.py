@@ -1,0 +1,83 @@
+"""The package's module graph, read from the source without importing it.
+
+The three deformation routes (ladder in ``saturation``, ``bibi``,
+``altmethod``) share their value types through ``weil`` and meet only in
+``saturation.decide``, so the imports between modules form a DAG, every
+import sits at module level, and the top-level API is the short list the
+CLI and README use.
+"""
+
+import ast
+from pathlib import Path
+
+import trisat
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisat"
+
+API = {
+    "BibiConfig", "CohomologyReport", "CycleType", "DynkinType", "Status", "Triple",
+    "Verdict", "alt_saturation_check", "bibi_criterion", "check_table",
+    "codim_order_variety", "decide", "h1_alt", "h1_bibi", "h1_principal",
+    "ladder_verdict", "search_bibi",
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(node):
+    """The sibling modules an import node reads ("" for none)."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if node.module is None:  # from . import a, b
+            return [alias.name for alias in node.names]
+        return [node.module.split(".")[0]]
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trisat."):
+        return [node.module.split(".")[1]]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("trisat.")]
+    return []
+
+
+def _graph():
+    """Module -> the sibling modules it imports, wherever the import sits."""
+    return {name: {dep for node in ast.walk(tree) for dep in _imported_modules(node)}
+            for name, tree in _trees().items()}
+
+
+def test_every_import_is_at_module_level():
+    nested = []
+    for name, tree in _trees().items():
+        top = {id(node) for node in tree.body}
+        nested += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+
+
+def test_module_graph_is_acyclic():
+    graph = _graph()
+    assert graph["saturation"] >= {"altmethod", "bibi", "tables", "weil"}
+    done: set[str] = set()
+
+    def visit(name, path):
+        assert name not in path, " -> ".join(path + [name])
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        done.add(name)
+
+    for name in graph:
+        visit(name, [])
+
+
+def test_routes_do_not_import_each_other():
+    graph = _graph()
+    assert not graph["altmethod"] & {"bibi", "saturation"}
+    assert "saturation" not in graph["bibi"]
+
+
+def test_top_level_api():
+    assert set(trisat.__all__) == API and len(trisat.__all__) == 17
+    assert all(hasattr(trisat, name) for name in API)

@@ -5,14 +5,14 @@ from math import factorial, lcm
 
 import pytest
 
-from trisat import (
+from trisat import Triple
+from trisat.permgrp import (
     CycleType,
     GenerationWitness,
     NonGenerated,
     NotFound,
     Permutation,
     Refuted,
-    Triple,
     cycle_type,
     cycle_types_of_order,
     find_generating_triple,
@@ -425,6 +425,37 @@ class TestScott:
                 for n in orders
             )
             assert relaxed <= strict
+
+
+class TestSearchBudget:
+    # Candidate pairs: the sizes of the B classes Scott's bound keeps, summed
+    # over the A representatives.  The count is pinned by a cap one below it.
+    # Alt_11 (2,3,11) is hinted, so only the hinted classes count.
+    @pytest.mark.parametrize("m,orders,pairs", [
+        (12, (3, 3, 4), 985_600), (14, (2, 3, 7), 22_422_400), (9, (2, 3, 9), 7_840),
+        (11, (2, 3, 11), 123_200)])
+    def test_refused_before_any_enumeration(self, monkeypatch, m, orders, pairs):
+        def never(*args):
+            raise AssertionError("enumerated past the budget")
+
+        hint = generating_pair_hint(m, orders)
+        monkeypatch.setattr(permgrp, "MAX_PAIRS", pairs - 1)
+        for name in ("_class_images", "lex_min_of_type", "_cycle_lengths"):
+            monkeypatch.setattr(permgrp, name, never)
+        with pytest.raises(ValueError, match=f"over {pairs} candidate pairs exceeds supported cap"):
+            find_generating_triple(m, Triple(*orders), shape_hint=hint)
+
+    def test_at_the_cap_the_search_runs(self, monkeypatch):
+        monkeypatch.setattr(permgrp, "MAX_PAIRS", 7_840)
+        assert find_generating_triple(9, Triple(2, 3, 9)) == NotFound("exhausted all class pairs")
+
+    def test_scott_excluded_pairs_are_free(self):
+        # every B class is excluded for every A: nothing to count, nothing to walk
+        assert find_generating_triple(19, Triple(2, 3, 7)) == NotFound("exhausted all class pairs")
+
+    def test_unfinished_search_is_no_proof(self):
+        with pytest.raises(ValueError, match="exceeds supported cap"):
+            prove_non_generation(14, Triple(2, 3, 7))
 
 
 class TestProveNonGeneration:

@@ -1,6 +1,6 @@
 import pytest
 
-from trisat import DynkinType, adjoint_dim, all_types, exponents
+from trisat.rootsys import DynkinType, adjoint_dim, all_types, exponents
 
 
 def T(label):

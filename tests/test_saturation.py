@@ -3,17 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from trisat import (
-    DynkinType,
-    Status,
-    Triple,
-    all_types,
-    classify_ladder,
-    decide,
-    h1_principal,
-    ladder_verdict,
-)
-from trisat import permgrp
+from trisat import DynkinType, Status, Triple, decide, h1_principal, ladder_verdict, permgrp
+from trisat.rootsys import all_types
+from trisat.saturation import classify_ladder
 
 
 def T(label):

@@ -1,15 +1,8 @@
 import pytest
 
-from trisat import (
-    DynkinType,
-    Triple,
-    all_types,
-    codim_order_variety,
-    exponents,
-    h1_principal,
-    principal_fixed_dim,
-    weil_h1,
-)
+from trisat import DynkinType, Triple, codim_order_variety, h1_principal
+from trisat.rootsys import all_types, exponents
+from trisat.weil import principal_fixed_dim, weil_h1
 
 from oracles import rigid_contains
 
