@@ -7,7 +7,7 @@ ladders, SO(2k+1) x SO(2r-2k-1) embeddings in type D, and alternating
 group quotients inside odd orthogonal groups.
 
 The names below are the ones the CLI calls and the types they return.
-Building blocks (permutation groups, eigenvalue multisets, root data) are
+Building blocks (permutation groups, fixed dimensions, root data) are
 imported from their own modules, e.g. ``from trisat.permgrp import
 prove_non_generation``.
 """

@@ -7,103 +7,44 @@ Zariski dense one whenever
     H^1(T, h_1) + H^1(T, h_2)  <  H^1(T, Ad o rho restricted to so_2r)
 
 holds (with a few side conditions on k when b = 3 or (a, c) = (2, 5)).
-The left side is two principal H^1 values.  The right side is computed
-exactly from eigenvalue multisets: each factor acts on its odd orthogonal
-block with eigenvalues lambda^{-2k}, ..., lambda^{2k} for lambda a
-primitive 2n-th root of unity, the two blocks merge over the common
-modulus 2n, and the fixed-space dimension on so_2r is
+The left side is two principal H^1 values.  For the right side, so_2r
+restricted to H splits as
 
-    C(m_1, 2) + C(m_-1, 2) + (1/2) sum_{lambda != +-1} m_lambda^2.
+    so_{2k+1}  +  so_{2l+1}  +  V_1 (x) V_2,        l = r - k - 1,
 
-All eigenvalues are tracked as integer residues modulo 2n; nothing here is
-floating point.
+and each factor acts on its standard module V_i through its order-n
+principal element, with eigenvalues exp(2*pi*i*j/n) for |j| <= rank.  The
+fixed dimension on each so block is the principal exponent sum of
+weil.principal_fixed_dim (of type B_k, or A1 for so_3); on V_1 (x) V_2 it
+is the number of pairs (j_1, j_2) with |j_1| <= k, |j_2| <= l and
+n | j_1 + j_2.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 from .rootsys import DynkinType
-from .weil import CohomologyReport, Status, Triple, Verdict, h1_principal, weil_h1
+from .weil import (CohomologyReport, Status, Triple, Verdict, h1_principal,
+                   principal_fixed_dim, weil_h1)
 
 
-@dataclass(frozen=True)
-class EigenvalueMultiset:
-    """Eigenvalues of a finite-order orthogonal element, as residues mod N.
+def _block_type(rank: int) -> DynkinType:
+    """Type of so_{2*rank+1}: B_rank, or A1 for so_3 (the adjoint A1 module)."""
+    return DynkinType("A", 1) if rank == 1 else DynkinType("B", rank)
 
-    Residue j stands for exp(2*pi*i*j/N).  Multiplicities must satisfy the
-    real-conjugation symmetry mult(j) == mult(N - j).
+
+def so_fixed_dim(r1: int, r2: int, n: int) -> int:
+    """dim of the fixed space on so_{2(r1+r2+1)} of the order-n element of
+    SO(2*r1+1) x SO(2*r2+1) that is principal in each factor.
+
+    The two so blocks give principal exponent sums; on V_1 (x) V_2 the pairs
+    (j_1, j_2) with n | j_1 + j_2 are counted through the residues of j_1.
     """
-
-    modulus: int
-    mults: Mapping[int, int]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        clean = {int(j): int(k) for j, k in self.mults.items() if k}
-        for j, k in clean.items():
-            if not 0 <= j < self.modulus:
-                raise ValueError(f"residue {j} out of range mod {self.modulus}")
-            if k < 0:
-                raise ValueError(f"negative multiplicity at residue {j}")
-            if clean.get((self.modulus - j) % self.modulus, 0) != k:
-                raise ValueError(f"conjugation symmetry broken at residue {j}")
-        object.__setattr__(self, "mults", dict(sorted(clean.items())))
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.mults.values())
-
-    def mult(self, j: int) -> int:
-        return self.mults.get(j % self.modulus, 0)
-
-    def merge(self, other: "EigenvalueMultiset") -> "EigenvalueMultiset":
-        """Union of two multisets over the same modulus."""
-        if other.modulus != self.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-        merged = dict(self.mults)
-        for j, k in other.mults.items():
-            merged[j] = merged.get(j, 0) + k
-        return EigenvalueMultiset(self.modulus, merged)
-
-
-def so_fixed_dim(ev: EigenvalueMultiset) -> int:
-    """dim of the fixed space of Ad(t) on so_m for t with eigenvalues ``ev``.
-
-    so_m is the antisymmetric square of the standard module, whence
-    C(m_1, 2) + C(m_-1, 2) + (1/2) sum over conjugate pairs of m_lambda^2.
-    """
-    n = ev.modulus
-    m_plus = ev.mult(0)
-    m_minus = ev.mult(n // 2) if n % 2 == 0 else 0
-    square_sum = 0
-    for j, k in ev.mults.items():
-        if j == 0 or (n % 2 == 0 and j == n // 2):
-            continue
-        square_sum += k * k
-    if square_sum % 2:
-        raise ValueError("odd sum of squared multiplicities: symmetry violated")
-    return m_plus * (m_plus - 1) // 2 + m_minus * (m_minus - 1) // 2 + square_sum // 2
-
-
-def principal_block_eigenvalues(rank: int, n: int) -> EigenvalueMultiset:
-    """Eigenvalues of the order-n principal element of SO(2*rank+1).
-
-    These are lambda^{2j} for j = -rank..rank with lambda a primitive
-    2n-th root of unity: residues 2j mod 2n, ambient dimension 2*rank + 1.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if n < 2:
-        raise ValueError("order must be >= 2")
-    mod = 2 * n
-    mults: dict[int, int] = {}
-    for j in range(-rank, rank + 1):
-        r = (2 * j) % mod
-        mults[r] = mults.get(r, 0) + 1
-    return EigenvalueMultiset(mod, mults)
+    blocks = principal_fixed_dim(_block_type(r1), n) + principal_fixed_dim(_block_type(r2), n)
+    residues = Counter(j % n for j in range(-r1, r1 + 1))
+    return blocks + sum(residues[-j % n] for j in range(-r2, r2 + 1))
 
 
 @dataclass(frozen=True)
@@ -131,17 +72,12 @@ class BibiConfig:
 def h1_bibi(cfg: BibiConfig, tr: Triple) -> CohomologyReport:
     """H^1 of T on so_2r through the product of the two principal blocks.
 
-    Per generator order n, the two block multisets merge over modulus 2n
-    and so_fixed_dim gives the fixed dimension; the action has no
-    invariants, so H^1 = dim so_2r minus the three fixed dimensions.
+    so_fixed_dim gives the fixed dimension per generator order; the action
+    has no invariants, so H^1 = dim so_2r minus the three fixed dimensions.
     """
     r1, r2 = cfg.ranks
-    fixed = []
-    for n in tr.orders:
-        ev = principal_block_eigenvalues(r1, n).merge(principal_block_eigenvalues(r2, n))
-        fixed.append(so_fixed_dim(ev))
-    dim_g = cfg.r * (2 * cfg.r - 1)
-    return weil_h1(dim_g, tuple(fixed))
+    fixed = tuple(so_fixed_dim(r1, r2, n) for n in tr.orders)
+    return weil_h1(cfg.r * (2 * cfg.r - 1), fixed)
 
 
 def _side_conditions(cfg: BibiConfig, tr: Triple) -> list[str]:
@@ -158,14 +94,12 @@ def _side_conditions(cfg: BibiConfig, tr: Triple) -> list[str]:
 def _lhs_h1(rank: int, tr: Triple) -> int:
     """Principal H^1 of the rank-``rank`` odd orthogonal factor.
 
-    The rank-1 factor is the standard representation into SO(3), which is
-    locally rigid, so it contributes 0.  The rank-3 factor rides the
-    G2 -> B3 two-step ladder, whose deformed H^1 equals the principal
-    value; the side conditions guard the cases where that ladder fails.
+    The rank-1 factor is SO(3) = PGL_2 of type A1, whose principal H^1 is
+    3 - 3 = 0: it is locally rigid.  The rank-3 factor rides the G2 -> B3
+    two-step ladder, whose deformed H^1 equals the principal value; the
+    side conditions guard the cases where that ladder fails.
     """
-    if rank == 1:
-        return 0
-    return h1_principal(DynkinType("B", rank), tr).h1
+    return h1_principal(_block_type(rank), tr).h1
 
 
 def bibi_criterion(cfg: BibiConfig, tr: Triple) -> Verdict:

@@ -200,14 +200,29 @@ def cycle_type(p: Permutation) -> CycleType:
     return CycleType(tuple(_cycle_lengths(p.images)))
 
 
+#: Most partitions of m into divisors of n that cycle_types_of_order walks.
+#: Tables (to --sample-c 1000), bench workloads and tests walk at most 53
+#: (m = 11, order 840); m = 120, order 60 has 7,173,704.
+MAX_CYCLE_TYPES = 10_000
+
+
 def cycle_types_of_order(m: int, n: int, *, even_only: bool = False) -> list[CycleType]:
     """All cycle types on m points whose element order is exactly n.
 
     With even_only=True only types of even permutations (even count of
     even-length parts) are kept.  Returned sorted by parts tuple, largest
-    first.
+    first.  The partitions of m into divisors of n are counted first (coin
+    change) and more than MAX_CYCLE_TYPES of them are refused with
+    ValueError before any is listed.
     """
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
+    ways = [1] + [0] * m
+    for d in divisors:
+        for i in range(d, m + 1):
+            ways[i] += ways[i - d]
+    if ways[m] > MAX_CYCLE_TYPES:
+        raise ValueError(f"listing {ways[m]} partitions of {m} into divisors of {n} "
+                         f"exceeds supported cap {MAX_CYCLE_TYPES}")
     found: list[CycleType] = []
 
     def rec(remaining: int, max_part: int, chosen: list[int]):

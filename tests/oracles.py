@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from trisat.bibi import EigenvalueMultiset
 from trisat.permgrp import Permutation
 from trisat.rootsys import DynkinType
 
@@ -32,18 +31,15 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def matrix_from_multiset(ev: EigenvalueMultiset) -> np.ndarray:
-    """Real orthogonal matrix with the given eigenvalue multiset."""
+def principal_pair_matrix(r1: int, r2: int, n: int) -> np.ndarray:
+    """Order-n element of SO(2*r1+1) x SO(2*r2+1), principal in each factor.
+
+    Each factor is a 1 and rotations by 2*pi*j/n for j = 1..rank.
+    """
     blocks = []
-    n = ev.modulus
-    for j in sorted(ev.mults):
-        k = ev.mults[j]
-        if j == 0:
-            blocks.extend([np.eye(1)] * k)
-        elif 2 * j == n:
-            blocks.extend([-np.eye(1)] * k)
-        elif j < n - j:
-            blocks.extend([_rotation(2 * np.pi * j / n)] * k)
+    for rank in (r1, r2):
+        blocks.append(np.eye(1))
+        blocks.extend(_rotation(2 * np.pi * j / n) for j in range(1, rank + 1))
     return _block_diag(blocks)
 
 
@@ -57,12 +53,17 @@ def antisym_square(mat: np.ndarray) -> np.ndarray:
 
 
 def fixed_dim_numeric(mat: np.ndarray) -> int:
-    """dim of the fixed space of mat acting on its antisymmetric square."""
+    """dim of the fixed space of mat acting on its antisymmetric square.
+
+    The rank tolerance is absolute: numpy's default is relative to the
+    largest singular value, so when mat is the identity up to rounding the
+    noise left in the difference would count as rank.
+    """
     a = antisym_square(mat)
     d = a.shape[0]
     if d == 0:
         return 0
-    return d - np.linalg.matrix_rank(a - np.eye(d))
+    return d - np.linalg.matrix_rank(a - np.eye(d), tol=1e-9)
 
 
 def standard_module_matrix(p: Permutation) -> np.ndarray:

@@ -23,9 +23,8 @@ from trisat.permgrp import (
 from trisat.rootsys import all_types
 from trisat.weil import lawther_closed_form, principal_fixed_dim
 
-from oracles import fixed_dim_numeric, matrix_from_multiset, standard_module_matrix
+from oracles import fixed_dim_numeric, principal_pair_matrix, standard_module_matrix
 from test_altmethod import _random_class_member, _random_partition
-from test_bibi import _random_multiset
 
 
 class _Timer:
@@ -156,8 +155,8 @@ def test_criterion_8_randomized_oracle_suite():
         rng = random.Random(518352)
         instances = 0
         for _ in range(50):
-            ev = _random_multiset(rng, max_dim=20)
-            assert so_fixed_dim(ev) == fixed_dim_numeric(matrix_from_multiset(ev))
+            r1, r2, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 16)
+            assert so_fixed_dim(r1, r2, n) == fixed_dim_numeric(principal_pair_matrix(r1, r2, n))
             instances += 1
         for _ in range(50):
             m = rng.randint(7, 20)

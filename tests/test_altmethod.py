@@ -96,10 +96,8 @@ class TestStandardModuleEigenvalues:
 
     @pytest.mark.parametrize("m", [7, 8, 9, 10])
     def test_every_cycle_type_matches_numeric_oracle(self, m):
-        # The identity (test_identity) is left out: numpy's rank tolerance is
-        # relative to the largest singular value, and there g - 1 is rounding noise.
-        types = [ct for n in range(2, m * m) for ct in cycle_types_of_order(m, n)]
-        assert len(types) == len({ct.parts for ct in types}) == {7: 14, 8: 21, 9: 29, 10: 41}[m]
+        types = [ct for n in range(1, m * m) for ct in cycle_types_of_order(m, n)]
+        assert len(types) == len({ct.parts for ct in types}) == {7: 15, 8: 22, 9: 30, 10: 42}[m]
         for ct in types:
             perm = lex_min_of_type(m, ct)
             assert perm_fixed_dim(ct) == fixed_dim_numeric(standard_module_matrix(perm)), ct

@@ -1,92 +1,41 @@
-import random
-
 import pytest
 
 from trisat import BibiConfig, Status, Triple, bibi_criterion, h1_bibi, h1_principal, search_bibi
-from trisat.bibi import EigenvalueMultiset, principal_block_eigenvalues, so_fixed_dim
-from trisat.rootsys import DynkinType
+from trisat.bibi import _block_type, so_fixed_dim
+from trisat.rootsys import DynkinType, adjoint_dim
+from trisat.weil import principal_fixed_dim
 
-from oracles import fixed_dim_numeric, matrix_from_multiset
-
-
-class TestEigenvalueMultiset:
-    def test_dimension(self):
-        ev = EigenvalueMultiset(4, {0: 1, 2: 2})
-        assert ev.dimension == 3
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            EigenvalueMultiset(5, {1: 2, 4: 1})
-
-    def test_merge(self):
-        a = EigenvalueMultiset(4, {0: 1, 2: 2})
-        b = EigenvalueMultiset(4, {0: 5, 2: 6})
-        assert a.merge(b).mults == {0: 6, 2: 8}
-        with pytest.raises(ValueError):
-            a.merge(EigenvalueMultiset(6, {0: 1}))
-
-    def test_drops_zero_entries(self):
-        assert EigenvalueMultiset(3, {0: 2, 1: 0, 2: 0}).mults == {0: 2}
+from oracles import fixed_dim_numeric, principal_pair_matrix
 
 
 class TestSoFixedDim:
-    def test_identity(self):
-        assert so_fixed_dim(EigenvalueMultiset(1, {0: 6})) == 15  # dim so_6
-
     def test_plus_minus_one(self):
-        assert so_fixed_dim(EigenvalueMultiset(2, {0: 6, 1: 8})) == 43
+        # the involution of SO(3) x SO(11) has eigenvalues +1 (6 times), -1 (8 times)
+        assert so_fixed_dim(1, 5, 2) == 15 + 28
 
     def test_order_seven(self):
-        ev = EigenvalueMultiset(7, {0: 2, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2})
-        assert so_fixed_dim(ev) == 13
+        # SO(7) x SO(7) at n = 7: each 7th root of unity twice, so 1 + 6 * 4 / 2
+        assert so_fixed_dim(3, 3, 7) == 13
 
     def test_against_numeric_rank(self):
-        rng = random.Random(7121)
-        for _ in range(30):
-            ev = _random_multiset(rng, max_dim=20)
-            assert so_fixed_dim(ev) == fixed_dim_numeric(matrix_from_multiset(ev))
-
-
-def _random_multiset(rng, max_dim):
-    modulus = rng.randint(1, 16)
-    mults = {}
-    dim = 0
-    budget = rng.randint(2, max_dim)
-    orbits = sorted({(j, (modulus - j) % modulus) for j in range(modulus)},
-                    key=lambda p: min(p))
-    rng.shuffle(orbits)
-    for j, jc in orbits:
-        if dim >= budget:
-            break
-        k = rng.randint(0, 3)
-        if k == 0:
-            continue
-        cost = k if j == jc else 2 * k
-        if dim + cost > max_dim:
-            continue
-        mults[j] = mults.get(j, 0) + k
-        if j != jc:
-            mults[jc] = mults.get(jc, 0) + k
-        dim += cost
-    if not mults:
-        mults = {0: 2}
-    return EigenvalueMultiset(modulus, mults)
+        for r1 in range(1, 7):
+            for r2 in range(r1, 13 - r1):
+                for n in range(2, 13):
+                    expected = fixed_dim_numeric(principal_pair_matrix(r1, r2, n))
+                    assert so_fixed_dim(r1, r2, n) == expected, (r1, r2, n)
 
 
 class TestPrincipalBlocks:
     def test_examples(self):
-        ev = principal_block_eigenvalues(1, 2)
-        assert (ev.modulus, ev.mults) == (4, {0: 1, 2: 2})
-        ev = principal_block_eigenvalues(5, 2)
-        assert (ev.modulus, ev.mults) == (4, {0: 5, 2: 6})
+        # so_{2k+1} at n = 2: C(#even j, 2) + C(#odd j, 2) over |j| <= k
+        assert principal_fixed_dim(_block_type(1), 2) == 0 + 1
+        assert principal_fixed_dim(_block_type(5), 2) == 10 + 15
         for n in (3, 5, 9):
-            ev = principal_block_eigenvalues(1, n)
-            assert ev.mults == {0: 1, 2: 1, 2 * n - 2: 1}
+            assert principal_fixed_dim(_block_type(1), n) == 1
 
     def test_dimension_is_odd_orthogonal(self):
         for rank in range(1, 9):
-            for n in range(2, 12):
-                assert principal_block_eigenvalues(rank, n).dimension == 2 * rank + 1
+            assert adjoint_dim(_block_type(rank)) == rank * (2 * rank + 1)
 
 
 class TestH1Bibi:
@@ -116,9 +65,7 @@ class TestH1Bibi:
             rep = h1_bibi(cfg, Triple(*orders))
             r1, r2 = cfg.ranks
             for n, expected in zip(Triple(*orders).orders, rep.fixed_dims):
-                merged = principal_block_eigenvalues(r1, n).merge(
-                    principal_block_eigenvalues(r2, n))
-                assert fixed_dim_numeric(matrix_from_multiset(merged)) == expected
+                assert fixed_dim_numeric(principal_pair_matrix(r1, r2, n)) == expected
 
 
 class TestCriterion:

@@ -168,8 +168,11 @@ def test_cli_outputs_pinned(pin, capsys, monkeypatch):
      "Alt_14 (2,3,7) search over 22422400 candidate pairs exceeds supported cap 1000000"),
     (["alt", "--m", "22", "--triple", "2,3,7"],
      "Alt_22 (2,3,7) search over 101973487616000 candidate pairs exceeds supported cap 1000000"),
+    # ... and its cycle types before listing them
+    (["alt", "--m", "120", "--triple", "2,3,60"],
+     "listing 7173704 partitions of 120 into divisors of 60 exceeds supported cap 10000"),
 ], ids=["multiplicity", "degree", "sample-c", "sample-c-3", "sample-c-negative",
-        "alt-m14", "alt-m22"])
+        "alt-m14", "alt-m22", "alt-m120"])
 def test_oversized_degree_exits_2(argv, error):
     # Under 1 GB of address space an unchecked degree, table cap or search
     # dies of MemoryError (exit 1) instead of taking the machine's memory.
