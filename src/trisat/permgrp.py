@@ -206,14 +206,16 @@ def cycle_type(p: Permutation) -> CycleType:
 MAX_CYCLE_TYPES = 10_000
 
 
-def cycle_types_of_order(m: int, n: int, *, even_only: bool = False) -> list[CycleType]:
+def cycle_types_of_order(m: int, n: int) -> list[CycleType]:
     """All cycle types on m points whose element order is exactly n.
 
-    With even_only=True only types of even permutations (even count of
-    even-length parts) are kept.  Returned sorted by parts tuple, largest
-    first.  The partitions of m into divisors of n are counted first (coin
-    change) and more than MAX_CYCLE_TYPES of them are refused with
-    ValueError before any is listed.
+    Sorted by parts tuple, largest first; CycleType.is_even picks out the
+    even ones.  The partitions of m into divisors of n are counted first
+    (coin change); more than MAX_CYCLE_TYPES is refused with ValueError.
+    The listing is flat: the parts above 1 grow divisor by divisor, largest
+    divisor and multiplicity first, and fixed points fill the rest.  Each
+    head padded with fixed points is a partition of m, so the count bounds
+    every step.
     """
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     ways = [1] + [0] * m
@@ -223,25 +225,10 @@ def cycle_types_of_order(m: int, n: int, *, even_only: bool = False) -> list[Cyc
     if ways[m] > MAX_CYCLE_TYPES:
         raise ValueError(f"listing {ways[m]} partitions of {m} into divisors of {n} "
                          f"exceeds supported cap {MAX_CYCLE_TYPES}")
-    found: list[CycleType] = []
-
-    def rec(remaining: int, max_part: int, chosen: list[int]):
-        if remaining == 0:
-            if reduce(math.lcm, chosen, 1) != n:
-                return
-            ct = CycleType(tuple(chosen))
-            if ct.is_even or not even_only:
-                found.append(ct)
-            return
-        for d in reversed(divisors):
-            if d > max_part or d > remaining:
-                continue
-            chosen.append(d)
-            rec(remaining - d, d, chosen)
-            chosen.pop()
-
-    rec(m, m, [])
-    return sorted(found, key=lambda t: t.parts, reverse=True)
+    heads: list[tuple[int, ...]] = [()]
+    for d in reversed(divisors[1:]):
+        heads = [h + (d,) * k for h in heads for k in range((m - sum(h)) // d, -1, -1)]
+    return [CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n]
 
 
 def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
@@ -476,12 +463,16 @@ class NotFound:
     reason: str
 
 
-def _validated_hint(m, hint, allowed, which):
+def _even_types(m, n, hint, which):
+    """The even types of order n, or just the shape hint if one is given."""
+    even = [t for t in cycle_types_of_order(m, n) if t.is_even]
+    if hint is None:
+        return even
     if hint.m != m:
         hint = hint.padded(m)
-    if hint.parts not in {t.parts for t in allowed}:
+    if hint not in even:
         raise ValueError(f"shape hint {hint} is not an even cycle type for the {which} slot")
-    return hint
+    return [hint]
 
 
 def find_generating_triple(
@@ -496,11 +487,13 @@ def find_generating_triple(
     representative suffices).  B ranges over the elements of the even
     classes of order b, in lexicographic order, so the first validated hit
     is the lexicographically minimal witness.  A shape_hint pins the three
-    classes to search.  The filters, cheapest first:
+    classes to search.  One plan, made before anything is enumerated, keeps
+    for each A type the B classes within Scott's room: with A's cycle count
+    and the fewest cycles of an allowed AB class, at most m + 2.  It prices
+    the search (more than MAX_PAIRS candidate pairs is refused with
+    ValueError) and then drives the walk.  The filters, cheapest first:
 
-    - a B class whose cycle count, added to A's and to the smallest cycle
-      count among the allowed AB classes, exceeds m + 2 is excluded by
-      Scott's bound for that A and is never enumerated for it;
+    - a B class outside the plan for A is never enumerated for it;
     - a pair whose product AB has the wrong order or class is skipped;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
@@ -512,21 +505,13 @@ def find_generating_triple(
     - the survivors are settled by the exact group order from the Sims table.
 
     Only B's known not to generate are skipped, so the walk order and the
-    first witness are those of the search without the orbit step.  A search
-    whose kept (A, B class) pairs hold more than MAX_PAIRS candidates is
-    refused with ValueError before any class is enumerated.
+    first witness are those of the search without the orbit step.
     """
     if m < 5:
         raise ValueError("need m >= 5")
-    a, b, c = tr.orders
-    types_a = cycle_types_of_order(m, a, even_only=True)
-    types_b = cycle_types_of_order(m, b, even_only=True)
-    types_c = cycle_types_of_order(m, c, even_only=True)
-    if shape_hint is not None:
-        ha, hb, hc = shape_hint
-        types_a = [_validated_hint(m, ha, types_a, "A")]
-        types_b = [_validated_hint(m, hb, types_b, "B")]
-        types_c = [_validated_hint(m, hc, types_c, "AB")]
+    types_a, types_b, types_c = [
+        _even_types(m, n, hint, which)
+        for n, hint, which in zip(tr.orders, shape_hint or (None,) * 3, ("A", "B", "AB"))]
     if not (types_a and types_b and types_c):
         return NotFound("no elements of required order")
 
@@ -534,32 +519,31 @@ def find_generating_triple(
     allowed_c = {t.parts: t.cycle_count for t in types_c}
     scott_cap = m + 2
     min_count_c = min(allowed_c.values())
-    pairs = sum(tb.class_size() for ta in types_a for tb in types_b
-                if ta.cycle_count + tb.cycle_count + min_count_c <= scott_cap)
+    # every allowed product has at least min_count_c cycles, so a B class
+    # over this cap would fail the per-pair Scott test below for every B
+    kept = {ta: [tb for tb in types_b if ta.cycle_count + tb.cycle_count + min_count_c <= scott_cap]
+            for ta in types_a}
+    pairs = sum(tb.class_size() for tbs in kept.values() for tb in tbs)
     if pairs > MAX_PAIRS:
         raise ValueError(f"Alt_{m} {tr} search over {pairs} candidate pairs "
                          f"exceeds supported cap {MAX_PAIRS}")
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # B classes enumerated so far
+    classes: dict[CycleType, list[tuple[int, ...]]] = {}  # B classes enumerated so far
 
-    reps = sorted(lex_min_of_type(m, t).images for t in types_a)
-    for a_img in reps:
-        count_a = len(_cycle_lengths(a_img))
-        # Every allowed product has at least min_count_c cycles, so a B class
-        # over this cap would fail the per-pair Scott test below for every B.
-        kept = [t.parts for t in types_b if count_a + t.cycle_count + min_count_c <= scott_cap]
-        for b_parts in kept:
-            if b_parts not in classes:
-                classes[b_parts] = _class_images(m, b_parts)
+    reps = {lex_min_of_type(m, ta).images: ta for ta in types_a}
+    for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
+        for tb in kept[ta]:
+            if tb not in classes:
+                classes[tb] = _class_images(m, tb.parts)
         centraliser = _centraliser_gens(a_img)
         known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
-        for b_img in heapq.merge(*(classes[b_parts] for b_parts in kept)):
+        for b_img in heapq.merge(*(classes[tb] for tb in kept[ta])):
             prod = tuple(b_img[i] for i in a_img)
             lengths = _cycle_lengths(prod)
             parts = tuple(sorted(lengths, reverse=True))
             count_c = allowed_c.get(parts)
             if count_c is None:
                 continue
-            if count_a + len(_cycle_lengths(b_img)) + count_c > scott_cap:
+            if ta.cycle_count + len(_cycle_lengths(b_img)) + count_c > scott_cap:
                 continue
             if not _is_transitive(a_img, b_img, m):
                 continue
@@ -569,7 +553,7 @@ def find_generating_triple(
             if _bsgs_order([a_img, b_img], m) == target:
                 ga, gb = Permutation(a_img), Permutation(b_img)
                 return GenerationWitness(
-                    ga, gb, (a, b, c), (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
                 )
             # B's earlier conjugates would have put B in `known`: the rest lie ahead
             known |= _conjugacy_orbit(b_img, centraliser)
@@ -595,14 +579,11 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     """
     if m < 3:
         raise ValueError("need m >= 3")
-    a, b, c = tr.orders
-    even_types = [cycle_types_of_order(m, n, even_only=True) for n in (a, b, c)]
-    if not all(even_types):
+    listed = [cycle_types_of_order(m, n) for n in tr.orders]
+    evens = [[t.cycle_count for t in types if t.is_even] for types in listed]
+    if not all(evens):
         return None
-    term_a = min(t.cycle_count for t in even_types[0])
-    term_b = min(t.cycle_count for t in cycle_types_of_order(m, b))
-    term_c = min(t.cycle_count for t in cycle_types_of_order(m, c))
-    return term_a + term_b + term_c
+    return min(evens[0]) + sum(min(t.cycle_count for t in types) for types in listed[1:])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Builds explicit real orthogonal matrices (block rotations, permutation
 actions on the standard module), forms the antisymmetric square, and reads
 fixed-space dimensions off numeric ranks; ``rigid_contains`` states the
-rigid table as a predicate instead of the spec rows ``tables`` expands.
+rigid table as a predicate instead of the spec rows ``tables`` expands;
+``partitions`` lists every partition of m, the check on the cycle-type
+lister.
 Deliberately shares no code with the integer formulas under test.
 """
 
@@ -78,6 +80,14 @@ def standard_module_matrix(p: Permutation) -> np.ndarray:
         basis[i + 1, i] = -1.0
     q, _ = np.linalg.qr(basis)
     return q.T @ perm @ q
+
+
+def partitions(m: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Every partition of m as a descending tuple, parts at most ``largest``."""
+    if m == 0:
+        return [()]
+    top = m if largest is None else min(m, largest)
+    return [(first,) + rest for first in range(1, top + 1) for rest in partitions(m - first, first)]
 
 
 def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from trisat import Triple, permgrp
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -36,3 +38,15 @@ def test_trace_targets_resolve():
 ])
 def test_workload_sizes(workload, cases):
     assert len(_load("workloads").build(workload)) == cases
+
+
+def test_traced_search_funnel():
+    # Alt_9 (2,3,9) goes the exhaustive route; the bench reads its funnel from
+    # the calls the search makes, so a change in those calls shows here.
+    # transitive_pass is left out: the tracer reads it off the Sims-table calls.
+    with _load("tracing").Tracer() as tracer:
+        permgrp.prove_non_generation(9, Triple(2, 3, 9))
+    funnel = tracer.funnel()
+    del funnel["transitive_pass"]
+    assert funnel == {"pairs_tried": 7840, "product_class_pass": 2112, "scott_pass": 2112,
+                      "bsgs_calls": 4, "accepted": 0}

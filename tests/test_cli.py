@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -8,6 +9,11 @@ from pathlib import Path
 import pytest
 
 from trisat import cli, fixtures
+
+
+# A child interpreter imports trisat from this checkout's src/, installed or not.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -171,8 +177,11 @@ def test_cli_outputs_pinned(pin, capsys, monkeypatch):
     # ... and its cycle types before listing them
     (["alt", "--m", "120", "--triple", "2,3,60"],
      "listing 7173704 partitions of 120 into divisors of 60 exceeds supported cap 10000"),
+    # ... also near the degree cap, where a lister recursing once per part overflows the stack
+    (["alt", "--m", "1025", "--triple", "2,4,5"],
+     "listing 66049 partitions of 1025 into divisors of 4 exceeds supported cap 10000"),
 ], ids=["multiplicity", "degree", "sample-c", "sample-c-3", "sample-c-negative",
-        "alt-m14", "alt-m22", "alt-m120"])
+        "alt-m14", "alt-m22", "alt-m120", "alt-m1025"])
 def test_oversized_degree_exits_2(argv, error):
     # Under 1 GB of address space an unchecked degree, table cap or search
     # dies of MemoryError (exit 1) instead of taking the machine's memory.
@@ -181,7 +190,7 @@ def test_oversized_degree_exits_2(argv, error):
 
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "trisat", *argv], capture_output=True,
-                          text=True, timeout=120, preexec_fn=cap_memory)
+                          text=True, timeout=120, preexec_fn=cap_memory, env=CHILD_ENV)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
     assert time.perf_counter() - start < 1.0
 
@@ -189,7 +198,7 @@ def test_oversized_degree_exits_2(argv, error):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisat", "h1", "--type", "G2", "--triple", "2,3,7"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h1"] == 2

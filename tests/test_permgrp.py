@@ -24,6 +24,8 @@ from trisat.permgrp import (
 from trisat import permgrp
 from trisat.tables import generating_pair_hint
 
+from oracles import partitions
+
 # The triples of the decide --alt-search benchmark grid.
 SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
                        (2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 3, 7))
@@ -50,9 +52,8 @@ def unpruned_search(m, tr):
     """Reference generation search: every B class is enumerated up front and
     Scott's bound is only applied pair by pair."""
     a, b, c = tr.orders
-    types_a = cycle_types_of_order(m, a, even_only=True)
-    types_b = cycle_types_of_order(m, b, even_only=True)
-    types_c = cycle_types_of_order(m, c, even_only=True)
+    types_a, types_b, types_c = [
+        [t for t in cycle_types_of_order(m, n) if t.is_even] for n in (a, b, c)]
     if not (types_a and types_b and types_c):
         return NotFound("no elements of required order")
     target = factorial(m) // 2
@@ -319,23 +320,26 @@ class TestCentraliser:
 
 
 class TestTypesOfOrder:
-    def test_exact_vs_dividing(self):
-        exact = {t.parts for t in cycle_types_of_order(9, 6)}
-        assert all(CycleType(p).order == 6 for p in exact)
-        assert (1,) * 9 not in exact
-        partitions = {
-            c[::-1] for k in range(1, 10)
-            for c in itertools.combinations_with_replacement(range(1, 10), k) if sum(c) == 9
-        }
-        assert exact == {p for p in partitions if lcm(*p) == 6}
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 60, 840])
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_exact_vs_dividing(self, m, n):
+        exact = sorted((p for p in partitions(m) if lcm(*p) == n), reverse=True)
+        listed = cycle_types_of_order(m, n)
+        assert [t.parts for t in listed] == exact
+        assert [t.parts for t in listed if t.is_even] == [
+            p for p in exact if sum(1 for x in p if x % 2 == 0) % 2 == 0]
 
     def test_even_filter(self):
-        evens = cycle_types_of_order(11, 4, even_only=True)
+        evens = [t for t in cycle_types_of_order(11, 4) if t.is_even]
         assert all(t.is_even for t in evens)
         assert min(t.cycle_count for t in evens) == 5  # (4)^2(1)^3 and (4)(2)^3(1)
 
     def test_no_even_type(self):
-        assert cycle_types_of_order(9, 8, even_only=True) == []  # (8)(1) is odd
+        assert [t for t in cycle_types_of_order(9, 8) if t.is_even] == []  # (8)(1) is odd
+
+    def test_flat_listing_at_the_degree_cap(self):
+        # a lister recursing once per part overflows the stack from m = 990 on
+        assert len(cycle_types_of_order(1026, 2)) == 513
 
 
 class TestGenerationSearch:
@@ -393,6 +397,12 @@ class TestGenerationSearch:
         assert isinstance(out, NotFound)
         assert out.reason == "no elements of required order"
 
+    def test_no_elements_at_large_degree(self):
+        # a prime order above m has no cycle type; orders 2 and 3 on 1000
+        # points are listed first, past the depth of a recursive lister
+        assert find_generating_triple(1000, Triple(2, 3, 1031)) == NotFound(
+            "no elements of required order")
+
     def test_order_dividing_variant(self):
         strict = find_generating_triple(5, Triple(2, 5, 5))
         assert not isinstance(strict, NotFound) and strict.validate()
@@ -421,7 +431,7 @@ class TestScott:
         for m, orders in [(11, (2, 4, 5)), (11, (3, 3, 4)), (19, (2, 3, 7))]:
             relaxed = scott_min_sum(m, Triple(*orders))
             strict = sum(
-                min(t.cycle_count for t in cycle_types_of_order(m, n, even_only=True))
+                min(t.cycle_count for t in cycle_types_of_order(m, n) if t.is_even)
                 for n in orders
             )
             assert relaxed <= strict
