@@ -91,17 +91,6 @@ def _side_conditions(cfg: BibiConfig, tr: Triple) -> list[str]:
     return violations
 
 
-def _lhs_h1(rank: int, tr: Triple) -> int:
-    """Principal H^1 of the rank-``rank`` odd orthogonal factor.
-
-    The rank-1 factor is SO(3) = PGL_2 of type A1, whose principal H^1 is
-    3 - 3 = 0: it is locally rigid.  The rank-3 factor rides the G2 -> B3
-    two-step ladder, whose deformed H^1 equals the principal value; the
-    side conditions guard the cases where that ladder fails.
-    """
-    return h1_principal(_block_type(rank), tr).h1
-
-
 def bibi_criterion(cfg: BibiConfig, tr: Triple) -> Verdict:
     """Saturation test for type D_r via the SO x SO embedding.
 
@@ -110,7 +99,9 @@ def bibi_criterion(cfg: BibiConfig, tr: Triple) -> Verdict:
     """
     r1, r2 = cfg.ranks
     report = h1_bibi(cfg, tr)
-    lhs_parts = (_lhs_h1(r1, tr), _lhs_h1(r2, tr))
+    # SO(3) = PGL_2 is locally rigid (H^1 = 0); the rank-3 factor rides G2 < B3,
+    # whose deformed H^1 is the principal one where the side conditions hold
+    lhs_parts = (h1_principal(_block_type(r1), tr).h1, h1_principal(_block_type(r2), tr).h1)
     lhs = sum(lhs_parts)
     cert = {
         "r": cfg.r,

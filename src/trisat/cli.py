@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common],
                        help="recompute a built-in table and diff it")
     p.add_argument("--trace", action="store_true", help="verbose progress/detail on stderr")
-    p.add_argument("--id", required=True, choices=fixtures.TABLE_IDS)
+    p.add_argument("--id", required=True, choices=fixtures.TABLES)
     p.add_argument("--sample-c", type=int, default=tables.DEFAULT_C_MAX,
                    help="cap for parameterized rows (default 60)")
     p.add_argument("--regenerate", action="store_true",

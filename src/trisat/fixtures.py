@@ -137,14 +137,11 @@ TABLES = {
     "alt-nongen": (_alt_nongen_cases, _judge_alt_nongen),
 }
 
-TABLE_IDS = tuple(TABLES)
-
-
 def check_table(table_id: str, c_max: int = tables.DEFAULT_C_MAX, *,
                 detail: bool = False, log: Log = None) -> dict:
-    """Recompute one fixture by id and diff it; see TABLE_IDS for the ids."""
+    """Recompute one fixture by id and diff it; see TABLES for the ids."""
     if table_id not in TABLES:
-        raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")
+        raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLES)}")
     if c_max > tables.MAX_C:
         raise ValueError(f"c_max {c_max} exceeds supported cap {tables.MAX_C}")
     if c_max < tables.MIN_C:

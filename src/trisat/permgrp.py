@@ -241,15 +241,9 @@ def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
     """
     if ct.m != m:
         raise ValueError(f"type {ct} has degree {ct.m}, expected {m}")
-    images = list(range(m))
-    pos = 0
-    for length in sorted(ct.parts):
-        if length > 1:
-            for i in range(pos, pos + length - 1):
-                images[i] = i + 1
-            images[pos + length - 1] = pos
-        pos += length
-    return Permutation(images)
+    lengths = sorted(ct.parts)
+    starts = itertools.accumulate(lengths, initial=0)
+    return Permutation.from_cycles(m, [range(s, s + n) for s, n in zip(starts, lengths)])
 
 
 def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -464,12 +458,10 @@ class NotFound:
 
 
 def _even_types(m, n, hint, which):
-    """The even types of order n, or just the shape hint if one is given."""
+    """The even types of order n, or just the shape hint (on m points) if one is given."""
     even = [t for t in cycle_types_of_order(m, n) if t.is_even]
     if hint is None:
         return even
-    if hint.m != m:
-        hint = hint.padded(m)
     if hint not in even:
         raise ValueError(f"shape hint {hint} is not an even cycle type for the {which} slot")
     return [hint]

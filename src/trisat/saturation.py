@@ -21,46 +21,34 @@ from .weil import Status, Triple, Verdict, h1_principal
 
 _A1 = DynkinType("A", 1)
 
-#: Types whose principal PGL_2 image is already a maximal subgroup.
-_DIRECT_FAMILIES = {"G", "F"}
+
+def _below(t: DynkinType) -> DynkinType | None:
+    """The maximal subgroup one rung below ``t``, or None when the principal
+    A1 is already maximal in ``t``."""
+    fam, r = t.family, t.rank
+    if fam == "A" and r >= 3:
+        return DynkinType("B", r // 2) if r % 2 == 0 else DynkinType("C", (r + 1) // 2)
+    if fam == "D":
+        return DynkinType("B", r - 1)
+    if (fam, r) == ("B", 3):
+        return DynkinType("G", 2)
+    if (fam, r) == ("E", 6):
+        return DynkinType("F", 4)
+    return None
 
 
 def classify_ladder(t: DynkinType) -> tuple[DynkinType, ...]:
     """Chain of principal embeddings from A1 up to ``t``.
 
-    One step: A2, B_r (r >= 4), C_r (r >= 2), G2, F4, E7, E8 (rank-2 type B
-    is handled like C2, the same root system).  Two steps through a maximal
-    subgroup: A_r via B_{r/2} or C_{(r+1)/2} (r >= 3, r != 6), B3 via G2,
-    D_r via B_{r-1} (r >= 5), E6 via F4.  Three steps: D4 and A6 via the
-    expanded B3 chain.
+    Each rung is the principal image in the maximal subgroup one step down:
+    A_r (r >= 3) in B_{r/2} or C_{(r+1)/2}, B3 in G2, D_r in B_{r-1} and E6
+    in F4.  Every other type sits on A1 directly (rank-2 type B like C2, the
+    same root system).  So A6 and D4 climb three steps, through G2 < B3.
     """
-    fam, r = t.family, t.rank
     if t == _A1:
         raise ValueError("A1 has no ladder: T is locally rigid in PGL_2")
-    if fam == "A":
-        if r == 2:
-            return (_A1, t)
-        if r == 6:
-            return (_A1, DynkinType("G", 2), DynkinType("B", 3), t)
-        mid = DynkinType("B", r // 2) if r % 2 == 0 else DynkinType("C", (r + 1) // 2)
-        return (_A1, mid, t)
-    if fam == "B":
-        if r == 3:
-            return (_A1, DynkinType("G", 2), t)
-        return (_A1, t)
-    if fam == "C":
-        return (_A1, t)
-    if fam == "D":
-        if r == 4:
-            return (_A1, DynkinType("G", 2), DynkinType("B", 3), t)
-        return (_A1, DynkinType("B", r - 1), t)
-    if fam == "E":
-        if r == 6:
-            return (_A1, DynkinType("F", 4), t)
-        return (_A1, t)
-    if fam in _DIRECT_FAMILIES:
-        return (_A1, t)
-    raise ValueError(f"no ladder known for {t}")
+    below = _below(t)
+    return (_A1, t) if below is None else classify_ladder(below) + (t,)
 
 
 def ladder_verdict(t: DynkinType, tr: Triple) -> Verdict:

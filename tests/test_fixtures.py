@@ -2,9 +2,11 @@
 
 Each case replaces the one library call a table's checker makes with a fake
 that fails every case, so the mismatch entries, the rows and the trace log
-that a real failure would produce are pinned.
+that a real failure would produce are pinned.  The real checkers are pinned
+too, by a hash of their rows.
 """
 
+import hashlib
 import json
 import types
 
@@ -88,6 +90,26 @@ def test_rows_only_with_detail(table_id, monkeypatch):
     monkeypatch.setattr(fixtures, FORCED[table_id][0], FORCED[table_id][1])
     report = fixtures.check_table(table_id, 12)
     assert list(report) == ["id", "checked", "mismatches", "ok"]
+
+
+# table id -> (checked, sha256 of json.dumps(rows)) of the real checker at c_max = 12
+REAL = {
+    "rigid": (1500, "7b378ee14ac39c531676705cf3a92082fc5f1cbb0231dcd9c4a48a821dfa124c"),
+    "nonso3": (312, "2cb56dc4fd444a0bf44de9e847c174834f8abb752a560e7f59725b784ed51884"),
+    "bibi-results": (69, "a37874fa50a95aa3b975b50269e7e86a841539789ec17b0ca26737dd0d20d0c3"),
+    "bibi-pairs": (69, "14f722832d6bd3c9ddd5b53ae54145d9b8a31cd8b4f0bd1309405aa8ac09e53f"),
+    "alt-gen": (8, "f747dad2832f560c77c26e63b0e6e7917231952f8ba094daa7d99ea14d285d5f"),
+    "alt-nongen": (36, "765af74c613758ad3f837f9fc9ba9560a2812d53db05bf9b6ef04d177a24a0e9"),
+}
+
+
+@pytest.mark.parametrize("table_id", list(REAL))
+def test_real_report_pinned(table_id):
+    # every judge's success path: alt-gen's witness rows, NonGenerated.as_dict
+    report = fixtures.check_table(table_id, 12, detail=True)
+    assert report["ok"]
+    assert report["checked"] == REAL[table_id][0]
+    assert hashlib.sha256(json.dumps(report["rows"]).encode()).hexdigest() == REAL[table_id][1]
 
 
 def hand_rigid_samples(small_cap, c_max):

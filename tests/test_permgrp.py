@@ -269,17 +269,6 @@ class TestGroupOrder:
         assert group_order(alt) == factorial(m) // 2
 
 
-def partitions(n, largest=None):
-    """Every partition of n into parts of at most `largest`, descending."""
-    largest = n if largest is None else largest
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in partitions(n - part, part):
-            yield (part,) + rest
-
-
 class TestCentraliser:
     @pytest.mark.parametrize("m", range(5, 11))
     def test_generators_give_the_centraliser_order(self, m):
@@ -411,6 +400,10 @@ class TestGenerationSearch:
         odd = CycleType.parse("2.1^7")  # odd permutation
         with pytest.raises(ValueError):
             find_generating_triple(9, Triple(2, 3, 7), shape_hint=(odd, odd, odd))
+        # a hint is taken as given: "7" on 9 points is not padded to 7.1^2
+        short = tuple(CycleType.parse(s) for s in ("3^3", "3^3", "7"))
+        with pytest.raises(ValueError, match="AB slot"):
+            find_generating_triple(9, Triple(3, 3, 7), shape_hint=short)
 
 
 class TestScott:

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from trisat import DynkinType, Status, Triple, decide, h1_principal, ladder_verdict, permgrp
-from trisat.rootsys import all_types
+from trisat.rootsys import adjoint_dim, all_types
 from trisat.saturation import classify_ladder
 
 
@@ -43,6 +44,21 @@ class TestClassifyLadder:
     def test_a1_has_no_ladder(self):
         with pytest.raises(ValueError):
             classify_ladder(T("A1"))
+
+    def test_every_ladder_to_rank_512(self):
+        # the hash is of one "A1<...<t" line per type other than A1
+        lines = []
+        for t in all_types(512)[1:]:
+            chain = classify_ladder(t)
+            assert chain[0] == T("A1") and chain[-1] == t
+            dims = [adjoint_dim(x) for x in chain]
+            assert all(x < y for x, y in zip(dims, dims[1:])), t
+            for end in range(2, len(chain)):
+                assert classify_ladder(chain[end - 1]) == chain[:end], t
+            lines.append("<".join(map(str, chain)))
+        assert len(lines) == 2047
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "ba848b67dc7ab8be694c6e53e0b3beb8c6aed2b9f8fc2a5aaf8ce02da9c5838f"
 
 
 class TestLadderVerdict:
