@@ -4,8 +4,11 @@ Covers what the alternating-group saturation method needs: cycle types and
 their conjugacy classes, deterministic class enumeration, exact group order
 via a Sims table, search for generating pairs of prescribed orders in
 Alt_m, and non-generation proofs (Scott's cycle-count bound, else
-exhaustion over class pairs).  The exhaustion settles each orbit of B
-under conjugation by the centraliser of A with one Sims-table call.
+exhaustion over class pairs).  The search enumerates each B class slice
+by slice on B[0], in lexicographic order, and stops at the first witness,
+so a hit builds only the slices up to its own.  The exhaustion settles
+each orbit of B under conjugation by the centraliser of A with one
+Sims-table call.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -246,8 +249,17 @@ def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
     return Permutation.from_cycles(m, [range(s, s + n) for s, n in zip(starts, lengths)])
 
 
-def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All image tuples of cycle type `parts` on m points, sorted."""
+def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int, ...]]:
+    """The image tuples of cycle type `parts` on m points that send 0 to `first`, sorted.
+
+    One slice of the class: the slices for first = 0, 1, ..., m-1 partition
+    it, and every tuple of a slice sorts before every tuple of the next, so
+    the generation search enumerates a B class slice by slice on B[0] and
+    builds none past the slice of its first witness.
+    Point 0 leads the recursion: it is fixed when first == 0, else it opens
+    a cycle whose next point is `first`; each later leader (the smallest
+    point left) takes every remaining choice.
+    """
     counts: dict[int, int] = {}
     for p in parts:
         counts[p] = counts.get(p, 0) + 1
@@ -277,7 +289,24 @@ def _class_images(m: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
                     rec(tuple(p for p in rest if p not in armset))
             counts[length] += 1
 
-    rec(tuple(range(m)))
+    # point 0 leads: a fixed point when first == 0, else on the cycle (0, first, *tail)
+    if first == 0:
+        if 1 in counts:
+            counts[1] -= 1
+            rec(tuple(range(1, m)))
+    else:
+        others = tuple(p for p in range(1, m) if p != first)
+        for length in distinct:
+            if length == 1:
+                continue
+            counts[length] -= 1
+            for tail in itertools.permutations(others, length - 2):
+                cycle = (0, first) + tail
+                for u, v in zip(cycle, cycle[1:] + (0,)):
+                    images[u] = v
+                tailset = set(tail)
+                rec(tuple(p for p in others if p not in tailset))
+            counts[length] += 1
     del rec  # rec's closure refers to rec; empty that cell so `out` is freed by refcount
     out.sort()
     return out
@@ -409,8 +438,10 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 
 
 #: Most candidate (A representative, B) pairs a search may walk, counted from
-#: class sizes before anything is enumerated.  Alt_12 (3,3,4) walks 985,600
-#: in a few seconds; Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory.
+#: class sizes before anything is enumerated.  It prices whole classes, since
+#: it bounds the exhaustive walk; a first hit builds only the slices up to its
+#: witness.  Alt_12 (3,3,4) walks 985,600 in a few seconds; Alt_14 (2,3,7),
+#: at 22,422,400, ran out of 1 GB of memory.
 MAX_PAIRS = 1_000_000
 
 
@@ -478,14 +509,18 @@ def find_generating_triple(
     lexicographically minimal element; up to simultaneous conjugation one
     representative suffices).  B ranges over the elements of the even
     classes of order b, in lexicographic order, so the first validated hit
-    is the lexicographically minimal witness.  A shape_hint pins the three
-    classes to search.  One plan, made before anything is enumerated, keeps
-    for each A type the B classes within Scott's room: with A's cycle count
-    and the fewest cycles of an allowed AB class, at most m + 2.  It prices
-    the search (more than MAX_PAIRS candidate pairs is refused with
-    ValueError) and then drives the walk.  The filters, cheapest first:
+    is the lexicographically minimal witness; the walk stops there.  A
+    shape_hint pins the three classes to search.  One plan, made before
+    anything is enumerated, keeps for each A type the B classes within
+    Scott's room: with A's cycle count and the fewest cycles of an allowed
+    AB class, at most m + 2.  It prices the search (more than MAX_PAIRS
+    candidate pairs is refused with ValueError) and then drives the walk.
+    The filters, cheapest first:
 
-    - a B class outside the plan for A is never enumerated for it;
+    - a B class outside the plan for A is never enumerated for it; the
+      others are enumerated slice by slice on B[0], each slice when the
+      walk first reaches it (later A representatives reuse it), so a hit
+      leaves the slices past its own unbuilt;
     - a pair whose product AB has the wrong order or class is skipped;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
@@ -519,37 +554,40 @@ def find_generating_triple(
     if pairs > MAX_PAIRS:
         raise ValueError(f"Alt_{m} {tr} search over {pairs} candidate pairs "
                          f"exceeds supported cap {MAX_PAIRS}")
-    classes: dict[CycleType, list[tuple[int, ...]]] = {}  # B classes enumerated so far
+    # B class slices enumerated so far, by (type, B[0]); later A representatives reuse them
+    slices: dict[tuple[CycleType, int], list[tuple[int, ...]]] = {}
 
     reps = {lex_min_of_type(m, ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
-        for tb in kept[ta]:
-            if tb not in classes:
-                classes[tb] = _class_images(m, tb.parts)
         centraliser = _centraliser_gens(a_img)
         known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
-        for b_img in heapq.merge(*(classes[tb] for tb in kept[ta])):
-            prod = tuple(b_img[i] for i in a_img)
-            lengths = _cycle_lengths(prod)
-            parts = tuple(sorted(lengths, reverse=True))
-            count_c = allowed_c.get(parts)
-            if count_c is None:
-                continue
-            if ta.cycle_count + len(_cycle_lengths(b_img)) + count_c > scott_cap:
-                continue
-            if not _is_transitive(a_img, b_img, m):
-                continue
-            if b_img in known:
-                known.remove(b_img)  # the walk meets each B once
-                continue
-            if _bsgs_order([a_img, b_img], m) == target:
-                ga, gb = Permutation(a_img), Permutation(b_img)
-                return GenerationWitness(
-                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
-                )
-            # B's earlier conjugates would have put B in `known`: the rest lie ahead
-            known |= _conjugacy_orbit(b_img, centraliser)
-            known.remove(b_img)
+        # every B with B[0] = v sorts before every B with B[0] = v + 1
+        for first in range(m):
+            for tb in kept[ta]:
+                if (tb, first) not in slices:
+                    slices[tb, first] = _class_images(m, tb.parts, first)
+            for b_img in heapq.merge(*(slices[tb, first] for tb in kept[ta])):
+                prod = tuple(b_img[i] for i in a_img)
+                lengths = _cycle_lengths(prod)
+                parts = tuple(sorted(lengths, reverse=True))
+                count_c = allowed_c.get(parts)
+                if count_c is None:
+                    continue
+                if ta.cycle_count + len(_cycle_lengths(b_img)) + count_c > scott_cap:
+                    continue
+                if not _is_transitive(a_img, b_img, m):
+                    continue
+                if b_img in known:
+                    known.remove(b_img)  # the walk meets each B once
+                    continue
+                if _bsgs_order([a_img, b_img], m) == target:
+                    ga, gb = Permutation(a_img), Permutation(b_img)
+                    return GenerationWitness(
+                        ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                    )
+                # B's earlier conjugates would have put B in `known`: the rest lie ahead
+                known |= _conjugacy_orbit(b_img, centraliser)
+                known.remove(b_img)
     return NotFound("exhausted all class pairs")
 
 

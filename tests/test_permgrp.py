@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from math import factorial, lcm
 
 import pytest
@@ -48,6 +49,16 @@ def naive_order(gens):
     return len(elems)
 
 
+def dotted(parts):
+    """The dotted form CycleType.parse reads: (3, 2, 2) -> "3.2^2"."""
+    return ".".join(f"{n}^{k}" if k > 1 else str(n) for n, k in Counter(parts).items())
+
+
+def whole_class(m, parts):
+    """Every image tuple of cycle type ``parts``, sorted: the m slices on B[0] in turn."""
+    return [b for f in range(m) for b in permgrp._class_images(m, parts, f)]
+
+
 def unpruned_search(m, tr):
     """Reference generation search: every B class is enumerated up front and
     Scott's bound is only applied pair by pair."""
@@ -61,7 +72,7 @@ def unpruned_search(m, tr):
     reps = sorted(lex_min_of_type(m, t).images for t in types_a)
     b_imgs = []
     for t in types_b:
-        b_imgs.extend(permgrp._class_images(m, t.parts))
+        b_imgs.extend(whole_class(m, t.parts))
     b_imgs.sort()
     for a_img in reps:
         count_a = len(permgrp._cycle_lengths(a_img))
@@ -152,30 +163,33 @@ class TestCycleType:
 
 class TestEnumerateClass:
     def test_small_counts(self):
-        assert len(permgrp._class_images(4, CycleType.parse("2^2").parts)) == 3
-        assert len(permgrp._class_images(9, CycleType.parse("3^3").parts)) == 2240
+        assert len(whole_class(4, CycleType.parse("2^2").parts)) == 3
+        assert len(whole_class(9, CycleType.parse("3^3").parts)) == 2240
 
-    @pytest.mark.parametrize("m,shape", [(5, "3.1^2"), (5, "5"), (6, "2^2.1^2"), (6, "3.2.1")])
+    # every cycle type on m <= 7 points, with m slices each: 240 slices in all
+    @pytest.mark.parametrize("m,shape", [(m, dotted(p)) for m in range(1, 8) for p in partitions(m)])
     def test_matches_brute_force(self, m, shape):
         ct = CycleType.parse(shape)
-        got = permgrp._class_images(m, ct.parts)
         want = sorted(
             perm for perm in itertools.permutations(range(m))
             if cycle_type(Permutation(perm)) == ct
         )
-        assert got == want  # complete, exact, lexicographic
+        slices = [permgrp._class_images(m, ct.parts, f) for f in range(m)]
+        for f, got in enumerate(slices):
+            assert got == [perm for perm in want if perm[0] == f]  # complete, exact, lexicographic
+        assert [perm for got in slices for perm in got] == want  # the slices partition the class
 
     def test_lex_min_matches_enumeration(self):
         for m, shape in [(5, "3.1^2"), (6, "3.2.1"), (6, "2^2.1^2"), (7, "4.2.1")]:
             ct = CycleType.parse(shape)
-            first = permgrp._class_images(m, ct.parts)[0]
+            first = whole_class(m, ct.parts)[0]
             assert lex_min_of_type(m, ct).images == first
 
     def test_class_list_freed_without_cycle_collector(self):
         gc.collect()
         gc.disable()
         try:
-            imgs = permgrp._class_images(8, (2, 2, 2, 2))
+            imgs = whole_class(8, (2, 2, 2, 2))
             assert len(imgs) == 105
             del imgs
             assert gc.collect() == 0
@@ -185,7 +199,7 @@ class TestEnumerateClass:
     def test_class_size_formula_agreement(self):
         for m, shape in [(6, "2^2.1^2"), (7, "3.2^2"), (7, "5.1^2"), (8, "4.2.1^2")]:
             ct = CycleType.parse(shape)
-            assert len(permgrp._class_images(m, ct.parts)) == ct.class_size()
+            assert len(whole_class(m, ct.parts)) == ct.class_size()
 
 
 class TestGroupOrder:
@@ -297,7 +311,7 @@ class TestCentraliser:
     def test_orbit_is_closed_under_conjugation(self):
         a = lex_min_of_type(9, CycleType((2, 2, 2, 2, 1))).images
         gens = permgrp._centraliser_gens(a)
-        b = permgrp._class_images(9, (3, 3, 3))[0]
+        b = lex_min_of_type(9, CycleType((3, 3, 3))).images
         orbit = permgrp._conjugacy_orbit(b, gens)
         assert b in orbit
         for p in orbit:
@@ -357,6 +371,30 @@ class TestGenerationSearch:
         out = find_generating_triple(11, Triple(2, 4, 5))
         assert out == NotFound("exhausted all class pairs")
         assert calls == []
+
+    @staticmethod
+    def enumerated_sizes(monkeypatch):
+        sizes = []
+        real = permgrp._class_images
+        monkeypatch.setattr(permgrp, "_class_images",
+                            lambda *args: sizes.append(len(out := real(*args))) or out)
+        return sizes
+
+    def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
+        # the witness has B[0] = 1: slices 0 and 1 (22,400 + 10,080) of the
+        # 123,200-element (3)^3(1)^2 class are built, and no more
+        sizes = self.enumerated_sizes(monkeypatch)
+        w = find_generating_triple(11, Triple(2, 3, 11), shape_hint=generating_pair_hint(11, (2, 3, 11)))
+        assert w.as_dict()["A"] == [0, 1, 2, 4, 3, 6, 5, 8, 7, 10, 9]
+        assert w.as_dict()["B"] == [1, 3, 4, 0, 5, 2, 7, 9, 8, 6, 10]
+        assert sum(sizes) == 32_480
+
+    def test_exhaustive_walk_builds_each_slice_once(self, monkeypatch):
+        # two A representatives walk the B classes of Alt_9 (2,3,9), yet each
+        # slice is built once: 5,600 elements, as many as the classes hold
+        sizes = self.enumerated_sizes(monkeypatch)
+        assert prove_non_generation(9, Triple(2, 3, 9)).method == "exhaustive"
+        assert sum(sizes) == 5_600
 
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
