@@ -8,7 +8,11 @@ exhaustion over class pairs).  The search enumerates each B class slice
 by slice on B[0], in lexicographic order, and stops at the first witness,
 so a hit builds only the slices up to its own.  The exhaustion settles
 each orbit of B under conjugation by the centraliser of A with one
-Sims-table call.
+Sims-table call.  The two pure-Python hot spots are kept lean: the
+enumeration spends no recursion level on a fixed point or on the last
+cycle, and each product A*B is one itemgetter gather.  Neither changes the
+walk order or the calls to _cycle_lengths, _is_transitive and _bsgs_order
+that bench/tracing.py counts as the search funnel.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -20,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -257,57 +262,70 @@ def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int,
     the generation search enumerates a B class slice by slice on B[0] and
     builds none past the slice of its first witness.
     Point 0 leads the recursion: it is fixed when first == 0, else it opens
-    a cycle whose next point is `first`; each later leader (the smallest
-    point left) takes every remaining choice.
+    a cycle whose next point is `first`.  Each later cycle is led by the
+    smallest point left that is not fixed.  Neither fixed points nor the
+    last cycle cost a recursion level: `images` is the identity on every
+    point off the cycles laid so far (each branch resets its arm points),
+    so the last cycle's arm loop emits `images` as it writes each arm.
     """
     counts: dict[int, int] = {}
     for p in parts:
         counts[p] = counts.get(p, 0) + 1
-    distinct = sorted(counts)
+    fixed = counts.pop(1, 0)
+    lengths = sorted(counts)
     out: list[tuple[int, ...]] = []
     images = list(range(m))
 
-    def rec(points: tuple[int, ...]):
-        if not points:
+    def rec(points: tuple[int, ...], fixed: int, left: int):
+        # lay `left` cycles longer than 1 and `fixed` fixed points on `points`
+        if not left:
             out.append(tuple(images))
             return
-        leader, rest = points[0], points[1:]
-        for length in distinct:
-            if counts[length] == 0:
-                continue
-            counts[length] -= 1
-            if length == 1:
-                images[leader] = leader
-                rec(rest)
+        for i in range(fixed + 1):  # points[:i] stay fixed, points[i] leads
+            leader, rest = points[i], points[i + 1:]
+            for length in lengths:
+                if counts[length]:
+                    counts[length] -= 1
+                    close(leader, itertools.permutations(rest, length - 1), rest, fixed - i, left - 1)
+                    counts[length] += 1
+
+    def close(leader: int, arms, rest: tuple[int, ...], fixed: int, left: int):
+        # each arm closes the cycle (leader, *arm); `left` cycles longer than 1
+        # and `fixed` fixed points take the rest of `rest`
+        covers = not (fixed or left)  # the last cycle, on every point left
+        for arm in arms:
+            images[leader] = arm[0]
+            for i in range(len(arm) - 1):
+                images[arm[i]] = arm[i + 1]
+            images[arm[-1]] = leader
+            if left:
+                armset = set(arm)
+                rec(tuple(p for p in rest if p not in armset), fixed, left)
             else:
-                for arm in itertools.permutations(rest, length - 1):
-                    images[leader] = arm[0]
-                    for i in range(length - 2):
-                        images[arm[i]] = arm[i + 1]
-                    images[arm[-1]] = leader
-                    armset = set(arm)
-                    rec(tuple(p for p in rest if p not in armset))
-            counts[length] += 1
+                out.append(tuple(images))
+                if covers:
+                    continue  # the next arm writes every point of `rest` again
+            for x in arm:
+                images[x] = x
+        images[leader] = leader
+        if covers:  # the last arm is still written
+            for x in rest:
+                images[x] = x
 
     # point 0 leads: a fixed point when first == 0, else on the cycle (0, first, *tail)
+    left = sum(counts.values())
     if first == 0:
-        if 1 in counts:
-            counts[1] -= 1
-            rec(tuple(range(1, m)))
+        if fixed:
+            rec(tuple(range(1, m)), fixed - 1, left)
     else:
-        others = tuple(p for p in range(1, m) if p != first)
-        for length in distinct:
-            if length == 1:
-                continue
+        rest = tuple(range(1, m))
+        others = tuple(p for p in rest if p != first)
+        for length in lengths:
             counts[length] -= 1
-            for tail in itertools.permutations(others, length - 2):
-                cycle = (0, first) + tail
-                for u, v in zip(cycle, cycle[1:] + (0,)):
-                    images[u] = v
-                tailset = set(tail)
-                rec(tuple(p for p in others if p not in tailset))
+            arms = ((first,) + tail for tail in itertools.permutations(others, length - 2))
+            close(0, arms, rest, fixed, left - 1)
             counts[length] += 1
-    del rec  # rec's closure refers to rec; empty that cell so `out` is freed by refcount
+    del rec, close  # they refer to each other; empty those cells so `out` is freed by refcount
     out.sort()
     return out
 
@@ -440,8 +458,9 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 #: Most candidate (A representative, B) pairs a search may walk, counted from
 #: class sizes before anything is enumerated.  It prices whole classes, since
 #: it bounds the exhaustive walk; a first hit builds only the slices up to its
-#: witness.  Alt_12 (3,3,4) walks 985,600 in a few seconds; Alt_14 (2,3,7),
-#: at 22,422,400, ran out of 1 GB of memory.
+#: witness.  Alt_12 (3,3,4) walks 985,600 in about 5 s with a 125 MB peak (a
+#: fresh process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out
+#: of 1 GB of memory.
 MAX_PAIRS = 1_000_000
 
 
@@ -521,7 +540,8 @@ def find_generating_triple(
       others are enumerated slice by slice on B[0], each slice when the
       walk first reaches it (later A representatives reuse it), so a hit
       leaves the slices past its own unbuilt;
-    - a pair whose product AB has the wrong order or class is skipped;
+    - a pair whose product AB (one itemgetter gather, a fresh tuple) has
+      the wrong order or class is skipped;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
     - a pair whose B is conjugate, under the centraliser C(A) of A in
@@ -532,7 +552,10 @@ def find_generating_triple(
     - the survivors are settled by the exact group order from the Sims table.
 
     Only B's known not to generate are skipped, so the walk order and the
-    first witness are those of the search without the orbit step.
+    first witness are those of the search without the orbit step.  Each
+    pair calls _cycle_lengths on AB, then on B if AB passes, _is_transitive
+    if Scott's test passes, and _bsgs_order if <A, B> is transitive and B
+    not known: bench/tracing.py reads the funnel off these calls.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -560,6 +583,7 @@ def find_generating_triple(
     reps = {lex_min_of_type(m, ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         centraliser = _centraliser_gens(a_img)
+        times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
         # every B with B[0] = v sorts before every B with B[0] = v + 1
         for first in range(m):
@@ -567,7 +591,7 @@ def find_generating_triple(
                 if (tb, first) not in slices:
                     slices[tb, first] = _class_images(m, tb.parts, first)
             for b_img in heapq.merge(*(slices[tb, first] for tb in kept[ta])):
-                prod = tuple(b_img[i] for i in a_img)
+                prod = times_a(b_img)
                 lengths = _cycle_lengths(prod)
                 parts = tuple(sorted(lengths, reverse=True))
                 count_c = allowed_c.get(parts)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trisat import Triple, permgrp
+from trisat import Triple, permgrp, tables
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +50,17 @@ def test_traced_search_funnel():
     del funnel["transitive_pass"]
     assert funnel == {"pairs_tried": 7840, "product_class_pass": 2112, "scott_pass": 2112,
                       "bsgs_calls": 4, "accepted": 0}
+
+
+def test_traced_first_hit_funnel():
+    # Hinted Alt_11 (2,3,11) goes the first-hit route: its witness is the
+    # 23,810th pair, in slice 1 of the (3)^3(1)^2 class, so slices 0 and 1
+    # (22,400 + 10,080 elements) are all that is built.
+    with _load("tracing").Tracer() as tracer:
+        permgrp.find_generating_triple(11, Triple(2, 3, 11),
+                                       shape_hint=tables.generating_pair_hint(11, (2, 3, 11)))
+    funnel = tracer.funnel()
+    del funnel["transitive_pass"]
+    assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
+                      "bsgs_calls": 1, "accepted": 1}
+    assert tracer.counters["class_images.elements"] == 32_480

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -178,6 +179,27 @@ class TestEnumerateClass:
         for f, got in enumerate(slices):
             assert got == [perm for perm in want if perm[0] == f]  # complete, exact, lexicographic
         assert [perm for got in slices for perm in got] == want  # the slices partition the class
+
+    # Every B class the alt workloads and acceptance criteria 5 and 7 walk,
+    # pinned by the sha256 of its m slices' image bytes, concatenated.  The
+    # digests were taken from the enumerator that gave each fixed point its
+    # own recursion level.  The Alt_12 classes of alt --m 12 --triple 3,3,4
+    # take over a second each, so they are not pinned here.
+    WALKED_CLASS_DIGESTS = {
+        (8, "3^2.1^2"): "f27cad88488fa629689ddb0864d364e74514791865bce13d0550b9972d86b75f",
+        (8, "4^2"): "278add6f72aae5791848a896ddf43f3db5e8b404dfe6e78cafb376154a178969",
+        (9, "3^2.1^3"): "c599688038fb0daddafe6658eedb4e349dc39497c7ef8123de53186aa14dcb90",
+        (9, "3^3"): "8bc8745d84ce743c502db3f311225bce3e99fb8a7b1f0f96f1be40c5760a7d46",
+        (11, "3^3.1^2"): "6d5e52bc1badf5f236f8d2f28594e8a44a22c6f77ca6fbfc42abac4cc4b743d6",
+    }
+
+    @pytest.mark.parametrize("m,shape", WALKED_CLASS_DIGESTS)
+    def test_walked_classes_pinned(self, m, shape):
+        ct = CycleType.parse(shape)
+        imgs = whole_class(m, ct.parts)
+        assert len(imgs) == ct.class_size()
+        digest = hashlib.sha256(b"".join(map(bytes, imgs))).hexdigest()
+        assert digest == self.WALKED_CLASS_DIGESTS[m, shape]
 
     def test_lex_min_matches_enumeration(self):
         for m, shape in [(5, "3.1^2"), (6, "3.2.1"), (6, "2^2.1^2"), (7, "4.2.1")]:
