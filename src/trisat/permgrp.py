@@ -12,7 +12,9 @@ Sims-table call.  The two pure-Python hot spots are kept lean: the
 enumeration spends no recursion level on a fixed point or on the last
 cycle, and each product A*B is one itemgetter gather.  Neither changes the
 walk order or the calls to _cycle_lengths, _is_transitive and _bsgs_order
-that bench/tracing.py counts as the search funnel.
+that bench/tracing.py counts as the search funnel.  One process enumerates
+each class slice once, up to MAX_PAIRS image tuples: the lists are shared and
+read-only, and stay held until that memo empties or the process exits.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -254,6 +256,10 @@ def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
     return Permutation.from_cycles(m, [range(s, s + n) for s, n in zip(starts, lengths)])
 
 
+#: The class slices built so far in this process, by (m, parts, first).
+_SLICE_MEMO: dict[tuple[int, tuple[int, ...], int], list[tuple[int, ...]]] = {}
+
+
 def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int, ...]]:
     """The image tuples of cycle type `parts` on m points that send 0 to `first`, sorted.
 
@@ -267,7 +273,14 @@ def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int,
     last cycle cost a recursion level: `images` is the identity on every
     point off the cycles laid so far (each branch resets its arm points),
     so the last cycle's arm loop emits `images` as it writes each arm.
+    A process builds each slice once: later calls get the same list from
+    _SLICE_MEMO, so no caller may mutate it.  The memo empties before it would
+    hold more than MAX_PAIRS tuples; until then, or until the process exits,
+    it keeps what a large search built.
     """
+    key = (m, parts, first)
+    if key in _SLICE_MEMO:
+        return _SLICE_MEMO[key]
     counts: dict[int, int] = {}
     for p in parts:
         counts[p] = counts.get(p, 0) + 1
@@ -327,6 +340,10 @@ def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int,
             counts[length] += 1
     del rec, close  # they refer to each other; empty those cells so `out` is freed by refcount
     out.sort()
+    if sum(map(len, _SLICE_MEMO.values())) + len(out) > MAX_PAIRS:
+        _SLICE_MEMO.clear()
+    if len(out) <= MAX_PAIRS:
+        _SLICE_MEMO[key] = out
     return out
 
 
@@ -460,7 +477,7 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 #: it bounds the exhaustive walk; a first hit builds only the slices up to its
 #: witness.  Alt_12 (3,3,4) walks 985,600 in about 5 s with a 125 MB peak (a
 #: fresh process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out
-#: of 1 GB of memory.
+#: of 1 GB of memory.  It also bounds the image tuples _class_images keeps.
 MAX_PAIRS = 1_000_000
 
 

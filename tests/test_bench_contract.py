@@ -64,3 +64,27 @@ def test_traced_first_hit_funnel():
     assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
                       "bsgs_calls": 1, "accepted": 1}
     assert tracer.counters["class_images.elements"] == 32_480
+
+
+def test_traced_funnels_with_a_warm_memo(monkeypatch):
+    # permgrp._class_images hands a repeated search the slices built before,
+    # but the search still asks for each slice once: a second traced run
+    # reads the same funnel and the same element count as a cold one.
+    monkeypatch.setattr(permgrp, "_SLICE_MEMO", {})
+    tracing = _load("tracing")
+    hint = tables.generating_pair_hint(11, (2, 3, 11))
+    for _ in range(2):
+        with tracing.Tracer() as tracer:
+            permgrp.prove_non_generation(9, Triple(2, 3, 9))
+        funnel = tracer.funnel()
+        del funnel["transitive_pass"]
+        assert funnel == {"pairs_tried": 7840, "product_class_pass": 2112, "scott_pass": 2112,
+                          "bsgs_calls": 4, "accepted": 0}
+        assert tracer.counters["class_images.elements"] == 5_600
+        with tracing.Tracer() as tracer:
+            permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
+        funnel = tracer.funnel()
+        del funnel["transitive_pass"]
+        assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
+                          "bsgs_calls": 1, "accepted": 1}
+        assert tracer.counters["class_images.elements"] == 32_480

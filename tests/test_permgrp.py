@@ -99,6 +99,13 @@ def search_outcome(found):
     return found.reason if isinstance(found, NotFound) else found.as_dict()
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty class-slice memo for the test; the process's own comes back after it."""
+    monkeypatch.setattr(permgrp, "_SLICE_MEMO", {})
+    return permgrp._SLICE_MEMO
+
+
 class TestPermutation:
     def test_mul_applies_left_then_right(self):
         p = Permutation.from_cycles(4, [(0, 1), (2, 3)])
@@ -207,16 +214,41 @@ class TestEnumerateClass:
             first = whole_class(m, ct.parts)[0]
             assert lex_min_of_type(m, ct).images == first
 
-    def test_class_list_freed_without_cycle_collector(self):
+    def test_class_list_freed_without_cycle_collector(self, empty_memo):
+        # the memo keeps every slice alive; once it is emptied, refcounting
+        # alone must free them
         gc.collect()
         gc.disable()
         try:
             imgs = whole_class(8, (2, 2, 2, 2))
             assert len(imgs) == 105
+            empty_memo.clear()
             del imgs
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_repeated_slice_is_the_same_list(self, empty_memo):
+        parts = CycleType.parse("3^3").parts
+        built = permgrp._class_images(9, parts, 1)
+        assert permgrp._class_images(9, parts, 1) is built
+        empty_memo.clear()
+        fresh = permgrp._class_images(9, parts, 1)
+        assert fresh is not built and fresh == built
+
+    def test_memo_holds_at_most_max_pairs(self, monkeypatch, empty_memo):
+        # the 9 slices of (3)^3 on 9 points hold 2,240 tuples, more than the
+        # bound: the memo empties on the way, and every slice stays exact
+        parts = CycleType.parse("3^3").parts
+        want = [list(permgrp._class_images(9, parts, f)) for f in range(9)]
+        empty_memo.clear()
+        monkeypatch.setattr(permgrp, "MAX_PAIRS", 2_000)
+        for _ in range(2):
+            for f in range(9):
+                assert permgrp._class_images(9, parts, f) == want[f]
+                assert sum(map(len, empty_memo.values())) <= 2_000
+        digest = hashlib.sha256(b"".join(bytes(b) for got in want for b in got)).hexdigest()
+        assert digest == self.WALKED_CLASS_DIGESTS[9, "3^3"]
 
     def test_class_size_formula_agreement(self):
         for m, shape in [(6, "2^2.1^2"), (7, "3.2^2"), (7, "5.1^2"), (8, "4.2.1^2")]:
@@ -417,6 +449,15 @@ class TestGenerationSearch:
         sizes = self.enumerated_sizes(monkeypatch)
         assert prove_non_generation(9, Triple(2, 3, 9)).method == "exhaustive"
         assert sum(sizes) == 5_600
+
+    def test_later_search_reuses_the_slices(self, empty_memo):
+        # (2,3,9) and (2,3,12) on 9 points walk the same A and B classes
+        exhausted = NonGenerated("exhaustive", {"reason": "exhausted all class pairs"})
+        assert prove_non_generation(9, Triple(2, 3, 9)) == exhausted
+        built = dict(empty_memo)
+        assert prove_non_generation(9, Triple(2, 3, 12)) == exhausted
+        assert empty_memo == built
+        assert all(empty_memo[key] is got for key, got in built.items())
 
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
