@@ -10,9 +10,13 @@ so a hit builds only the slices up to its own.  The exhaustion settles
 each orbit of B under conjugation by the centraliser of A with one
 Sims-table call.  The two pure-Python hot spots are kept lean: the
 enumeration spends no recursion level on a fixed point or on the last
-cycle, and each product A*B is one itemgetter gather.  Neither changes the
-walk order or the calls to _cycle_lengths, _is_transitive and _bsgs_order
-that bench/tracing.py counts as the search funnel.  One process enumerates
+cycle, and each product A*B is one itemgetter gather.  Around them, a
+product whose cycle count no allowed AB class has is dropped before its
+lengths are sorted, a B walk over one class reads its slice directly (two
+or more are merged), and the orbit step conjugates by two itemgetter
+gathers.  None of this changes the walk order or the calls to
+_cycle_lengths, _is_transitive and _bsgs_order that bench/tracing.py
+counts as the search funnel.  One process enumerates
 each class slice once, up to MAX_PAIRS image tuples: the lists are shared and
 read-only, and stay held until that memo empties or the process exits.
 
@@ -29,7 +33,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import rootsys
@@ -92,14 +96,6 @@ def _inv(p):
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
-    return tuple(out)
-
-
-def _conj(p, c):
-    # c^-1 p c: sends c[x] to c[p[x]]
-    out = [0] * len(p)
-    for x, y in enumerate(p):
-        out[c[x]] = c[y]
     return tuple(out)
 
 
@@ -216,7 +212,8 @@ def cycle_type(p: Permutation) -> CycleType:
 MAX_CYCLE_TYPES = 10_000
 
 
-def cycle_types_of_order(m: int, n: int) -> list[CycleType]:
+@lru_cache(maxsize=None)
+def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     """All cycle types on m points whose element order is exactly n.
 
     Sorted by parts tuple, largest first; CycleType.is_even picks out the
@@ -225,7 +222,9 @@ def cycle_types_of_order(m: int, n: int) -> list[CycleType]:
     The listing is flat: the parts above 1 grow divisor by divisor, largest
     divisor and multiplicity first, and fixed points fill the rest.  Each
     head padded with fixed points is a partition of m, so the count bounds
-    every step.
+    every step.  The listing is memoised per (m, n) and returned as a tuple,
+    so callers share it and cannot mutate it; a refusal is not memoised, so
+    every call over the cap raises again.
     """
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     ways = [1] + [0] * m
@@ -238,7 +237,7 @@ def cycle_types_of_order(m: int, n: int) -> list[CycleType]:
     heads: list[tuple[int, ...]] = [()]
     for d in reversed(divisors[1:]):
         heads = [h + (d,) * k for h in heads for k in range((m - sum(h)) // d, -1, -1)]
-    return [CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n]
+    return tuple(CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n)
 
 
 def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
@@ -439,13 +438,19 @@ def _centraliser_gens(a) -> list[tuple[int, ...]]:
 
 
 def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
-    """All c^-1 b c for c in the group generated by ``gens`` (BFS)."""
+    """All c^-1 b c for c in the group generated by ``gens`` (BFS), on m >= 5 points.
+
+    c^-1 p c sends c[x] to c[p[x]]: c gathered by p, then by c^-1, two C-level
+    itemgetter calls (on one point itemgetter would return a scalar).
+    """
+    moves = [(c, operator.itemgetter(*_inv(c))) for c in gens]
     orbit = {b}
     frontier = [b]
     while frontier:
         p = frontier.pop()
-        for c in gens:
-            q = _conj(p, c)
+        by_p = operator.itemgetter(*p)
+        for c, by_cinv in moves:
+            q = by_cinv(by_p(c))
             if q not in orbit:
                 orbit.add(q)
                 frontier.append(q)
@@ -453,19 +458,20 @@ def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
 
 
 def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
-    seen = bytearray(m)
-    seen[0] = 1
-    queue = [0]
-    count = 1
-    while queue:
-        x = queue.pop()
-        for g in (imgs_a, imgs_b):
-            y = g[x]
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == m
+    # `reached` grows while it is walked: every point reached from 0 is read once
+    seen = [False] * m
+    seen[0] = True
+    reached = [0]
+    for x in reached:
+        y = imgs_a[x]
+        if not seen[y]:
+            seen[y] = True
+            reached.append(y)
+        y = imgs_b[x]
+        if not seen[y]:
+            seen[y] = True
+            reached.append(y)
+    return len(reached) == m
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +481,7 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 #: Most candidate (A representative, B) pairs a search may walk, counted from
 #: class sizes before anything is enumerated.  It prices whole classes, since
 #: it bounds the exhaustive walk; a first hit builds only the slices up to its
-#: witness.  Alt_12 (3,3,4) walks 985,600 in about 5 s with a 125 MB peak (a
+#: witness.  Alt_12 (3,3,4) walks 985,600 in about 4.6 s with a 125 MB peak (a
 #: fresh process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out
 #: of 1 GB of memory.  It also bounds the image tuples _class_images keeps.
 MAX_PAIRS = 1_000_000
@@ -556,9 +562,12 @@ def find_generating_triple(
     - a B class outside the plan for A is never enumerated for it; the
       others are enumerated slice by slice on B[0], each slice when the
       walk first reaches it (later A representatives reuse it), so a hit
-      leaves the slices past its own unbuilt;
+      leaves the slices past its own unbuilt; the slice of a single kept
+      class is walked directly, those of two or more are merged;
     - a pair whose product AB (one itemgetter gather, a fresh tuple) has
-      the wrong order or class is skipped;
+      a cycle count that no allowed AB class has is skipped before its
+      lengths are sorted, and then one whose sorted lengths are not an
+      allowed AB class (the wrong order or class);
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
     - a pair whose B is conjugate, under the centraliser C(A) of A in
@@ -584,8 +593,9 @@ def find_generating_triple(
 
     target = factorial(m) // 2
     allowed_c = {t.parts: t.cycle_count for t in types_c}
+    counts_c = set(allowed_c.values())
     scott_cap = m + 2
-    min_count_c = min(allowed_c.values())
+    min_count_c = min(counts_c)
     # every allowed product has at least min_count_c cycles, so a B class
     # over this cap would fail the per-pair Scott test below for every B
     kept = {ta: [tb for tb in types_b if ta.cycle_count + tb.cycle_count + min_count_c <= scott_cap]
@@ -607,10 +617,13 @@ def find_generating_triple(
             for tb in kept[ta]:
                 if (tb, first) not in slices:
                     slices[tb, first] = _class_images(m, tb.parts, first)
-            for b_img in heapq.merge(*(slices[tb, first] for tb in kept[ta])):
-                prod = times_a(b_img)
-                lengths = _cycle_lengths(prod)
-                parts = tuple(sorted(lengths, reverse=True))
+            walk = [slices[tb, first] for tb in kept[ta]]
+            for b_img in walk[0] if len(walk) == 1 else heapq.merge(*walk):
+                lengths = _cycle_lengths(times_a(b_img))
+                if len(lengths) not in counts_c:
+                    continue
+                lengths.sort(reverse=True)  # a fresh list
+                parts = tuple(lengths)
                 count_c = allowed_c.get(parts)
                 if count_c is None:
                     continue

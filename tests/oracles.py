@@ -5,7 +5,9 @@ actions on the standard module), forms the antisymmetric square, and reads
 fixed-space dimensions off numeric ranks; ``rigid_contains`` states the
 rigid table as a predicate instead of the spec rows ``tables`` expands;
 ``partitions`` lists every partition of m, the check on the cycle-type
-lister.
+lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
+closures and ``conjugate`` composes by definition, the checks on the
+search's transitivity filter and its conjugation orbits.
 Deliberately shares no code with the integer formulas under test.
 """
 
@@ -88,6 +90,32 @@ def partitions(m: int, largest: int | None = None) -> list[tuple[int, ...]]:
         return [()]
     top = m if largest is None else min(m, largest)
     return [(first,) + rest for first in range(1, top + 1) for rest in partitions(m - first, first)]
+
+
+def reaches_every_point(gens: list[tuple[int, ...]], m: int) -> bool:
+    """Whether the image tuples ``gens`` move point 0 to every point of 0..m-1."""
+    reached = {0}
+    while True:
+        grown = reached | {g[x] for g in gens for x in reached}
+        if grown == reached:
+            return len(reached) == m
+        reached = grown
+
+
+def group_elements(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every element of the group the image tuples ``gens`` generate, by closure."""
+    elems = {tuple(range(len(gens[0])))}
+    while True:
+        grown = elems | {tuple(g[i] for i in p) for p in elems for g in gens}
+        if grown == elems:
+            return elems
+        elems = grown
+
+
+def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+    """c^-1 p c as an image tuple: apply c^-1, then p, then c."""
+    c_inv = sorted(range(len(c)), key=c.__getitem__)
+    return tuple(c[p[c_inv[x]]] for x in range(len(c)))
 
 
 def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:

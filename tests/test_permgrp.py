@@ -6,6 +6,8 @@ from collections import Counter
 from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisat import Triple
 from trisat.permgrp import (
@@ -26,7 +28,7 @@ from trisat.permgrp import (
 from trisat import permgrp
 from trisat.tables import generating_pair_hint
 
-from oracles import partitions
+from oracles import conjugate, group_elements, partitions, reaches_every_point
 
 # The triples of the decide --alt-search benchmark grid.
 SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
@@ -35,19 +37,7 @@ SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
 
 def naive_order(gens):
     """Closure enumeration, the oracle for group_order on small degrees."""
-    elems = {Permutation(range(gens[0].degree)).images}
-    frontier = list(elems)
-    gen_imgs = [g.images for g in gens]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gen_imgs:
-                q = tuple(g[i] for i in p)
-                if q not in elems:
-                    elems.add(q)
-                    new.append(q)
-        frontier = new
-    return len(elems)
+    return len(group_elements([g.images for g in gens]))
 
 
 def dotted(parts):
@@ -85,7 +75,7 @@ def unpruned_search(m, tr):
                 continue
             if count_a + len(permgrp._cycle_lengths(b_img)) + count_c > m + 2:
                 continue
-            if not permgrp._is_transitive(a_img, b_img, m):
+            if not reaches_every_point([a_img, b_img], m):
                 continue
             if permgrp._bsgs_order([a_img, b_img], m) == target:
                 ga, gb = Permutation(a_img), Permutation(b_img)
@@ -364,16 +354,52 @@ class TestCentraliser:
 
     def test_orbit_is_closed_under_conjugation(self):
         a = lex_min_of_type(9, CycleType((2, 2, 2, 2, 1))).images
-        gens = permgrp._centraliser_gens(a)
+        gens = [Permutation(g) for g in permgrp._centraliser_gens(a)]
         b = lex_min_of_type(9, CycleType((3, 3, 3))).images
-        orbit = permgrp._conjugacy_orbit(b, gens)
+        orbit = permgrp._conjugacy_orbit(b, [c.images for c in gens])
         assert b in orbit
         for p in orbit:
-            assert all(permgrp._conj(p, c) in orbit for c in gens)
+            # c^-1 p c applies c^-1, then p, then c
+            assert all((c.inverse() * Permutation(p) * c).images in orbit for c in gens)
             assert sorted(permgrp._cycle_lengths(p)) == [3, 3, 3]
-        # c^-1 b c applies c^-1, then b, then c
-        c = Permutation(gens[0])
-        assert Permutation(permgrp._conj(b, c.images)) == c.inverse() * Permutation(b) * c
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(5, 7).flatmap(lambda m: st.tuples(st.permutations(range(m)),
+                                                         st.permutations(range(m)))))
+    def test_orbit_matches_conjugates_by_the_closure(self, pair):
+        a, b = map(tuple, pair)
+        gens = permgrp._centraliser_gens(a)
+        expected = {conjugate(b, c) for c in group_elements(gens)}
+        assert permgrp._conjugacy_orbit(b, gens) == expected
+
+
+@st.composite
+def permutation_pairs(draw):
+    """Two permutations of 0..m-1, m = 5..12; half the time both keep the
+    points of one random block of size 1..m-1 inside it, so the pair is
+    intransitive."""
+    m = draw(st.integers(5, 12))
+    if not draw(st.booleans()):
+        return m, tuple(draw(st.permutations(range(m)))), tuple(draw(st.permutations(range(m))))
+    k = draw(st.integers(1, m - 1))
+    label = draw(st.permutations(range(m)))  # block {label[0..k-1]}, the rest in the other
+
+    def block_preserving():
+        on_block = draw(st.permutations(range(k))) + draw(st.permutations(range(k, m)))
+        out = [0] * m
+        for x in range(m):
+            out[label[x]] = label[on_block[x]]
+        return tuple(out)
+
+    return m, block_preserving(), block_preserving()
+
+
+class TestTransitivity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(permutation_pairs())
+    def test_agrees_with_the_closure(self, pair):
+        m, a, b = pair
+        assert permgrp._is_transitive(a, b, m) == reaches_every_point([a, b], m)
 
 
 class TestTypesOfOrder:
@@ -397,6 +423,19 @@ class TestTypesOfOrder:
     def test_flat_listing_at_the_degree_cap(self):
         # a lister recursing once per part overflows the stack from m = 990 on
         assert len(cycle_types_of_order(1026, 2)) == 513
+
+
+class TestTypesOfOrderMemo:
+    def test_repeated_call_returns_the_same_tuple(self):
+        listed = cycle_types_of_order(11, 6)
+        assert isinstance(listed, tuple)
+        assert cycle_types_of_order(11, 6) is listed
+
+    def test_refusal_is_not_memoised(self):
+        # 7,173,704 partitions: over MAX_CYCLE_TYPES on every call, not just the first
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds supported cap"):
+                cycle_types_of_order(120, 60)
 
 
 class TestGenerationSearch:
