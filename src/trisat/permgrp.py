@@ -8,17 +8,12 @@ exhaustion over class pairs).  The search enumerates each B class slice
 by slice on B[0], in lexicographic order, and stops at the first witness,
 so a hit builds only the slices up to its own.  The exhaustion settles
 each orbit of B under conjugation by the centraliser of A with one
-Sims-table call.  The two pure-Python hot spots are kept lean: the
-enumeration spends no recursion level on a fixed point or on the last
-cycle, and each product A*B is one itemgetter gather.  Around them, a
-product whose cycle count no allowed AB class has is dropped before its
-lengths are sorted, a B walk over one class reads its slice directly (two
-or more are merged), and the orbit step conjugates by two itemgetter
-gathers.  None of this changes the walk order or the calls to
+Sims-table call.  find_generating_triple lists the cheaper filters in
+front of it; none of them changes the walk order or the calls to
 _cycle_lengths, _is_transitive and _bsgs_order that bench/tracing.py
-counts as the search funnel.  One process enumerates
-each class slice once, up to MAX_PAIRS image tuples: the lists are shared and
-read-only, and stay held until that memo empties or the process exits.
+counts as the search funnel.  One process enumerates each class slice
+once, up to MAX_PAIRS image tuples: the lists are shared and read-only,
+and stay held until that memo empties or the process exits.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -32,6 +27,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
@@ -40,13 +36,14 @@ from . import rootsys
 from .weil import Triple
 
 
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """Immutable permutation of {0..m-1}, stored as its image tuple."""
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
-    def __init__(self, images):
-        images = tuple(images)
+    def __post_init__(self):
+        images = tuple(self.images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
@@ -73,15 +70,6 @@ class Permutation:
 
     def order(self) -> int:
         return reduce(math.lcm, _cycle_lengths(self.images), 1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.images})"
 
 
 # Image-tuple kernel, shared by Permutation, the search and the Sims table.
@@ -181,8 +169,7 @@ class CycleType:
     def class_size(self) -> int:
         """Size of the Sym_m conjugacy class: m! / prod(b^k_b * k_b!)."""
         denom = 1
-        for length in set(self.parts):
-            k = self.parts.count(length)
+        for length, k in Counter(self.parts).items():
             denom *= length**k * factorial(k)
         return factorial(self.m) // denom
 
@@ -195,11 +182,9 @@ class CycleType:
         return CycleType(self.parts + (1,) * (m - self.m))
 
     def __str__(self) -> str:
-        out = []
-        for length in sorted(set(self.parts), reverse=True):
-            k = self.parts.count(length)
-            out.append(f"({length})" + (f"^{k}" if k > 1 else ""))
-        return "".join(out)
+        # parts are stored descending, so the Counter lists them in that order
+        return "".join(f"({length})" + (f"^{k}" if k > 1 else "")
+                       for length, k in Counter(self.parts).items())
 
 
 def cycle_type(p: Permutation) -> CycleType:
@@ -280,9 +265,7 @@ def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int,
     key = (m, parts, first)
     if key in _SLICE_MEMO:
         return _SLICE_MEMO[key]
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
+    counts = Counter(parts)
     fixed = counts.pop(1, 0)
     lengths = sorted(counts)
     out: list[tuple[int, ...]] = []
@@ -383,6 +366,7 @@ def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
 
     for g in gens:
         add(0, g)
+    del add, close  # they refer to each other; empty those cells so `reps` is freed by refcount
     return math.prod(len(r) for r in reps)
 
 
@@ -501,17 +485,10 @@ class GenerationWitness:
         return self.gen_a * self.gen_b
 
     def validate(self) -> bool:
-        a, b, c = self.orders
-        prod = self.product
-        m = self.gen_a.degree
+        slots = zip((self.gen_a, self.gen_b, self.product), self.shapes, self.orders)
         return (
-            self.gen_a.order() == a
-            and self.gen_b.order() == b
-            and prod.order() == c
-            and cycle_type(self.gen_a) == self.shapes[0]
-            and cycle_type(self.gen_b) == self.shapes[1]
-            and cycle_type(prod) == self.shapes[2]
-            and group_order([self.gen_a, self.gen_b]) == factorial(m) // 2
+            all(cycle_type(g) == shape and shape.order == n for g, shape, n in slots)
+            and group_order([self.gen_a, self.gen_b]) == factorial(self.gen_a.degree) // 2
         )
 
     def as_dict(self) -> dict:

@@ -14,8 +14,18 @@ from functools import lru_cache
 
 FAMILIES = "ABCDEFG"
 
-#: Smallest rank for which each classical family is taken as irreducible here.
+#: Smallest rank for which each classical family is taken as irreducible here,
+#: in all_types order.
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 4}
+
+#: The exceptional types, in all_types order, with their exponents.
+_EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
+}
 
 #: Hard cap so that accidental huge ranks fail fast instead of allocating.
 MAX_RANK = 512
@@ -41,15 +51,9 @@ class DynkinType:
             lo = _RANK_MIN[self.family]
             if self.rank < lo:
                 raise ValueError(f"{self.family}_r requires rank >= {lo}")
-        elif self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise ValueError("E_r exists only for rank 6, 7, 8")
-        elif self.family == "F":
-            if self.rank != 4:
-                raise ValueError("F_r exists only for rank 4")
-        elif self.family == "G":
-            if self.rank != 2:
-                raise ValueError("G_r exists only for rank 2")
+        elif (self.family, self.rank) not in _EXCEPTIONAL_EXPONENTS:
+            ranks = ", ".join(str(r) for f, r in _EXCEPTIONAL_EXPONENTS if f == self.family)
+            raise ValueError(f"{self.family}_r exists only for rank {ranks}")
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
@@ -61,15 +65,6 @@ class DynkinType:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-_EXCEPTIONAL_EXPONENTS = {
-    ("E", 6): (1, 4, 5, 7, 8, 11),
-    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
-    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
-    ("F", 4): (1, 5, 7, 11),
-    ("G", 2): (1, 5),
-}
 
 
 @lru_cache(maxsize=None)
@@ -96,15 +91,5 @@ def adjoint_dim(t: DynkinType) -> int:
 
 def all_types(max_rank: int) -> list[DynkinType]:
     """Every valid irreducible type of rank <= max_rank, in a fixed order."""
-    out: list[DynkinType] = []
-    for family in ("A", "B", "C", "D"):
-        for r in range(_RANK_MIN[family], max_rank + 1):
-            out.append(DynkinType(family, r))
-    for r in (6, 7, 8):
-        if r <= max_rank:
-            out.append(DynkinType("E", r))
-    if max_rank >= 4:
-        out.append(DynkinType("F", 4))
-    if max_rank >= 2:
-        out.append(DynkinType("G", 2))
-    return out
+    keys = [(f, r) for f, lo in _RANK_MIN.items() for r in range(lo, max_rank + 1)]
+    return [DynkinType(f, r) for f, r in keys + list(_EXCEPTIONAL_EXPONENTS) if r <= max_rank]

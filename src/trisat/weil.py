@@ -160,8 +160,6 @@ def codim_order_variety(t: DynkinType, n: int) -> int:
     required to agree; a mismatch would mean an implementation bug, since
     the two formulas are provably equal.
     """
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
     value = principal_fixed_dim(t, n)
     if t.family in ("A", "B", "C", "D"):
         closed = lawther_closed_form(t, n)

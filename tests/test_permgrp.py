@@ -111,6 +111,24 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
+    def test_images_stored_as_tuple(self):
+        for images in ([1, 0, 2], range(3)):
+            p = Permutation(images)
+            assert type(p.images) is tuple and p.images == tuple(images)
+
+    def test_value_semantics(self):
+        p, q = Permutation([1, 2, 0]), Permutation((1, 2, 0))
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, Permutation(range(3))}) == 2
+        assert p != (1, 2, 0) and (1, 2, 0) != p
+
+    def test_witnesses_from_equal_images_are_equal(self):
+        a, b = (1, 2, 0, 3, 4), (0, 1, 3, 4, 2)
+        shapes = (CycleType((3, 1, 1)),) * 2 + (CycleType((5,)),)
+        built = [GenerationWitness(Permutation(a), Permutation(list(b)), (3, 3, 5), shapes)
+                 for _ in range(2)]
+        assert built[0] == built[1]
+
     def test_cycle_type_examples(self):
         assert cycle_type(Permutation(range(5))).parts == (1, 1, 1, 1, 1)
         p = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
@@ -214,6 +232,18 @@ class TestEnumerateClass:
             assert len(imgs) == 105
             empty_memo.clear()
             del imgs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_sims_table_freed_without_cycle_collector(self):
+        # _bsgs_order's helpers refer to each other; refcounting alone must
+        # free its table once it returns
+        gens = [Permutation.from_cycles(9, [(0, 1, 2)]).images, tuple(range(1, 9)) + (0,)]
+        gc.collect()
+        gc.disable()
+        try:
+            assert permgrp._bsgs_order(gens, 9) == factorial(9) // 2
             assert gc.collect() == 0
         finally:
             gc.enable()

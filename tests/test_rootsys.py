@@ -67,6 +67,40 @@ def test_invalid_types(bad):
         DynkinType.parse(bad)
 
 
+# all_types order: A, B, C, D by rank, then E6, E7, E8, F4, G2 (the nonso3 table's row order)
+ALL_TYPES_BY_RANK = {
+    1: "A1",
+    2: "A1 A2 B2 C2 G2",
+    3: "A1 A2 A3 B2 B3 C2 C3 G2",
+    4: "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D4 F4 G2",
+    6: "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 B6 C2 C3 C4 C5 C6 D4 D5 D6 E6 F4 G2",
+    7: "A1 A2 A3 A4 A5 A6 A7 B2 B3 B4 B5 B6 B7 C2 C3 C4 C5 C6 C7 D4 D5 D6 D7 E6 E7 F4 G2",
+    8: "A1 A2 A3 A4 A5 A6 A7 A8 B2 B3 B4 B5 B6 B7 B8 C2 C3 C4 C5 C6 C7 C8 "
+       "D4 D5 D6 D7 D8 E6 E7 E8 F4 G2",
+    13: "A1 A2 A3 A4 A5 A6 A7 A8 A9 A10 A11 A12 A13 "
+        "B2 B3 B4 B5 B6 B7 B8 B9 B10 B11 B12 B13 "
+        "C2 C3 C4 C5 C6 C7 C8 C9 C10 C11 C12 C13 "
+        "D4 D5 D6 D7 D8 D9 D10 D11 D12 D13 E6 E7 E8 F4 G2",
+}
+
+
+@pytest.mark.parametrize("max_rank", ALL_TYPES_BY_RANK)
+def test_all_types_order(max_rank):
+    assert [str(t) for t in all_types(max_rank)] == ALL_TYPES_BY_RANK[max_rank].split()
+
+
+@pytest.mark.parametrize("family,rank,message", [
+    ("E", 5, "E_r exists only for rank 6, 7, 8"),
+    ("E", 9, "E_r exists only for rank 6, 7, 8"),
+    ("F", 3, "F_r exists only for rank 4"),
+    ("G", 3, "G_r exists only for rank 2"),
+])
+def test_exceptional_rank_messages(family, rank, message):
+    with pytest.raises(ValueError) as err:
+        DynkinType(family, rank)
+    assert str(err.value) == message
+
+
 def test_rank_cap():
     DynkinType("A", 512)
     with pytest.raises(ValueError):
