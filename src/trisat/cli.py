@@ -35,7 +35,7 @@ def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "tsv", False):
+    if args.tsv:
         for key, value in _flatten(report):
             print(f"{key}\t{value}")
     else:
@@ -100,7 +100,7 @@ def cmd_table(args) -> int:
     report = fixtures.check_table(args.id, c_max=args.sample_c,
                                   detail=args.regenerate, log=log)
     if args.regenerate:
-        _emit({"id": report["id"], "rows": report.get("rows", [])}, args)
+        _emit({"id": report["id"], "rows": report["rows"]}, args)
         return 0
     _emit(report, args)
     return 0 if report["ok"] else 1

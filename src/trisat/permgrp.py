@@ -65,12 +65,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return Permutation(_mul(self.images, other.images))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(_inv(self.images))
-
-    def order(self) -> int:
-        return reduce(math.lcm, _cycle_lengths(self.images), 1)
-
 
 # Image-tuple kernel, shared by Permutation, the search and the Sims table.
 
@@ -225,7 +219,7 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     return tuple(CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n)
 
 
-def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
+def lex_min_of_type(ct: CycleType) -> Permutation:
     """The lexicographically smallest (by image tuple) permutation of type ct.
 
     Cycles are laid on consecutive blocks of points in increasing length
@@ -233,11 +227,9 @@ def lex_min_of_type(m: int, ct: CycleType) -> Permutation:
     first is forced: closing a cycle writes the block's smallest point,
     which beats any continuation.
     """
-    if ct.m != m:
-        raise ValueError(f"type {ct} has degree {ct.m}, expected {m}")
     lengths = sorted(ct.parts)
     starts = itertools.accumulate(lengths, initial=0)
-    return Permutation.from_cycles(m, [range(s, s + n) for s, n in zip(starts, lengths)])
+    return Permutation.from_cycles(ct.m, [range(s, s + n) for s, n in zip(starts, lengths)])
 
 
 #: The class slices built so far in this process, by (m, parts, first).
@@ -480,12 +472,8 @@ class GenerationWitness:
     orders: tuple[int, int, int]
     shapes: tuple[CycleType, CycleType, CycleType]
 
-    @property
-    def product(self) -> Permutation:
-        return self.gen_a * self.gen_b
-
     def validate(self) -> bool:
-        slots = zip((self.gen_a, self.gen_b, self.product), self.shapes, self.orders)
+        slots = zip((self.gen_a, self.gen_b, self.gen_a * self.gen_b), self.shapes, self.orders)
         return (
             all(cycle_type(g) == shape and shape.order == n for g, shape, n in slots)
             and group_order([self.gen_a, self.gen_b]) == factorial(self.gen_a.degree) // 2
@@ -569,8 +557,8 @@ def find_generating_triple(
         return NotFound("no elements of required order")
 
     target = factorial(m) // 2
-    allowed_c = {t.parts: t.cycle_count for t in types_c}
-    counts_c = set(allowed_c.values())
+    allowed_c = {t.parts for t in types_c}
+    counts_c = {len(parts) for parts in allowed_c}
     scott_cap = m + 2
     min_count_c = min(counts_c)
     # every allowed product has at least min_count_c cycles, so a B class
@@ -584,7 +572,7 @@ def find_generating_triple(
     # B class slices enumerated so far, by (type, B[0]); later A representatives reuse them
     slices: dict[tuple[CycleType, int], list[tuple[int, ...]]] = {}
 
-    reps = {lex_min_of_type(m, ta).images: ta for ta in types_a}
+    reps = {lex_min_of_type(ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         centraliser = _centraliser_gens(a_img)
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
@@ -601,10 +589,9 @@ def find_generating_triple(
                     continue
                 lengths.sort(reverse=True)  # a fresh list
                 parts = tuple(lengths)
-                count_c = allowed_c.get(parts)
-                if count_c is None:
+                if parts not in allowed_c:
                     continue
-                if ta.cycle_count + len(_cycle_lengths(b_img)) + count_c > scott_cap:
+                if ta.cycle_count + len(_cycle_lengths(b_img)) + len(parts) > scott_cap:
                     continue
                 if not _is_transitive(a_img, b_img, m):
                     continue

@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-FAMILIES = "ABCDEFG"
-
 #: Smallest rank for which each classical family is taken as irreducible here,
 #: in all_types order.
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 4}
@@ -41,19 +39,19 @@ class DynkinType:
     rank: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        lo = _RANK_MIN.get(self.family)  # None unless the family is classical
+        ranks = () if lo else [r for f, r in _EXCEPTIONAL_EXPONENTS if f == self.family]
+        if not (lo or ranks):
             raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.rank, int) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise ValueError(f"rank {self.rank} exceeds supported cap {MAX_RANK}")
-        if self.family in _RANK_MIN:
-            lo = _RANK_MIN[self.family]
+        if lo:
             if self.rank < lo:
                 raise ValueError(f"{self.family}_r requires rank >= {lo}")
-        elif (self.family, self.rank) not in _EXCEPTIONAL_EXPONENTS:
-            ranks = ", ".join(str(r) for f, r in _EXCEPTIONAL_EXPONENTS if f == self.family)
-            raise ValueError(f"{self.family}_r exists only for rank {ranks}")
+        elif self.rank not in ranks:
+            raise ValueError(f"{self.family}_r exists only for rank {', '.join(map(str, ranks))}")
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":

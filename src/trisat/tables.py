@@ -111,14 +111,10 @@ NONSO3_ROWS = (
 NONSO3_MAX_RANK = 13
 
 
-def nonso3_pairs(max_rank: int = NONSO3_MAX_RANK) -> set[tuple[str, tuple[int, int, int]]]:
-    """Expand the nonso3 rows into (type label, triple) pairs up to max_rank."""
-    out = set()
-    for family, ranks, triples in NONSO3_ROWS:
-        for r in ranks:
-            if r <= max_rank:
-                out.update((f"{family}{r}", tr) for tr in triples)
-    return out
+def nonso3_pairs() -> set[tuple[str, tuple[int, int, int]]]:
+    """Expand the nonso3 rows into (type label, triple) pairs."""
+    return {(f"{family}{r}", tr) for family, ranks, triples in NONSO3_ROWS
+            for r in ranks for tr in triples}
 
 
 # ---------------------------------------------------------------------------

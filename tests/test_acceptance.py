@@ -69,7 +69,7 @@ def test_criterion_2_rigid_table_zeros():
 
 def test_criterion_3_nonso3_table_reproduction():
     with _Timer(3, "ladder verdicts vs non-SO(3)-dense table", budget=5.0):
-        expected = tables.nonso3_pairs(max_rank=13)
+        expected = tables.nonso3_pairs()
         unsettled = set()
         for t in all_types(13):
             for orders in tables.S_TRIPLES:

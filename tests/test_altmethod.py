@@ -1,14 +1,21 @@
+import itertools
 import random
 
 import pytest
 
 from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt
 from trisat.altmethod import alt_degree, alt_target, perm_fixed_dim
-from trisat.permgrp import Permutation, cycle_types_of_order, lex_min_of_type
+from trisat.permgrp import (
+    NotFound,
+    Permutation,
+    cycle_types_of_order,
+    find_generating_triple,
+    lex_min_of_type,
+)
 from trisat.rootsys import all_types
 from trisat.tables import ALT_GEN_ROWS
 
-from oracles import fixed_dim_numeric, standard_module_matrix
+from oracles import conjugate, fixed_dim_numeric, partitions, standard_module_matrix
 
 
 def shapes(m, *texts):
@@ -99,7 +106,7 @@ class TestStandardModuleEigenvalues:
         types = [ct for n in range(1, m * m) for ct in cycle_types_of_order(m, n)]
         assert len(types) == len({ct.parts for ct in types}) == {7: 15, 8: 22, 9: 30, 10: 42}[m]
         for ct in types:
-            perm = lex_min_of_type(m, ct)
+            perm = lex_min_of_type(ct)
             assert perm_fixed_dim(ct) == fixed_dim_numeric(standard_module_matrix(perm)), ct
 
 
@@ -114,11 +121,10 @@ def _random_partition(rng, m):
 
 
 def _random_class_member(rng, m, ct):
-    base = lex_min_of_type(m, ct)
+    base = lex_min_of_type(ct)
     imgs = list(range(m))
     rng.shuffle(imgs)
-    sigma = Permutation(imgs)
-    return sigma.inverse() * base * sigma
+    return Permutation(conjugate(base.images, imgs))
 
 
 class TestH1Alt:
@@ -169,3 +175,43 @@ class TestAltSaturationCheck:
         v = alt_saturation_check(9, Triple(2, 3, 7), search=False)
         assert v.status == Status.UNKNOWN
         assert "search disabled" in v.certificate["reason"]
+
+
+def _nonpositive_h1_triples(m):
+    """Scott-admissible even class triples (A, B, AB) on m points, with
+    hyperbolic orders a <= b <= c, whose count dim so_{m-1} - sum of the
+    fixed dimensions is <= 0."""
+    even = [ct for ct in map(CycleType, partitions(m)) if ct.is_even and ct.order > 1]
+    out = set()
+    for triple in itertools.product(even, repeat=3):
+        a, b, c = (ct.order for ct in triple)
+        if not (a <= b <= c and b * c + a * c + a * b < a * b * c):
+            continue
+        if sum(ct.cycle_count for ct in triple) > m + 2:
+            continue
+        if (m - 1) * (m - 2) // 2 - sum(map(perm_fixed_dim, triple)) <= 0:
+            out.add(triple)
+    return out
+
+
+NONPOSITIVE_H1_TRIPLES = {
+    8: [("3.1^5", "4^2", "4^2")],
+    9: [("2^2.1^5", "3^3", "9"), ("3^3", "3^3", "4.2.1^3"), ("3^3", "3^3", "5.1^4"),
+        ("3^3", "3^3", "3.2^2.1^2"), ("3^3", "3.1^6", "9"), ("3.1^6", "3^3", "9")],
+    10: [("2^2.1^6", "5^2", "5^2"), ("3.1^7", "5^2", "5^2")],
+    11: [],
+}
+
+
+@pytest.mark.parametrize("m", NONPOSITIVE_H1_TRIPLES)
+def test_no_generating_pair_has_nonpositive_h1(m):
+    # A generating pair gives a real representation, whose H^1 is >= 0, and
+    # Alt_m is irreducible on so_{m-1}, so H^1 is the count above: none of
+    # these class triples holds a generating pair.  That is why no witness on
+    # 8 to 11 points reaches the H^1 = 0 branch of alt_saturation_check or
+    # weil_h1's negative-H^1 check.
+    want = {shapes(m, *texts) for texts in NONPOSITIVE_H1_TRIPLES[m]}
+    assert _nonpositive_h1_triples(m) == want
+    for triple in want:
+        tr = Triple(*(ct.order for ct in triple))
+        assert isinstance(find_generating_triple(m, tr, shape_hint=triple), NotFound), triple

@@ -14,6 +14,7 @@ import pytest
 
 from trisat import fixtures, tables
 from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, Refuted
+from trisat.rootsys import all_types
 from trisat.weil import Status, Triple, Verdict
 
 _ID5 = Permutation(range(5))
@@ -144,6 +145,14 @@ def test_rigid_samples_match_hand_loops(small_cap, c_max):
 
     assert orders(tables.rigid_samples(small_cap, c_max)) == orders(
         hand_rigid_samples(small_cap, c_max))
+
+
+def test_every_nonso3_pair_is_a_case():
+    # a listed pair outside the table's cases would never be checked
+    cases = {(str(t), orders) for t in all_types(tables.NONSO3_MAX_RANK)
+             for orders in tables.S_TRIPLES}
+    pairs = tables.nonso3_pairs()
+    assert pairs and pairs <= cases, sorted(pairs - cases)
 
 
 def test_min_c_is_the_least_open_lower_bound(monkeypatch):

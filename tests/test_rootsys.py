@@ -101,6 +101,19 @@ def test_exceptional_rank_messages(family, rank, message):
     assert str(err.value) == message
 
 
+def test_unknown_family_message():
+    with pytest.raises(ValueError) as err:
+        DynkinType("Q", 5)
+    assert str(err.value) == "unknown family 'Q'"
+
+
+@pytest.mark.parametrize("text", ["Q5", "H2", "e8"])
+def test_unparsable_label_message(text):
+    with pytest.raises(ValueError) as err:
+        DynkinType.parse(text)
+    assert str(err.value) == f"cannot parse Dynkin type {text!r}"
+
+
 def test_rank_cap():
     DynkinType("A", 512)
     with pytest.raises(ValueError):
