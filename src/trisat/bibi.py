@@ -24,23 +24,31 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootsys import DynkinType
 from .weil import (CohomologyReport, Status, Triple, Verdict, h1_principal,
                    principal_fixed_dim, weil_h1)
 
 
+@lru_cache(maxsize=None)
 def _block_type(rank: int) -> DynkinType:
-    """Type of so_{2*rank+1}: B_rank, or A1 for so_3 (the adjoint A1 module)."""
-    return DynkinType("A", 1) if rank == 1 else DynkinType("B", rank)
+    """Type of so_{2*rank+1}: B_rank, or A1 for so_3 (the adjoint A1 module).
+
+    The instance DynkinType.parse shares for that label, memoised per rank.
+    """
+    return DynkinType.parse("A1" if rank == 1 else f"B{rank}")
 
 
+@lru_cache(maxsize=None)
 def so_fixed_dim(r1: int, r2: int, n: int) -> int:
     """dim of the fixed space on so_{2(r1+r2+1)} of the order-n element of
     SO(2*r1+1) x SO(2*r2+1) that is principal in each factor.
 
     The two so blocks give principal exponent sums; on V_1 (x) V_2 the pairs
     (j_1, j_2) with n | j_1 + j_2 are counted through the residues of j_1.
+    The value is memoised per (r1, r2, n), so callers share it; a refusal
+    is not memoised, so every call with n < 2 raises again.
     """
     blocks = principal_fixed_dim(_block_type(r1), n) + principal_fixed_dim(_block_type(r2), n)
     residues = Counter(j % n for j in range(-r1, r1 + 1))

@@ -55,14 +55,22 @@ class DynkinType:
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
-        """Parse a label like "E8" or "D13"."""
+        """Parse a label like "E8" or "D13".
+
+        Every label of one type gives the same shared instance, so the
+        memos keyed on a type find it by identity; a refusal is not memoised.
+        """
         m = _TYPE_RE.match(text.strip())
         if not m:
             raise ValueError(f"cannot parse Dynkin type {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        return _shared(m.group(1), int(m.group(2)))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
+
+
+#: DynkinType memoised per (family, rank): the instance parse and all_types hand out.
+_shared = lru_cache(maxsize=None)(DynkinType)
 
 
 @lru_cache(maxsize=None)
@@ -82,12 +90,17 @@ def exponents(t: DynkinType) -> tuple[int, ...]:
     return _EXCEPTIONAL_EXPONENTS[(t.family, t.rank)]
 
 
+@lru_cache(maxsize=None)
 def adjoint_dim(t: DynkinType) -> int:
-    """Dimension of the adjoint simple group of type ``t``: sum(2*e_j + 1)."""
+    """Dimension of the adjoint simple group of type ``t``: sum(2*e_j + 1).
+
+    Memoised per type, so callers share it.
+    """
     return sum(2 * e + 1 for e in exponents(t))
 
 
 def all_types(max_rank: int) -> list[DynkinType]:
-    """Every valid irreducible type of rank <= max_rank, in a fixed order."""
+    """Every valid irreducible type of rank <= max_rank, in a fixed order,
+    as the instances DynkinType.parse shares."""
     keys = [(f, r) for f, lo in _RANK_MIN.items() for r in range(lo, max_rank + 1)]
-    return [DynkinType(f, r) for f, r in keys + list(_EXCEPTIONAL_EXPONENTS) if r <= max_rank]
+    return [_shared(f, r) for f, r in keys + list(_EXCEPTIONAL_EXPONENTS) if r <= max_rank]

@@ -14,6 +14,8 @@ principal H^1 vanishes, RigidZero.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import altmethod, bibi, tables
 from .rootsys import DynkinType
 from .weil import Status, Triple, Verdict, h1_principal
@@ -37,6 +39,7 @@ def _below(t: DynkinType) -> DynkinType | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def classify_ladder(t: DynkinType) -> tuple[DynkinType, ...]:
     """Chain of principal embeddings from A1 up to ``t``.
 
@@ -44,6 +47,8 @@ def classify_ladder(t: DynkinType) -> tuple[DynkinType, ...]:
     A_r (r >= 3) in B_{r/2} or C_{(r+1)/2}, B3 in G2, D_r in B_{r-1} and E6
     in F4.  Every other type sits on A1 directly (rank-2 type B like C2, the
     same root system).  So A6 and D4 climb three steps, through G2 < B3.
+    The chain is memoised per type and returned as a tuple, so callers
+    share it; a refusal is not memoised, so every call on A1 raises again.
     """
     if t == _A1:
         raise ValueError("A1 has no ladder: T is locally rigid in PGL_2")

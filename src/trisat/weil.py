@@ -22,6 +22,7 @@ CohomologyReport, and the verdict (Status, Verdict) that each route returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .rootsys import DynkinType, adjoint_dim, exponents
 
@@ -97,10 +98,13 @@ class Verdict:
         return {"status": self.status, "method": self.method, "certificate": self.certificate}
 
 
+@lru_cache(maxsize=None)
 def principal_fixed_dim(t: DynkinType, n: int) -> int:
     """Fixed-space dimension of an order-n generator under the principal action.
 
-    Equals sum_j (1 + 2*floor(e_j / n)) over the exponents of ``t``.
+    Equals sum_j (1 + 2*floor(e_j / n)) over the exponents of ``t``.  The
+    value is memoised per (t, n), so callers share it; a refusal is not
+    memoised, so every call with n < 2 raises again.
     """
     if n < 2:
         raise ValueError(f"generator order must be >= 2, got {n}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trisat import Triple, permgrp, tables
+from trisat import DynkinType, Triple, bibi, permgrp, saturation, tables, weil
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -88,3 +88,18 @@ def test_traced_funnels_with_a_warm_memo(monkeypatch):
         assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
                           "bsgs_calls": 1, "accepted": 1}
         assert tracer.counters["class_images.elements"] == 32_480
+
+
+def test_traced_closed_form_calls_with_a_warm_memo():
+    # weil.principal_fixed_dim and bibi.so_fixed_dim are memoised; the tracer
+    # wraps so_fixed_dim and h1_principal from outside the memo, so a warm
+    # second run counts every call a cold first run counts.
+    weil.principal_fixed_dim.cache_clear()
+    bibi.so_fixed_dim.cache_clear()
+    tracing = _load("tracing")
+    for _ in range(2):
+        with tracing.Tracer() as tracer:
+            bibi.search_bibi(7, Triple(2, 3, 7))
+            saturation.ladder_verdict(DynkinType.parse("D7"), Triple(2, 4, 6))
+        assert tracer.calls("weil.h1_principal") == 4
+        assert tracer.calls("bibi.so_fixed_dim") == 3
