@@ -23,7 +23,7 @@ from collections import Counter
 
 from . import tables
 from .permgrp import CycleType, NotFound, find_generating_triple
-from .rootsys import DynkinType
+from .rootsys import DynkinType, _shared
 from .weil import CohomologyReport, Status, Triple, Verdict, weil_h1
 
 
@@ -41,8 +41,8 @@ def alt_target(m: int) -> DynkinType:
     if m < 8:
         raise ValueError("need m >= 8: the m = 7 target so_6 is not of type B or D")
     if m % 2 == 0:
-        return DynkinType("B", (m - 2) // 2)
-    return DynkinType("D", (m - 1) // 2)
+        return _shared("B", (m - 2) // 2)
+    return _shared("D", (m - 1) // 2)
 
 
 def perm_fixed_dim(ct: CycleType) -> int:

@@ -84,7 +84,7 @@ def h1_bibi(cfg: BibiConfig, tr: Triple) -> CohomologyReport:
     has no invariants, so H^1 = dim so_2r minus the three fixed dimensions.
     """
     r1, r2 = cfg.ranks
-    fixed = tuple(so_fixed_dim(r1, r2, n) for n in tr.orders)
+    fixed = (so_fixed_dim(r1, r2, tr.a), so_fixed_dim(r1, r2, tr.b), so_fixed_dim(r1, r2, tr.c))
     return weil_h1(cfg.r * (2 * cfg.r - 1), fixed)
 
 

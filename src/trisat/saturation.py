@@ -17,11 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import altmethod, bibi, tables
-from .rootsys import DynkinType
+from .rootsys import DynkinType, _shared
 from .weil import Status, Triple, Verdict, h1_principal
 
 
-_A1 = DynkinType("A", 1)
+_A1 = _shared("A", 1)
 
 
 def _below(t: DynkinType) -> DynkinType | None:
@@ -29,13 +29,13 @@ def _below(t: DynkinType) -> DynkinType | None:
     A1 is already maximal in ``t``."""
     fam, r = t.family, t.rank
     if fam == "A" and r >= 3:
-        return DynkinType("B", r // 2) if r % 2 == 0 else DynkinType("C", (r + 1) // 2)
+        return _shared("B", r // 2) if r % 2 == 0 else _shared("C", (r + 1) // 2)
     if fam == "D":
-        return DynkinType("B", r - 1)
+        return _shared("B", r - 1)
     if (fam, r) == ("B", 3):
-        return DynkinType("G", 2)
+        return _shared("G", 2)
     if (fam, r) == ("E", 6):
-        return DynkinType("F", 4)
+        return _shared("F", 4)
     return None
 
 

@@ -111,12 +111,15 @@ def principal_fixed_dim(t: DynkinType, n: int) -> int:
     return sum(1 + 2 * (e // n) for e in exponents(t))
 
 
+@lru_cache(maxsize=None)
 def weil_h1(dim_g: int, fixed: tuple[int, int, int]) -> CohomologyReport:
     """Apply Weil's Z^1/H^1 formulas to explicit fixed-space dimensions.
 
     The invariants are taken as i = i* = 0: every action fed into the
     formula here has trivial invariants (dense or principal image in a
-    simple adjoint group).
+    simple adjoint group).  The report is memoised per (dim_g, fixed), so
+    callers share it (it is frozen) and ``fixed`` must be a tuple; a refusal
+    is not memoised, so every call with inconsistent fixed dims raises again.
     """
     if any(f < 0 or f > dim_g for f in fixed):
         raise ValueError(f"fixed dims {fixed} out of range [0, {dim_g}]")
@@ -125,7 +128,7 @@ def weil_h1(dim_g: int, fixed: tuple[int, int, int]) -> CohomologyReport:
     h1 = dim_g - total
     if h1 < 0:
         raise ValueError(f"negative H^1 = {h1}: inconsistent fixed dims {fixed} for dim {dim_g}")
-    return CohomologyReport(dim_g, tuple(fixed), z1, h1)
+    return CohomologyReport(dim_g, fixed, z1, h1)
 
 
 def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
@@ -134,7 +137,8 @@ def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
     dim H^1 = dim g - sum over the three generator orders of the exponent
     fixed-space sums; the invariants vanish for the principal action.
     """
-    fixed = tuple(principal_fixed_dim(t, n) for n in tr.orders)
+    fixed = (principal_fixed_dim(t, tr.a), principal_fixed_dim(t, tr.b),
+             principal_fixed_dim(t, tr.c))
     return weil_h1(adjoint_dim(t), fixed)
 
 

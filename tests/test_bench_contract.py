@@ -91,11 +91,12 @@ def test_traced_funnels_with_a_warm_memo(monkeypatch):
 
 
 def test_traced_closed_form_calls_with_a_warm_memo():
-    # weil.principal_fixed_dim and bibi.so_fixed_dim are memoised; the tracer
-    # wraps so_fixed_dim and h1_principal from outside the memo, so a warm
-    # second run counts every call a cold first run counts.
+    # weil.principal_fixed_dim, weil.weil_h1 and bibi.so_fixed_dim are
+    # memoised; the tracer wraps so_fixed_dim and h1_principal from outside
+    # the memo, so a warm second run counts every call a cold first run counts.
     weil.principal_fixed_dim.cache_clear()
     bibi.so_fixed_dim.cache_clear()
+    weil.weil_h1.cache_clear()
     tracing = _load("tracing")
     for _ in range(2):
         with tracing.Tracer() as tracer:

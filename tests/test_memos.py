@@ -1,20 +1,26 @@
 """The closed-form memos are transparent: a cached value is the computed one.
 
-weil.principal_fixed_dim, rootsys.adjoint_dim, bibi.so_fixed_dim and
-saturation.classify_ladder are memoised per argument, and DynkinType.parse
-hands out one shared instance per type.  Cold, warm, keyed by an equal but
-distinct type, or computed by the bare function, each gives the same value;
-a refusal raises on every call.
+weil.principal_fixed_dim, weil.weil_h1, rootsys.adjoint_dim,
+bibi.so_fixed_dim and saturation.classify_ladder are memoised per argument,
+and DynkinType.parse hands out one shared instance per type.  Cold, warm,
+keyed by an equal but distinct type, or computed by the bare function, each
+gives the same value; a refusal raises on every call.
 """
+
+import dataclasses
 
 import pytest
 
-from trisat import DynkinType, bibi, fixtures, rootsys, saturation, weil
+from trisat import DynkinType, altmethod, bibi, fixtures, rootsys, saturation, weil
 from trisat.rootsys import all_types
 
 A1 = DynkinType("A", 1)
 TYPES = all_types(20)
 ORDERS = range(2, 61)
+TRIPLES = [(2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 60), (7, 11, 13), (29, 31, 60)]
+#: (dim g, fixed dims) of each type's principal action on each triple.
+H1_ARGS = [(rootsys.adjoint_dim(t), tuple(weil.principal_fixed_dim(t, n) for n in tr))
+           for t in TYPES for tr in TRIPLES]
 
 #: Every memo the closed-form routes read, and the argument tuples swept.
 SWEEPS = {
@@ -22,6 +28,7 @@ SWEEPS = {
     "adjoint_dim": (rootsys.adjoint_dim, [(t,) for t in TYPES]),
     "exponents": (rootsys.exponents, [(t,) for t in TYPES]),
     "classify_ladder": (saturation.classify_ladder, [(t,) for t in TYPES if t != A1]),
+    "weil_h1": (weil.weil_h1, H1_ARGS),
     "so_fixed_dim": (bibi.so_fixed_dim, [(r1, r2, n) for r1 in range(1, 19)
                                          for r2 in range(1, 20 - r1) for n in ORDERS]),
     "_block_type": (bibi._block_type, [(rank,) for rank in range(1, 20)]),
@@ -57,6 +64,13 @@ def test_parse_shares_one_instance_per_type():
     assert bibi._block_type(3) is DynkinType.parse("B3")
     assert bibi._block_type(1) is DynkinType.parse("A1")
     assert DynkinType("D", 7) == d7 and DynkinType("D", 7) is not d7
+    for t in TYPES:
+        if t != A1:
+            for rung in saturation.classify_ladder(t):
+                assert rung is DynkinType.parse(str(rung)), (t, rung)
+    for m in range(8, 14):
+        target = altmethod.alt_target(m)
+        assert target is DynkinType.parse(str(target)), m
 
 
 def test_refusals_are_not_memoised():
@@ -71,6 +85,17 @@ def test_refusals_are_not_memoised():
             DynkinType("E", 9)
         with pytest.raises(ValueError, match="E_r exists only for rank 6, 7, 8"):
             DynkinType.parse("E9")
+        with pytest.raises(ValueError, match=r"negative H\^1 = -6"):
+            weil.weil_h1(3, (3, 3, 3))
+        with pytest.raises(ValueError, match=r"fixed dims \(11, 0, 0\) out of range \[0, 10\]"):
+            weil.weil_h1(10, (11, 0, 0))
+
+
+def test_shared_report_is_read_only():
+    report = weil.weil_h1(14, (6, 4, 2))
+    assert weil.weil_h1(14, (6, 4, 2)) is report
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.h1 = 0
 
 
 @pytest.mark.parametrize("table_id", ["rigid", "nonso3", "bibi-results", "bibi-pairs"])
