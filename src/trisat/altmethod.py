@@ -62,17 +62,14 @@ def perm_fixed_dim(ct: CycleType) -> int:
 def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -> CohomologyReport:
     """H^1 of T on so_{m-1} through an Alt_m quotient with the given shapes.
 
-    Each shape must have exact order equal to its triple entry.
-    Irreducibility kills the invariants, so H^1 = dim so_{m-1} minus the
-    three fixed-space dimensions.
+    Each shape must be a class of Alt_m (even, on m points, of exact order its
+    triple entry); CycleType.check_slot refuses anything else.  Irreducibility
+    kills the invariants, so H^1 = dim so_{m-1} minus the three fixed dims.
     """
     if m < 7:
         raise ValueError("need m >= 7 for Alt_m to be irreducible on so_{m-1}")
-    for shape, n, slot in zip(shapes, tr.orders, "xyz"):
-        if shape.m != m:
-            raise ValueError(f"shape {shape} for {slot} has degree {shape.m}, expected {m}")
-        if shape.order != n:
-            raise ValueError(f"shape {shape} for {slot} has order {shape.order}, expected {n}")
+    for shape, n, slot in zip(shapes, tr.orders, ("A", "B", "AB")):
+        shape.check_slot(m, n, slot)
     fixed = tuple(perm_fixed_dim(s) for s in shapes)
     return weil_h1((m - 1) * (m - 2) // 2, fixed)
 

@@ -26,18 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import DynkinType
+from .rootsys import DynkinType, _shared
 from .weil import (CohomologyReport, Status, Triple, Verdict, h1_principal,
                    principal_fixed_dim, weil_h1)
 
 
-@lru_cache(maxsize=None)
 def _block_type(rank: int) -> DynkinType:
-    """Type of so_{2*rank+1}: B_rank, or A1 for so_3 (the adjoint A1 module).
-
-    The instance DynkinType.parse shares for that label, memoised per rank.
-    """
-    return DynkinType.parse("A1" if rank == 1 else f"B{rank}")
+    """The shared type of so_{2*rank+1}: B_rank, or A1 for so_3 (the adjoint A1 module)."""
+    return _shared("A", 1) if rank == 1 else _shared("B", rank)
 
 
 @lru_cache(maxsize=None)

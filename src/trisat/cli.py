@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="verbose progress/detail on stderr")
     p.add_argument("--id", required=True, choices=fixtures.TABLES)
     p.add_argument("--sample-c", type=int, default=tables.DEFAULT_C_MAX,
-                   help="cap for parameterized rows (default 60)")
+                   help="cap for parameterized rows (default %(default)s)")
     p.add_argument("--regenerate", action="store_true",
                    help="print the recomputed rows instead of diffing")
     p.set_defaults(func=cmd_table)
@@ -160,6 +160,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -160,6 +160,16 @@ class CycleType:
     def is_even(self) -> bool:
         return sum(1 for p in self.parts if p % 2 == 0) % 2 == 0
 
+    def check_slot(self, m: int, n: int, slot: str) -> None:
+        """Raise ValueError naming ``slot`` unless this is a class of Alt_m of exact order n."""
+        where = f"shape {self} for the {slot} slot"
+        if self.m != m:
+            raise ValueError(f"{where} has degree {self.m}, expected {m}")
+        if self.order != n:
+            raise ValueError(f"{where} has order {self.order}, expected {n}")
+        if not self.is_even:
+            raise ValueError(f"{where} is not even, so not a class of Alt_{m}")
+
     def class_size(self) -> int:
         """Size of the Sym_m conjugacy class: m! / prod(b^k_b * k_b!)."""
         denom = 1
@@ -495,13 +505,11 @@ class NotFound:
     reason: str
 
 
-def _even_types(m, n, hint, which):
-    """The even types of order n, or just the shape hint (on m points) if one is given."""
-    even = [t for t in cycle_types_of_order(m, n) if t.is_even]
+def _even_types(m, n, hint, slot):
+    """The even types of order n, or just the shape hint if CycleType.check_slot takes it."""
     if hint is None:
-        return even
-    if hint not in even:
-        raise ValueError(f"shape hint {hint} is not an even cycle type for the {which} slot")
+        return [t for t in cycle_types_of_order(m, n) if t.is_even]
+    hint.check_slot(m, n, slot)
     return [hint]
 
 
@@ -551,8 +559,8 @@ def find_generating_triple(
     if m < 5:
         raise ValueError("need m >= 5")
     types_a, types_b, types_c = [
-        _even_types(m, n, hint, which)
-        for n, hint, which in zip(tr.orders, shape_hint or (None,) * 3, ("A", "B", "AB"))]
+        _even_types(m, n, hint, slot)
+        for n, hint, slot in zip(tr.orders, shape_hint or (None,) * 3, ("A", "B", "AB"))]
     if not (types_a and types_b and types_c):
         return NotFound("no elements of required order")
 

@@ -31,7 +31,7 @@ MAX_RANK = 512
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DynkinType:
     """An irreducible Dynkin type, e.g. DynkinType("D", 7)."""
 

@@ -147,6 +147,31 @@ class TestH1Alt:
         with pytest.raises(ValueError):
             h1_alt(9, shapes(9, "3^3", "3^3", "9"), Triple(3, 3, 7))
 
+    def test_accepts_exactly_alt_classes(self):
+        for m in (8, 9, 10):
+            for tr in (Triple(2, 3, 7), Triple(2, 4, 5), Triple(3, 3, 4)):
+                # each slot also offers the types of the next order, which it must refuse
+                offered = [cycle_types_of_order(m, n) + cycle_types_of_order(m, n + 1)
+                           for n in tr.orders]
+                accepted = 0
+                for combo in itertools.product(*offered):
+                    ok = all(t.is_even and t.order == n for t, n in zip(combo, tr.orders))
+                    try:
+                        h1_alt(m, combo, tr)
+                        refusal = None
+                        accepted += 1
+                    except ValueError as exc:
+                        refusal = str(exc)
+                    if ok:
+                        # a class triple is refused only when no epimorphism has it: H^1 < 0
+                        assert refusal is None or refusal.startswith("negative H^1"), (combo, refusal)
+                    else:
+                        assert refusal is not None and " slot " in refusal, (m, tr, combo)
+                assert accepted, (m, tr)
+        with pytest.raises(ValueError, match="B slot has degree 6, expected 8"):
+            h1_alt(8, (CycleType.parse("2^2.1^4"), CycleType.parse("3^2"),
+                       CycleType.parse("7.1")), Triple(2, 3, 7))
+
     def test_every_generating_row_positive_and_oracle_exact(self):
         for m, orders, *shape_strs in ALT_GEN_ROWS:
             triple = Triple(*orders)

@@ -82,6 +82,13 @@ class TestOtherCommands:
         assert cli.main(["alt", "--m", "9", "--triple", "3,3,7",
                          "--shapes", "(3)^3,(3)^3 oops,(7)(1)^2"]) == 2
 
+    def test_alt_shapes_reject_odd(self, capsys):
+        # 2^3.1^2 and 8 are odd permutations: no Alt_8 class to deform from
+        assert cli.main(["alt", "--m", "8", "--triple", "2,3,8",
+                         "--shapes", "2^3.1^2,3^2.1^2,8"]) == 2
+        err = capsys.readouterr().err
+        assert "A slot" in err and "not even" in err
+
     def test_alt_check(self, capsys):
         code, report = run_json(capsys, "alt", "--m", "9", "--triple", "3,3,9")
         assert code == 0 and report["status"] == "Saturated"

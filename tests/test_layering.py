@@ -81,3 +81,15 @@ def test_routes_do_not_import_each_other():
 def test_top_level_api():
     assert set(trisat.__all__) == API and len(trisat.__all__) == 17
     assert all(hasattr(trisat, name) for name in API)
+
+
+def test_only_shared_crosses_modules_privately():
+    """rootsys._shared is the one private name a module imports from another."""
+    private = {}
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.setdefault(f"{node.module}.{alias.name}", set()).add(name)
+    assert private == {"rootsys._shared": {"altmethod", "bibi", "saturation"}}

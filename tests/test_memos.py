@@ -31,7 +31,6 @@ SWEEPS = {
     "weil_h1": (weil.weil_h1, H1_ARGS),
     "so_fixed_dim": (bibi.so_fixed_dim, [(r1, r2, n) for r1 in range(1, 19)
                                          for r2 in range(1, 20 - r1) for n in ORDERS]),
-    "_block_type": (bibi._block_type, [(rank,) for rank in range(1, 20)]),
 }
 
 
