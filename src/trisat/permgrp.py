@@ -6,14 +6,15 @@ via a Sims table, search for generating pairs of prescribed orders in
 Alt_m, and non-generation proofs (Scott's cycle-count bound, else
 exhaustion over class pairs).  The search enumerates each B class slice
 by slice on B[0], in lexicographic order, and stops at the first witness,
-so a hit builds only the slices up to its own.  The exhaustion settles
-each orbit of B under conjugation by the centraliser of A with one
-Sims-table call.  find_generating_triple lists the cheaper filters in
-front of it; none of them changes the walk order or the calls to
-_cycle_lengths, _is_transitive and _bsgs_order that bench/tracing.py
-counts as the search funnel.  One process enumerates each class slice
-once, up to MAX_PAIRS image tuples: the lists are shared and read-only,
-and stay held until that memo empties or the process exits.
+so a hit builds only the slices up to its own.  For each A it walks only
+the slices whose B[0] is the least point of its orbit under the
+stabiliser of 0 in the centraliser C(A) of A, and it settles each
+C(A)-orbit of B with one Sims-table call.  Neither step changes a witness
+or an answer: the first cuts the pairs walked, the second the calls to
+_bsgs_order.  find_generating_triple states both with the cheaper
+filters.  One process enumerates each class slice once, up to MAX_PAIRS
+image tuples: the lists are shared and read-only, and stay held until
+that memo empties or the process exits.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -383,6 +384,23 @@ def group_order(gens) -> int:
     return _bsgs_order([g.images for g in gens], m)
 
 
+def _cycles(a) -> list[list[int]]:
+    """The cycles of the image tuple ``a``, fixed points included, each read
+    along a from its least point, in the order of that point."""
+    seen = [False] * len(a)
+    cycles = []
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        cyc, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = a[x]
+        cycles.append(cyc)
+    return cycles
+
+
 def _centraliser_gens(a) -> list[tuple[int, ...]]:
     """Generators of the centraliser of the image tuple ``a`` in Sym_m.
 
@@ -394,15 +412,7 @@ def _centraliser_gens(a) -> list[tuple[int, ...]]:
     """
     m = len(a)
     cycles_of: dict[int, list[list[int]]] = {}
-    seen = [False] * m
-    for start in range(m):
-        if seen[start]:
-            continue
-        cyc, x = [], start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = a[x]
+    for cyc in _cycles(a):
         cycles_of.setdefault(len(cyc), []).append(cyc)
     gens = []
     for length, cycles in cycles_of.items():
@@ -421,6 +431,20 @@ def _centraliser_gens(a) -> list[tuple[int, ...]]:
                     g[x] = y
             gens.append(tuple(g))
     return gens
+
+
+def _slice_leads(a) -> set[int]:
+    """The least point of each orbit of the stabiliser of 0 in the centraliser of ``a``.
+
+    That stabiliser fixes each point of a's cycle through 0, and moves the
+    other cycles of each length onto one another, rotated freely: one orbit
+    per length, led by the first point of its first cycle.
+    """
+    zero, *others = _cycles(a)
+    firsts: dict[int, int] = {}
+    for cyc in others:
+        firsts.setdefault(len(cyc), cyc[0])
+    return set(zero).union(firsts.values())
 
 
 def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
@@ -465,11 +489,12 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 
 
 #: Most candidate (A representative, B) pairs a search may walk, counted from
-#: class sizes before anything is enumerated.  It prices whole classes, since
-#: it bounds the exhaustive walk; a first hit builds only the slices up to its
-#: witness.  Alt_12 (3,3,4) walks 985,600 in about 4.6 s with a 125 MB peak (a
-#: fresh process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out
-#: of 1 GB of memory.  It also bounds the image tuples _class_images keeps.
+#: class sizes before anything is enumerated.  It prices whole classes, though
+#: the walk skips slices and a first hit stops at its witness.  Alt_12 (3,3,4),
+#: priced at 985,600, walks 336,000 in about 1.4 s with a 59 MB peak (a fresh
+#: process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out of
+#: 1 GB of memory when every slice was walked.  It also bounds the image
+#: tuples _class_images keeps.
 MAX_PAIRS = 1_000_000
 
 
@@ -532,6 +557,14 @@ def find_generating_triple(
     candidate pairs is refused with ValueError) and then drives the walk.
     The filters, cheapest first:
 
+    - a B[0] slice is walked only if B[0] is the least point of its orbit
+      under the stabiliser of 0 in C(A), the centraliser of A in Sym_m
+      (_slice_leads reads these points off A's cycles).  Exact: if c fixes
+      0, commutes with A and sends B[0] = f below f, then c^-1 B c has
+      first point c[f] < f, lies in an earlier slice, and keeps A, the
+      classes of B and AB, transitivity and the order of <A, B>.  So every
+      B has a conjugate in a walked slice, and the least generating B,
+      the witness, lies in one itself;
     - a B class outside the plan for A is never enumerated for it; the
       others are enumerated slice by slice on B[0], each slice when the
       walk first reaches it (later A representatives reuse it), so a hit
@@ -551,10 +584,11 @@ def find_generating_triple(
     - the survivors are settled by the exact group order from the Sims table.
 
     Only B's known not to generate are skipped, so the walk order and the
-    first witness are those of the search without the orbit step.  Each
-    pair calls _cycle_lengths on AB, then on B if AB passes, _is_transitive
-    if Scott's test passes, and _bsgs_order if <A, B> is transitive and B
-    not known: bench/tracing.py reads the funnel off these calls.
+    first witness are those of the search without the orbit step; `known`
+    holds only the conjugates in walked slices.  Each walked pair calls
+    _cycle_lengths on AB, then on B if AB passes, _is_transitive if
+    Scott's test passes, and _bsgs_order if <A, B> is transitive and B not
+    known: bench/tracing.py reads the funnel off these calls.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -583,10 +617,11 @@ def find_generating_triple(
     reps = {lex_min_of_type(ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         centraliser = _centraliser_gens(a_img)
+        leads = _slice_leads(a_img)
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
         # every B with B[0] = v sorts before every B with B[0] = v + 1
-        for first in range(m):
+        for first in sorted(leads):
             for tb in kept[ta]:
                 if (tb, first) not in slices:
                     slices[tb, first] = _class_images(m, tb.parts, first)
@@ -611,8 +646,9 @@ def find_generating_triple(
                     return GenerationWitness(
                         ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
                     )
-                # B's earlier conjugates would have put B in `known`: the rest lie ahead
-                known |= _conjugacy_orbit(b_img, centraliser)
+                # B's earlier conjugates would have put B in `known`: the rest lie
+                # ahead, and only those in a walked slice are ever met
+                known.update(q for q in _conjugacy_orbit(b_img, centraliser) if q[0] in leads)
                 known.remove(b_img)
     return NotFound("exhausted all class pairs")
 

@@ -7,7 +7,9 @@ rigid table as a predicate instead of the spec rows ``tables`` expands;
 ``partitions`` lists every partition of m, the check on the cycle-type
 lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
 closures and ``conjugate`` composes by definition, the checks on the
-search's transitivity filter and its conjugation orbits.
+search's transitivity filter and its conjugation orbits;
+``centraliser_slice_leads`` builds a centraliser element by element, the
+check on which B[0] slices the search walks.
 Deliberately shares no code with the integer formulas under test.
 """
 
@@ -116,6 +118,37 @@ def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     """c^-1 p c as an image tuple: apply c^-1, then p, then c."""
     c_inv = sorted(range(len(c)), key=c.__getitem__)
     return tuple(c[p[c_inv[x]]] for x in range(len(c)))
+
+
+def centraliser_slice_leads(a: tuple[int, ...]) -> set[int]:
+    """The least point of each orbit of the stabiliser of 0 in the centraliser of ``a``.
+
+    Every c with c[a[x]] == a[c[x]] for all x is built point by point: once
+    c[x] = y is chosen, c[a[x]] = a[y] is forced, and a choice that clashes
+    with an earlier value or repeats one is dropped.  The elements with
+    c[0] == 0 form the stabiliser; the orbit of x is {c[x]} over them.
+    """
+    m = len(a)
+    stabiliser = []
+
+    def grow(c: list):
+        if None not in c:
+            if c[0] == 0:
+                stabiliser.append(tuple(c))
+            return
+        x0 = c.index(None)
+        for y0 in range(m):
+            if y0 in c:
+                continue
+            d, x, y = list(c), x0, y0
+            while d[x] is None and y not in d:
+                d[x] = y
+                x, y = a[x], a[y]
+            if d[x] == y:
+                grow(d)
+
+    grow([None] * m)
+    return {min(c[x] for c in stabiliser) for x in range(m)}
 
 
 def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:

@@ -48,7 +48,7 @@ def test_traced_search_funnel():
         permgrp.prove_non_generation(9, Triple(2, 3, 9))
     funnel = tracer.funnel()
     del funnel["transitive_pass"]
-    assert funnel == {"pairs_tried": 7840, "product_class_pass": 2112, "scott_pass": 2112,
+    assert funnel == {"pairs_tried": 2240, "product_class_pass": 384, "scott_pass": 384,
                       "bsgs_calls": 4, "accepted": 0}
 
 
@@ -78,9 +78,9 @@ def test_traced_funnels_with_a_warm_memo(monkeypatch):
             permgrp.prove_non_generation(9, Triple(2, 3, 9))
         funnel = tracer.funnel()
         del funnel["transitive_pass"]
-        assert funnel == {"pairs_tried": 7840, "product_class_pass": 2112, "scott_pass": 2112,
+        assert funnel == {"pairs_tried": 2240, "product_class_pass": 384, "scott_pass": 384,
                           "bsgs_calls": 4, "accepted": 0}
-        assert tracer.counters["class_images.elements"] == 5_600
+        assert tracer.counters["class_images.elements"] == 1_960
         with tracing.Tracer() as tracer:
             permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
         funnel = tracer.funnel()

@@ -28,11 +28,23 @@ from trisat.permgrp import (
 from trisat import permgrp
 from trisat.tables import generating_pair_hint
 
-from oracles import conjugate, group_elements, partitions, reaches_every_point
+from oracles import (
+    centraliser_slice_leads,
+    conjugate,
+    group_elements,
+    partitions,
+    reaches_every_point,
+)
 
 # The triples of the decide --alt-search benchmark grid.
 SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
                        (2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 3, 7))
+
+
+# The cases of test_matches_unpruned_search whose walk takes an A that moves 0
+# as far as the transitivity filter.
+ZERO_MOVED = {(8, (2, 3, 7)), (8, (2, 5, 7)), (8, (4, 5, 5)), (9, (3, 3, 4)),
+              (9, (3, 3, 5)), (9, (3, 3, 6)), (9, (3, 4, 5)), (9, (10, 10, 10))}
 
 
 def naive_order(gens):
@@ -404,6 +416,41 @@ class TestCentraliser:
         assert permgrp._conjugacy_orbit(b, gens) == expected
 
 
+class TestSliceLeads:
+    # The search walks the B[0] slices in _slice_leads(A); the oracle closes the
+    # stabiliser of 0 in C(A) element by element and reads its orbits.
+    @staticmethod
+    def representatives():
+        for m in range(5, 10):
+            for parts in partitions(m):
+                if 2 <= CycleType(parts).order <= 15:
+                    yield lex_min_of_type(CycleType(parts)).images
+
+    def test_lex_minimal_representatives(self):
+        reps = list(self.representatives())
+        assert len(reps) == 79
+        for a in reps:
+            assert permgrp._slice_leads(a) == centraliser_slice_leads(a), a
+
+    def test_random_conjugates(self):
+        # the rule reads A's cycles, so it must not rely on A being lex-minimal
+        rng = random.Random(21)
+        for a in self.representatives():
+            for _ in range(2):
+                c = tuple(rng.sample(range(len(a)), len(a)))
+                moved = conjugate(a, c)
+                assert permgrp._slice_leads(moved) == centraliser_slice_leads(moved), moved
+
+    def test_both_branches(self):
+        # 0 fixed: 0, the next fixed point, and the first point of each cycle length
+        a = lex_min_of_type(CycleType((3, 3, 2, 1))).images
+        assert a[0] == 0 and permgrp._slice_leads(a) == {0, 1, 3}
+        # 0 on a longer cycle: each point of that cycle, and the first of the next
+        for parts, leads in [((2, 2, 2, 2), {0, 1, 2}), ((4, 4), {0, 1, 2, 3, 4})]:
+            a = lex_min_of_type(CycleType(parts)).images
+            assert a[0] != 0 and permgrp._slice_leads(a) == leads == centraliser_slice_leads(a)
+
+
 @st.composite
 def permutation_pairs(draw):
     """Two permutations of 0..m-1, m = 5..12; half the time both keep the
@@ -515,10 +562,11 @@ class TestGenerationSearch:
 
     def test_exhaustive_walk_builds_each_slice_once(self, monkeypatch):
         # two A representatives walk the B classes of Alt_9 (2,3,9), yet each
-        # slice is built once: 5,600 elements, as many as the classes hold
+        # slice is built once: 1,960 elements, those of the slices on B[0] in
+        # {0, 1, 2, 4, 8} that either representative walks (of 5,600 in the classes)
         sizes = self.enumerated_sizes(monkeypatch)
         assert prove_non_generation(9, Triple(2, 3, 9)).method == "exhaustive"
-        assert sum(sizes) == 5_600
+        assert sum(sizes) == 1_960
 
     def test_later_search_reuses_the_slices(self, empty_memo):
         # (2,3,9) and (2,3,12) on 9 points walk the same A and B classes
@@ -531,16 +579,27 @@ class TestGenerationSearch:
 
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
-    # on every surviving pair.
+    # on every surviving pair.  (2,5,7), (4,5,5), (3,4,5) and (10,10,10) add
+    # witnesses whose A has no fixed point.
     @pytest.mark.parametrize("orders", SEARCH_GRID_TRIPLES + (
-        (4, 4, 6), (2, 3, 9), (3, 3, 6), (2, 3, 12), (2, 3, 15)))
+        (4, 4, 6), (2, 3, 9), (3, 3, 6), (2, 3, 12), (2, 3, 15),
+        (2, 5, 7), (4, 5, 5), (3, 4, 5), (10, 10, 10)))
     @pytest.mark.parametrize("m", [8, 9])
-    def test_matches_unpruned_search(self, m, orders):
+    def test_matches_unpruned_search(self, monkeypatch, m, orders):
         # Alt_9 (2,3,7): only the (2)^4(1) representative keeps a B class.
         # Alt_9 (3,3,4): the (3)^3 representative walks a merge of two classes.
         # Alt_8 (4,4,6): the witness is found inside a merge of two classes.
+        # A representative without fixed points has 0 on a longer cycle, so the
+        # search walks only the slices of that cycle's points and one per other
+        # length; ZERO_MOVED names the cases where such an A reaches the
+        # transitivity filter.
+        walked = set()
+        real = permgrp._is_transitive
+        monkeypatch.setattr(permgrp, "_is_transitive",
+                            lambda a, b, m: walked.add(a) or real(a, b, m))
         tr = Triple(*orders)
         assert search_outcome(find_generating_triple(m, tr)) == search_outcome(unpruned_search(m, tr))
+        assert any(a[0] != 0 for a in walked) == ((m, orders) in ZERO_MOVED)
 
     @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 4), ((3, 3, 6), 13)])
     def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, calls):
