@@ -18,7 +18,7 @@ from .fixtures import check_table
 from .permgrp import CycleType
 from .rootsys import DynkinType
 from .saturation import decide, ladder_verdict
-from .weil import CohomologyReport, Status, Triple, Verdict, codim_order_variety, h1_principal
+from .weil import CohomologyReport, Status, Triple, Verdict, h1_principal
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "alt_saturation_check",
     "bibi_criterion",
     "check_table",
-    "codim_order_variety",
     "decide",
     "h1_alt",
     "h1_bibi",

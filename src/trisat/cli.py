@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: h1, codim, ladder, bibi, alt, decide, table.  Output is UTF-8
+Subcommands: h1, ladder, bibi, alt, decide, table.  Output is UTF-8
 JSON by default, or flat TSV with --tsv.  Exit codes: 0 success (and exact
 fixture match for `table`), 1 fixture mismatch, 2 invalid input.
 """
@@ -17,7 +17,7 @@ from .bibi import BibiConfig, bibi_criterion, search_bibi
 from .permgrp import CycleType
 from .rootsys import DynkinType
 from .saturation import decide, ladder_verdict
-from .weil import Triple, codim_order_variety, h1_principal
+from .weil import Triple, h1_principal
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
@@ -54,8 +54,6 @@ def _bibi(t: DynkinType, tr: Triple, args) -> dict:
 TYPED = {
     "h1": ("principal H^1 report for (type, triple)",
            lambda t, tr, args: h1_principal(t, tr).as_dict()),
-    "codim": ("codimension of the order-dividing subvarieties",
-              lambda t, tr, args: {"codim": [codim_order_variety(t, n) for n in tr.orders]}),
     "ladder": ("principal-ladder verdict with the H^1 chain",
                lambda t, tr, args: ladder_verdict(t, tr).as_dict()),
     "bibi": ("SO(2k+1) x SO(2r-2k-1) < D_r criterion or sweep over k", _bibi),

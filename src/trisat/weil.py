@@ -11,9 +11,7 @@ where i, i* are the invariant dimensions on g and its dual.  For the
 representation induced from the principal homomorphism PGL_2 -> G the fixed
 spaces are exponent sums, dim g^x = sum_j (1 + 2*floor(e_j / a)), and the
 invariants vanish.  The same exponent sum equals the codimension of the
-subvariety of elements of order dividing a; for classical types that
-codimension also has Lawther's closed form, which codim_order_variety
-evaluates as a cross-check.
+subvariety of elements of order dividing a.
 
 The value types every deformation route shares live here too: Triple,
 CohomologyReport, and the verdict (Status, Verdict) that each route returns.
@@ -141,38 +139,3 @@ def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
              principal_fixed_dim(t, tr.c))
     return weil_h1(adjoint_dim(t), fixed)
 
-
-def lawther_closed_form(t: DynkinType, a: int) -> int:
-    """Lawther's closed form for codim G_[a] in the classical families."""
-    r = t.rank
-    h = {"A": r + 1, "B": 2 * r, "C": 2 * r, "D": 2 * r - 2}.get(t.family)
-    if h is None:
-        raise ValueError(f"{t} is not classical")
-    alpha, beta = divmod(h, a)  # h = alpha*a + beta, 0 <= beta < a
-    eps_a, eps_alpha = a % 2, alpha % 2
-    full = alpha**2 * a + beta * (2 * alpha + 1)
-    if t.family == "A":
-        return full - 1
-    half = full // 2 + eps_a * ((alpha + 1) // 2)
-    if t.family == "D":
-        return half + alpha + 1 - eps_alpha
-    return half
-
-
-def codim_order_variety(t: DynkinType, n: int) -> int:
-    """Codimension in G of the subvariety of elements of order dividing n.
-
-    Defined for every type by the exponent identity r + 2*sum(floor(e_j/n)),
-    which coincides with the principal fixed-space dimension.  For classical
-    families the Lawther closed form is evaluated as well and the two are
-    required to agree; a mismatch would mean an implementation bug, since
-    the two formulas are provably equal.
-    """
-    value = principal_fixed_dim(t, n)
-    if t.family in ("A", "B", "C", "D"):
-        closed = lawther_closed_form(t, n)
-        if closed != value:
-            raise AssertionError(
-                f"Lawther closed form {closed} != exponent sum {value} for {t}, n={n}"
-            )
-    return value

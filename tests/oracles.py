@@ -9,7 +9,9 @@ lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
 closures and ``conjugate`` composes by definition, the checks on the
 search's transitivity filter and its conjugation orbits;
 ``centraliser_slice_leads`` builds a centraliser element by element, the
-check on which B[0] slices the search walks.
+check on which B[0] slices the search walks; ``lawther_closed_form`` is
+Lawther's closed form for the codimension of the elements of order
+dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test.
 """
 
@@ -149,6 +151,23 @@ def centraliser_slice_leads(a: tuple[int, ...]) -> set[int]:
 
     grow([None] * m)
     return {min(c[x] for c in stabiliser) for x in range(m)}
+
+
+def lawther_closed_form(t: DynkinType, a: int) -> int:
+    """Lawther's closed form for codim G_[a] in the classical families."""
+    r = t.rank
+    h = {"A": r + 1, "B": 2 * r, "C": 2 * r, "D": 2 * r - 2}.get(t.family)
+    if h is None:
+        raise ValueError(f"{t} is not classical")
+    alpha, beta = divmod(h, a)  # h = alpha*a + beta, 0 <= beta < a
+    eps_a, eps_alpha = a % 2, alpha % 2
+    full = alpha**2 * a + beta * (2 * alpha + 1)
+    if t.family == "A":
+        return full - 1
+    half = full // 2 + eps_a * ((alpha + 1) // 2)
+    if t.family == "D":
+        return half + alpha + 1 - eps_alpha
+    return half
 
 
 def rigid_contains(t: DynkinType, orders: tuple[int, int, int]) -> bool:

@@ -21,9 +21,14 @@ from trisat.permgrp import (
     scott_min_sum,
 )
 from trisat.rootsys import all_types
-from trisat.weil import lawther_closed_form, principal_fixed_dim
+from trisat.weil import principal_fixed_dim
 
-from oracles import fixed_dim_numeric, principal_pair_matrix, standard_module_matrix
+from oracles import (
+    fixed_dim_numeric,
+    lawther_closed_form,
+    principal_pair_matrix,
+    standard_module_matrix,
+)
 from test_altmethod import _random_class_member, _random_partition
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -50,9 +52,11 @@ class TestH1Command:
 
 
 class TestOtherCommands:
-    def test_codim(self, capsys):
-        code, report = run_json(capsys, "codim", "--type", "D4", "--triple", "2,3,7")
-        assert code == 0 and report["codim"] == [12, 10, 4]
+    def test_codim_is_gone(self, capsys):
+        # h1's fixed list is the codimension list codim printed
+        with pytest.raises(SystemExit) as err:
+            cli.main(["codim", "--type", "D4", "--triple", "2,3,7"])
+        assert err.value.code == 2
 
     def test_ladder(self, capsys):
         code, report = run_json(capsys, "ladder", "--type", "E6", "--triple", "2,4,6")
@@ -103,10 +107,10 @@ class TestOtherCommands:
         assert code == 0 and report["status"] == "RigidZero"
 
     def test_tsv_mode(self, capsys):
-        code, out = run_cli(capsys, "codim", "--type", "D4", "--triple", "2,3,7", "--tsv")
+        code, out = run_cli(capsys, "h1", "--type", "D4", "--triple", "2,3,7", "--tsv")
         assert code == 0
         lines = dict(line.split("\t") for line in out.strip().splitlines())
-        assert lines["codim"] == "12,10,4"
+        assert lines["fixed"] == "12,10,4"
 
 
 class TestTableCommand:
@@ -144,11 +148,24 @@ class TestTableCommand:
             fixtures.check_table("bogus")
 
 
+def test_subcommand_lists_match_the_parser():
+    """The cli docstring and README's CLI block name exactly the parser's subcommands."""
+    parser_names = set(next(a for a in cli.build_parser()._actions
+                            if isinstance(a, argparse._SubParsersAction)).choices)
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+    docstring_names = {name.strip() for name in listed.split(",")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    readme_names = {line.split()[1] for line in block.splitlines() if line.startswith("trisat ")}
+    assert docstring_names == readme_names == parser_names
+
+
 # argv, exit code, stdout and stderr of cli.main, captured before the typed
 # subcommands shared one handler; the usage and --help rows that named
 # --trace, and `bibi --trace`, were captured again once --trace became a
-# `table` option.  Other top-level usage errors are left out: they list the
-# subcommands, whose order is not part of the contract.
+# `table` option, and `bibi --trace` once more when `codim` was dropped.
+# Other top-level usage errors are left out: they list the subcommands,
+# whose order is not part of the contract.
 _CLI_PINS = [json.loads(line)
              for line in (Path(__file__).parent / "cli_outputs.jsonl").read_text().splitlines()]
 

@@ -17,8 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisat"
 API = {
     "BibiConfig", "CohomologyReport", "CycleType", "DynkinType", "Status", "Triple",
     "Verdict", "alt_saturation_check", "bibi_criterion", "check_table",
-    "codim_order_variety", "decide", "h1_alt", "h1_bibi", "h1_principal",
-    "ladder_verdict", "search_bibi",
+    "decide", "h1_alt", "h1_bibi", "h1_principal", "ladder_verdict", "search_bibi",
 }
 
 
@@ -79,7 +78,7 @@ def test_routes_do_not_import_each_other():
 
 
 def test_top_level_api():
-    assert set(trisat.__all__) == API and len(trisat.__all__) == 17
+    assert set(trisat.__all__) == API and len(trisat.__all__) == 16
     assert all(hasattr(trisat, name) for name in API)
 
 

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trisat import DynkinType, Triple, codim_order_variety, h1_principal
-from trisat.rootsys import all_types, exponents
+from trisat import DynkinType, Triple, h1_principal
+from trisat.rootsys import MAX_RANK, all_types, exponents
 from trisat.weil import principal_fixed_dim, weil_h1
 
-from oracles import rigid_contains
+from oracles import lawther_closed_form, rigid_contains
 
 
 def T(label):
@@ -113,34 +115,65 @@ class TestH1Principal:
                 assert (h1 == 0) == rigid_contains(t, tr.orders), (str(t), tr.orders, h1)
 
 
+def coxeter(t):
+    return exponents(t)[-1] + 1
+
+
+@st.composite
+def classical_orders(draw):
+    """(t, n): a classical type of rank at most MAX_RANK and 2 <= n <= 2h + 1,
+    h the Coxeter number, so n also runs past h, where every floor(e_j / n) is 0."""
+    family, lo = draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 4)]))
+    t = DynkinType(family, draw(st.integers(lo, MAX_RANK)))
+    return t, draw(st.integers(2, 2 * coxeter(t) + 1))
+
+
+def _at_rank_cap(test):
+    """Pin n = h - 1, h, h + 1, 2h and 2h + 1 at the rank cap for each family."""
+    for family in "ABCD":
+        t = DynkinType(family, MAX_RANK)
+        h = coxeter(t)
+        for n in (h - 1, h, h + 1, 2 * h, 2 * h + 1):
+            test = example((t, n))(test)
+    return test
+
+
 class TestCodim:
+    """The principal fixed dimension dim g^x, read as codim G_[n]: the
+    codimension of the elements of order dividing n."""
+
     def test_a1(self):
         for a in range(2, 12):
-            assert codim_order_variety(T("A1"), a) == 1
+            assert principal_fixed_dim(T("A1"), a) == 1
 
     def test_b2(self):
-        assert codim_order_variety(T("B2"), 2) == 4
-        assert codim_order_variety(T("B2"), 3) == 4
-        assert codim_order_variety(T("B2"), 5) == 2
+        assert principal_fixed_dim(T("B2"), 2) == 4
+        assert principal_fixed_dim(T("B2"), 3) == 4
+        assert principal_fixed_dim(T("B2"), 5) == 2
 
     def test_d4(self):
-        assert codim_order_variety(T("D4"), 2) == 12
-        assert codim_order_variety(T("D4"), 3) == 10
-        assert codim_order_variety(T("D4"), 4) == 6
-        assert codim_order_variety(T("D4"), 5) == 6
-        assert codim_order_variety(T("D4"), 7) == 4
+        assert principal_fixed_dim(T("D4"), 2) == 12
+        assert principal_fixed_dim(T("D4"), 3) == 10
+        assert principal_fixed_dim(T("D4"), 4) == 6
+        assert principal_fixed_dim(T("D4"), 5) == 6
+        assert principal_fixed_dim(T("D4"), 7) == 4
 
     def test_e8_beyond_coxeter(self):
-        assert codim_order_variety(T("E8"), 30) == 8
+        assert principal_fixed_dim(T("E8"), 30) == 8
 
     def test_equals_rank_beyond_coxeter(self):
         for t in all_types(12):
-            h = exponents(t)[-1] + 1
-            assert codim_order_variety(t, h + 1) == t.rank
+            assert principal_fixed_dim(t, coxeter(t) + 1) == t.rank
 
     def test_lawther_identity_modest_sweep(self):
-        # codim_order_variety raises internally if the closed form disagrees
         for t in all_types(12):
             if t.family in "ABCD":
                 for n in range(2, 25):
-                    codim_order_variety(t, n)
+                    assert lawther_closed_form(t, n) == principal_fixed_dim(t, n), (str(t), n)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(classical_orders())
+    @_at_rank_cap
+    def test_lawther_identity_every_rank(self, case):
+        t, n = case
+        assert lawther_closed_form(t, n) == principal_fixed_dim(t, n), (str(t), n)
