@@ -74,19 +74,16 @@ def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -
     return weil_h1((m - 1) * (m - 2) // 2, fixed)
 
 
-def alt_saturation_check(m: int, tr: Triple, *, search: bool = True) -> Verdict:
+def alt_saturation_check(m: int, tr: Triple) -> Verdict:
     """Saturation test for the type with standard module of dimension m - 1.
 
     Looks for a generating pair of the right orders in Alt_m (using the
     built-in shape hints when the case is tabulated, otherwise a full class
-    search if ``search`` is set) and, given a witness, computes H^1 from
+    search that only decide gates) and, given a witness, computes H^1 from
     the witness's actual cycle shapes; positive H^1 certifies saturation.
     """
     key = {"m": m, "target": str(alt_target(m)), "triple": list(tr.orders)}
     hint = tables.generating_pair_hint(m, tr.orders)
-    if hint is None and not search:
-        return Verdict(Status.UNKNOWN, "alt",
-                       {**key, "reason": "no built-in generating pair and search disabled"})
     found = find_generating_triple(m, tr, shape_hint=hint)
     if isinstance(found, NotFound):
         return Verdict(Status.UNKNOWN, "alt",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: h1, ladder, bibi, alt, decide, table.  Output is UTF-8
-JSON by default, or flat TSV with --tsv.  Exit codes: 0 success (and exact
+JSON, or flat TSV with --tsv.  Exit codes: 0 success (and exact
 fixture match for `table`), 1 fixture mismatch, 2 invalid input.
 """
 
@@ -88,7 +88,7 @@ def cmd_alt(args) -> int:
                "fixed": list(report.fixed_dims), "z1": report.z1, "h1": report.h1},
               args)
         return 0
-    verdict = alt_saturation_check(m, tr, search=not args.no_search)
+    verdict = alt_saturation_check(m, tr)
     _emit({"m": m, "triple": list(tr.orders), **verdict.as_dict()}, args)
     return 0
 
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact saturation tests for hyperbolic triangle groups.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (default)")
     common.add_argument("--tsv", action="store_true", help="flat TSV output")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes", default=None,
                    help='three cycle types "3^3,3^3,7.1^2" (short types are '
                         "padded with fixed points); reports H^1 only")
-    p.add_argument("--no-search", action="store_true",
-                   help="only consult the built-in generating pairs")
     p.set_defaults(func=cmd_alt)
 
     p = sub.add_parser("table", parents=[common],

@@ -103,9 +103,9 @@ def _cycle_lengths(images) -> list[int]:
 #: the largest degree whose B/D target (B_r at m = 2r + 2) rootsys accepts.
 MAX_DEGREE = 2 * rootsys.MAX_RANK + 2
 
-_SHAPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
-_SHAPE_PRETTY = re.compile(r"\((\d+)\)(?:\^(\d+))?")
-_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\(\d+\)(?:\^\d+)?)+")
+_SHAPE_TERM = re.compile(r"^(\d+)(?:\^([1-9]\d*))?$")
+_SHAPE_PRETTY = re.compile(r"\((\d+)\)(?:\^([1-9]\d*))?")
+_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\(\d+\)(?:\^[1-9]\d*)?)+")
 
 
 @dataclass(frozen=True)

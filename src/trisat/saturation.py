@@ -89,11 +89,11 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
 
     Order: ladder, then the SO x SO embedding sweep (type D only), then the
     alternating-group method (types B of rank >= 3 and D of rank >= 4;
-    by default only triples with a built-in generating pair are tried,
-    alt_search=True enables the exhaustive class search).  Each route adds
-    one stage to the certificate: its verdict, or "skipped" with the reason
-    it does not apply.  If nothing certifies saturation the verdict is
-    Unknown, or RigidZero when the principal H^1 itself vanishes.
+    by default only triples with a built-in generating pair are tried, and
+    alt_search=True, the one gate on the class search, lifts that limit).
+    Each route adds one stage to the certificate: its verdict, or "skipped"
+    with the reason it does not apply.  If nothing certifies saturation the
+    verdict is Unknown, or RigidZero when the principal H^1 itself vanishes.
     """
     if t == _A1:
         return Verdict(

@@ -196,11 +196,6 @@ class TestAltSaturationCheck:
         assert v.status == Status.UNKNOWN
         assert "no generating pair" in v.certificate["reason"]
 
-    def test_search_disabled(self):
-        v = alt_saturation_check(9, Triple(2, 3, 7), search=False)
-        assert v.status == Status.UNKNOWN
-        assert "search disabled" in v.certificate["reason"]
-
 
 def _nonpositive_h1_triples(m):
     """Scott-admissible even class triples (A, B, AB) on m points, with

@@ -93,6 +93,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "A slot" in err and "not even" in err
 
+    def test_alt_shapes_reject_zero_multiplicity(self, capsys):
+        # "3^3.2^0" must be refused, not read as the (3)^3 it would pad to
+        assert cli.main(["alt", "--m", "9", "--triple", "3,3,7",
+                         "--shapes", "3^3.2^0,3^3,7.1^2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"]
+
     def test_alt_check(self, capsys):
         code, report = run_json(capsys, "alt", "--m", "9", "--triple", "3,3,9")
         assert code == 0 and report["status"] == "Saturated"
@@ -160,10 +168,35 @@ def test_subcommand_lists_match_the_parser():
     assert docstring_names == readme_names == parser_names
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["h1", "--type", "G2", "--triple", "2,3,7", "--json"], "--json"),
+    (["alt", "--m", "9", "--triple", "3,3,8", "--no-search"], "--no-search"),
+], ids=["json", "no-search"])
+def test_removed_switches_are_refused(argv, option, capsys):
+    # nothing read --json, and decide --alt-search is the one gate on the Alt_m search
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_readme_names_the_parser_options():
+    """README's CLI section names exactly the long options of the subcommands."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser_options = {opt for p in sub.choices.values() for a in p._actions
+                      for opt in a.option_strings if opt.startswith("--")} - {"--help"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.M | re.S).group(1)
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == parser_options
+
+
 # argv, exit code, stdout and stderr of cli.main, captured before the typed
 # subcommands shared one handler; the usage and --help rows that named
 # --trace, and `bibi --trace`, were captured again once --trace became a
 # `table` option, and `bibi --trace` once more when `codim` was dropped.
+# The two subcommand usage errors and the six --help rows were captured
+# again when --json and `alt --no-search` were dropped.
 # Other top-level usage errors are left out: they list the subcommands,
 # whose order is not part of the contract.
 _CLI_PINS = [json.loads(line)

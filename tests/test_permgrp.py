@@ -162,6 +162,12 @@ class TestCycleType:
         with pytest.raises(ValueError):
             CycleType.parse(text)
 
+    @pytest.mark.parametrize("text", ["3^3.2^0", "(3)^0(5)", "3^0.5", "3^01", "(3)^01"])
+    def test_zero_multiplicity_is_refused(self, text):
+        # a ^0 term must not vanish silently; a multiplicity ^01 is refused with it
+        with pytest.raises(ValueError):
+            CycleType.parse(text)
+
     def test_str_round_trips(self):
         for m in (5, 8, 9):
             for n in (1, 2, 3, 6):
