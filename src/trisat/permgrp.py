@@ -7,14 +7,14 @@ Alt_m, and non-generation proofs (Scott's cycle-count bound, else
 exhaustion over class pairs).  The search enumerates each B class slice
 by slice on B[0], in lexicographic order, and stops at the first witness,
 so a hit builds only the slices up to its own.  For each A it walks only
-the slices whose B[0] is the least point of its orbit under the
-stabiliser of 0 in the centraliser C(A) of A, and it settles each
-C(A)-orbit of B with one Sims-table call.  Neither step changes a witness
-or an answer: the first cuts the pairs walked, the second the calls to
-_bsgs_order.  find_generating_triple states both with the cheaper
-filters.  One process enumerates each class slice once, up to MAX_PAIRS
-image tuples: the lists are shared and read-only, and stay held until
-that memo empties or the process exits.
+the B whose every point B[k] is the least of its orbit under the pointwise
+stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A, block by
+block, and it settles each C(A)-orbit of B with one Sims-table call.
+Neither step changes a witness or an answer: the first cuts the pairs
+walked, the second the calls to _bsgs_order.  find_generating_triple
+states both with the cheaper filters.  One process enumerates each class
+slice once, up to MAX_PAIRS image tuples: the lists are shared and
+read-only, and stay held until that memo empties or the process exits.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -23,6 +23,7 @@ and the conjugacy class of a product are unaffected by this choice.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -103,9 +104,9 @@ def _cycle_lengths(images) -> list[int]:
 #: the largest degree whose B/D target (B_r at m = 2r + 2) rootsys accepts.
 MAX_DEGREE = 2 * rootsys.MAX_RANK + 2
 
-_SHAPE_TERM = re.compile(r"^(\d+)(?:\^([1-9]\d*))?$")
-_SHAPE_PRETTY = re.compile(r"\((\d+)\)(?:\^([1-9]\d*))?")
-_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\(\d+\)(?:\^[1-9]\d*)?)+")
+_SHAPE_TERM = re.compile(r"^([1-9]\d*)(?:\^([1-9]\d*))?$")
+_SHAPE_PRETTY = re.compile(r"\(([1-9]\d*)\)(?:\^([1-9]\d*))?")
+_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\([1-9]\d*\)(?:\^[1-9]\d*)?)+")
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ class CycleType:
                     raise ValueError(f"cannot parse cycle type term {term!r}")
                 matches.append(m.groups())
         terms = [(int(length), int(mult or 1)) for length, mult in matches]
-        # a zero length is rejected below, but still costs one list entry
-        if sum(max(length, 1) * mult for length, mult in terms) > MAX_DEGREE:
+        if sum(length * mult for length, mult in terms) > MAX_DEGREE:
             raise ValueError(f"cycle type {text!r} exceeds supported degree cap {MAX_DEGREE}")
         parts = [length for length, mult in terms for _ in range(mult)]
         if not parts:
@@ -433,18 +433,49 @@ def _centraliser_gens(a) -> list[tuple[int, ...]]:
     return gens
 
 
-def _slice_leads(a) -> set[int]:
-    """The least point of each orbit of the stabiliser of 0 in the centraliser of ``a``.
+def _leads(cycles, fixed) -> set[int]:
+    """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(A).
 
-    That stabiliser fixes each point of a's cycle through 0, and moves the
-    other cycles of each length onto one another, rotated freely: one orbit
-    per length, led by the first point of its first cycle.
+    ``cycles`` are A's, read by _cycles.  That stabiliser fixes each point of
+    a cycle that meets ``fixed``, and moves the other cycles of each length
+    onto one another, rotated freely: one orbit per length, led by the first
+    point of its first cycle.
     """
-    zero, *others = _cycles(a)
+    leads: set[int] = set()
     firsts: dict[int, int] = {}
-    for cyc in others:
-        firsts.setdefault(len(cyc), cyc[0])
-    return set(zero).union(firsts.values())
+    for cyc in cycles:
+        if fixed.isdisjoint(cyc):
+            firsts.setdefault(len(cyc), cyc[0])
+        else:
+            leads.update(cyc)
+    return leads.union(firsts.values())
+
+
+def _block_walk(images, cycles):
+    """The tuples of the sorted slice ``images`` that pass the C(A) rule at every position.
+
+    The tuples with one prefix B[0..k-1] form one block, found by bisection.
+    Inside it, the block with B[k] = v is walked only if v is in _leads of
+    F = {0..k} and B[0..k-1].  Once every orbit is a single point, no block
+    below is skipped, so the block is handed out whole.
+    """
+    if not images:
+        return iter(())
+    m = len(images[0])
+
+    def blocks(lo, hi, k, fixed):
+        leads = _leads(cycles, fixed)
+        if len(leads) == m:
+            yield images[lo:hi]
+            return
+        prefix = images[lo][:k]
+        for v in sorted(leads):
+            start = bisect.bisect_left(images, prefix + (v,), lo, hi)
+            end = bisect.bisect_left(images, prefix + (v + 1,), start, hi)
+            if start < end:
+                yield from blocks(start, end, k + 1, fixed | {k + 1, v})
+
+    return itertools.chain.from_iterable(blocks(0, len(images), 1, {0, 1, images[0][0]}))
 
 
 def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
@@ -490,11 +521,11 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 
 #: Most candidate (A representative, B) pairs a search may walk, counted from
 #: class sizes before anything is enumerated.  It prices whole classes, though
-#: the walk skips slices and a first hit stops at its witness.  Alt_12 (3,3,4),
-#: priced at 985,600, walks 336,000 in about 1.4 s with a 59 MB peak (a fresh
-#: process on a 2-vCPU Xeon VM); Alt_14 (2,3,7), at 22,422,400, ran out of
-#: 1 GB of memory when every slice was walked.  It also bounds the image
-#: tuples _class_images keeps.
+#: the walk skips slices and blocks and a first hit stops at its witness.
+#: Alt_12 (3,3,4), priced at 985,600, builds 291,200 B's and walks 8,240 in
+#: about 0.6 s with a 59 MB peak (a fresh process on a 2-vCPU Xeon VM);
+#: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every slice
+#: was walked.  It also bounds the image tuples _class_images keeps.
 MAX_PAIRS = 1_000_000
 
 
@@ -557,14 +588,15 @@ def find_generating_triple(
     candidate pairs is refused with ValueError) and then drives the walk.
     The filters, cheapest first:
 
-    - a B[0] slice is walked only if B[0] is the least point of its orbit
-      under the stabiliser of 0 in C(A), the centraliser of A in Sym_m
-      (_slice_leads reads these points off A's cycles).  Exact: if c fixes
-      0, commutes with A and sends B[0] = f below f, then c^-1 B c has
-      first point c[f] < f, lies in an earlier slice, and keeps A, the
-      classes of B and AB, transitivity and the order of <A, B>.  So every
-      B has a conjugate in a walked slice, and the least generating B,
-      the witness, lies in one itself;
+    - a B is walked only if each B[k] is the least point of its orbit
+      under the pointwise stabiliser of F = {0..k} and B[0..k-1] in C(A),
+      the centraliser of A in Sym_m (_leads reads these points off A's
+      cycles; at k = 0 they pick the B[0] slices, and _block_walk the
+      blocks below).  Exact: if c fixes F, commutes with A and sends
+      B[k] = v below v, then c^-1 B c agrees with B before k, has c[v] at
+      k, so sorts before B, and keeps A, the classes of B and AB,
+      transitivity and the order of <A, B>.  So the least B of each
+      C(A)-orbit is walked, first of its orbit, and the witness with it;
     - a B class outside the plan for A is never enumerated for it; the
       others are enumerated slice by slice on B[0], each slice when the
       walk first reaches it (later A representatives reuse it), so a hit
@@ -585,10 +617,11 @@ def find_generating_triple(
 
     Only B's known not to generate are skipped, so the walk order and the
     first witness are those of the search without the orbit step; `known`
-    holds only the conjugates in walked slices.  Each walked pair calls
-    _cycle_lengths on AB, then on B if AB passes, _is_transitive if
-    Scott's test passes, and _bsgs_order if <A, B> is transitive and B not
-    known: bench/tracing.py reads the funnel off these calls.
+    holds the conjugates in walked slices, those in skipped blocks unmet.
+    Each walked pair calls _cycle_lengths on AB, then on B if AB passes,
+    _is_transitive if Scott's test passes, and _bsgs_order if <A, B> is
+    transitive and B not known: bench/tracing.py reads the funnel off
+    these calls.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -617,7 +650,8 @@ def find_generating_triple(
     reps = {lex_min_of_type(ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         centraliser = _centraliser_gens(a_img)
-        leads = _slice_leads(a_img)
+        cycles = _cycles(a_img)
+        leads = _leads(cycles, {0})
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
         # every B with B[0] = v sorts before every B with B[0] = v + 1
@@ -625,7 +659,7 @@ def find_generating_triple(
             for tb in kept[ta]:
                 if (tb, first) not in slices:
                     slices[tb, first] = _class_images(m, tb.parts, first)
-            walk = [slices[tb, first] for tb in kept[ta]]
+            walk = [_block_walk(slices[tb, first], cycles) for tb in kept[ta]]
             for b_img in walk[0] if len(walk) == 1 else heapq.merge(*walk):
                 lengths = _cycle_lengths(times_a(b_img))
                 if len(lengths) not in counts_c:
@@ -647,7 +681,8 @@ def find_generating_triple(
                         ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
                     )
                 # B's earlier conjugates would have put B in `known`: the rest lie
-                # ahead, and only those in a walked slice are ever met
+                # ahead, and of those in a walked slice the ones in a skipped block
+                # stay in `known` unmet
                 known.update(q for q in _conjugacy_orbit(b_img, centraliser) if q[0] in leads)
                 known.remove(b_img)
     return NotFound("exhausted all class pairs")

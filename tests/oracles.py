@@ -8,8 +8,8 @@ rigid table as a predicate instead of the spec rows ``tables`` expands;
 lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
 closures and ``conjugate`` composes by definition, the checks on the
 search's transitivity filter and its conjugation orbits;
-``centraliser_slice_leads`` builds a centraliser element by element, the
-check on which B[0] slices the search walks; ``lawther_closed_form`` is
+``centraliser_leads`` builds a centraliser element by element, the
+check on which blocks of B the search walks; ``lawther_closed_form`` is
 Lawther's closed form for the codimension of the elements of order
 dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test.
@@ -122,20 +122,22 @@ def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c[p[c_inv[x]]] for x in range(len(c)))
 
 
-def centraliser_slice_leads(a: tuple[int, ...]) -> set[int]:
-    """The least point of each orbit of the stabiliser of 0 in the centraliser of ``a``.
+def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
+    """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(a).
 
-    Every c with c[a[x]] == a[c[x]] for all x is built point by point: once
+    C(a) is the centraliser of ``a`` in Sym_m.  Every c in it, that is every
+    c with c[a[x]] == a[c[x]] for all x, is built point by point: once
     c[x] = y is chosen, c[a[x]] = a[y] is forced, and a choice that clashes
     with an earlier value or repeats one is dropped.  The elements with
-    c[0] == 0 form the stabiliser; the orbit of x is {c[x]} over them.
+    c[x] == x for every x in ``fixed`` form the stabiliser; the orbit of x is
+    {c[x]} over them.
     """
     m = len(a)
     stabiliser = []
 
     def grow(c: list):
         if None not in c:
-            if c[0] == 0:
+            if all(c[x] == x for x in fixed):
                 stabiliser.append(tuple(c))
             return
         x0 = c.index(None)

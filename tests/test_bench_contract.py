@@ -48,20 +48,20 @@ def test_traced_search_funnel():
         permgrp.prove_non_generation(9, Triple(2, 3, 9))
     funnel = tracer.funnel()
     del funnel["transitive_pass"]
-    assert funnel == {"pairs_tried": 2240, "product_class_pass": 384, "scott_pass": 384,
+    assert funnel == {"pairs_tried": 176, "product_class_pass": 63, "scott_pass": 63,
                       "bsgs_calls": 4, "accepted": 0}
 
 
 def test_traced_first_hit_funnel():
-    # Hinted Alt_11 (2,3,11) goes the first-hit route: its witness is the
-    # 23,810th pair, in slice 1 of the (3)^3(1)^2 class, so slices 0 and 1
-    # (22,400 + 10,080 elements) are all that is built.
+    # Hinted Alt_11 (2,3,11) goes the first-hit route: its witness lies in
+    # slice 1 of the (3)^3(1)^2 class, so slices 0 and 1 (22,400 + 10,080
+    # elements) are all that is built, and the 151st pair walked is the witness.
     with _load("tracing").Tracer() as tracer:
         permgrp.find_generating_triple(11, Triple(2, 3, 11),
                                        shape_hint=tables.generating_pair_hint(11, (2, 3, 11)))
     funnel = tracer.funnel()
     del funnel["transitive_pass"]
-    assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
+    assert funnel == {"pairs_tried": 151, "product_class_pass": 1, "scott_pass": 1,
                       "bsgs_calls": 1, "accepted": 1}
     assert tracer.counters["class_images.elements"] == 32_480
 
@@ -78,14 +78,14 @@ def test_traced_funnels_with_a_warm_memo(monkeypatch):
             permgrp.prove_non_generation(9, Triple(2, 3, 9))
         funnel = tracer.funnel()
         del funnel["transitive_pass"]
-        assert funnel == {"pairs_tried": 2240, "product_class_pass": 384, "scott_pass": 384,
+        assert funnel == {"pairs_tried": 176, "product_class_pass": 63, "scott_pass": 63,
                           "bsgs_calls": 4, "accepted": 0}
         assert tracer.counters["class_images.elements"] == 1_960
         with tracing.Tracer() as tracer:
             permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
         funnel = tracer.funnel()
         del funnel["transitive_pass"]
-        assert funnel == {"pairs_tried": 23810, "product_class_pass": 1, "scott_pass": 1,
+        assert funnel == {"pairs_tried": 151, "product_class_pass": 1, "scott_pass": 1,
                           "bsgs_calls": 1, "accepted": 1}
         assert tracer.counters["class_images.elements"] == 32_480
 

@@ -29,7 +29,7 @@ from trisat import permgrp
 from trisat.tables import generating_pair_hint
 
 from oracles import (
-    centraliser_slice_leads,
+    centraliser_leads,
     conjugate,
     group_elements,
     partitions,
@@ -166,6 +166,12 @@ class TestCycleType:
     def test_zero_multiplicity_is_refused(self, text):
         # a ^0 term must not vanish silently; a multiplicity ^01 is refused with it
         with pytest.raises(ValueError):
+            CycleType.parse(text)
+
+    @pytest.mark.parametrize("text", ["03^3", "(03)^3", "3^3.01", "0"])
+    def test_leading_zero_length_is_refused(self, text):
+        # a cycle length is written as a multiplicity is: no leading zero, no 0
+        with pytest.raises(ValueError, match="cannot parse"):
             CycleType.parse(text)
 
     def test_str_round_trips(self):
@@ -423,8 +429,9 @@ class TestCentraliser:
 
 
 class TestSliceLeads:
-    # The search walks the B[0] slices in _slice_leads(A); the oracle closes the
-    # stabiliser of 0 in C(A) element by element and reads its orbits.
+    # The search walks the blocks of B whose next point is in _leads(A's
+    # cycles, F); the oracle closes the pointwise stabiliser of F in C(A)
+    # element by element and reads its orbits.
     @staticmethod
     def representatives():
         for m in range(5, 10):
@@ -432,11 +439,15 @@ class TestSliceLeads:
                 if 2 <= CycleType(parts).order <= 15:
                     yield lex_min_of_type(CycleType(parts)).images
 
+    @staticmethod
+    def leads(a, fixed):
+        return permgrp._leads(permgrp._cycles(a), set(fixed))
+
     def test_lex_minimal_representatives(self):
         reps = list(self.representatives())
         assert len(reps) == 79
         for a in reps:
-            assert permgrp._slice_leads(a) == centraliser_slice_leads(a), a
+            assert self.leads(a, {0}) == centraliser_leads(a, {0}), a
 
     def test_random_conjugates(self):
         # the rule reads A's cycles, so it must not rely on A being lex-minimal
@@ -445,16 +456,81 @@ class TestSliceLeads:
             for _ in range(2):
                 c = tuple(rng.sample(range(len(a)), len(a)))
                 moved = conjugate(a, c)
-                assert permgrp._slice_leads(moved) == centraliser_slice_leads(moved), moved
+                assert self.leads(moved, {0}) == centraliser_leads(moved, {0}), moved
+
+    def test_fixed_sets(self):
+        # deeper in the walk F = {0..k} and B[0..k-1]; here F is drawn at
+        # random, of every size from 0 to m - 1
+        rng = random.Random(25)
+        for a in self.representatives():
+            m = len(a)
+            for size in (0, 1, 2, 3, m // 2, m - 1):
+                fixed = set(rng.sample(range(m), size))
+                assert self.leads(a, fixed) == centraliser_leads(a, fixed), (a, fixed)
 
     def test_both_branches(self):
         # 0 fixed: 0, the next fixed point, and the first point of each cycle length
         a = lex_min_of_type(CycleType((3, 3, 2, 1))).images
-        assert a[0] == 0 and permgrp._slice_leads(a) == {0, 1, 3}
+        assert a[0] == 0 and self.leads(a, {0}) == {0, 1, 3}
         # 0 on a longer cycle: each point of that cycle, and the first of the next
         for parts, leads in [((2, 2, 2, 2), {0, 1, 2}), ((4, 4), {0, 1, 2, 3, 4})]:
             a = lex_min_of_type(CycleType(parts)).images
-            assert a[0] != 0 and permgrp._slice_leads(a) == leads == centraliser_slice_leads(a)
+            assert a[0] != 0 and self.leads(a, {0}) == leads == centraliser_leads(a, {0})
+        # A = (0)(1 2)(3 4)(5 6)(7 8) with F = {0, 1, 3}: the touched cycles in
+        # full, and 5 for the two untouched 2-cycles
+        a = lex_min_of_type(CycleType((2, 2, 2, 2, 1))).images
+        assert self.leads(a, {0, 1, 3}) == {0, 1, 2, 3, 4, 5} == centraliser_leads(a, {0, 1, 3})
+
+
+def orbit_minima(images, gens):
+    """The least element of each orbit of the sorted ``images`` under conjugation
+    by the group ``gens`` generate, closing each orbit generator by generator."""
+    seen, minima = set(), set()
+    for b in images:  # sorted, so each orbit is first met at its least element
+        if b in seen:
+            continue
+        minima.add(b)
+        seen.add(b)
+        frontier = [b]
+        while frontier:
+            p = frontier.pop()
+            for c in gens:
+                q = conjugate(p, c)
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+    return minima
+
+
+class TestBlockWalk:
+    # Within a B[0] slice the walk hands out a sorted part of the slice, as
+    # the very tuples of the slice (bench/tracing.py tells B from AB by
+    # identity); over the slices on _leads(A's cycles, {0}) it meets the
+    # least element of every C(A)-orbit of the class, so no witness is lost.
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_meets_every_orbit_minimum(self, m):
+        rng = random.Random(m)
+        classes = [p for p in partitions(m) if CycleType(p).order > 1]
+        walked_total = class_total = 0
+        for parts_a in classes:
+            if CycleType(parts_a).order > 15:
+                continue
+            a = lex_min_of_type(CycleType(parts_a)).images
+            cycles, gens = permgrp._cycles(a), permgrp._centraliser_gens(a)
+            for parts_b in rng.sample(classes, 3):
+                walked = []
+                for f in range(m):
+                    slice_ = permgrp._class_images(m, parts_b, f)
+                    ids = set(map(id, slice_))
+                    got = list(permgrp._block_walk(slice_, cycles))
+                    assert got == sorted(set(got)) and all(id(b) in ids for b in got)
+                    if f in permgrp._leads(cycles, {0}):
+                        walked.extend(got)
+                whole = whole_class(m, parts_b)
+                assert orbit_minima(whole, gens) <= set(walked), (a, parts_b)
+                walked_total += len(walked)
+                class_total += len(whole)
+        assert walked_total < class_total / 2
 
 
 @st.composite
@@ -599,13 +675,31 @@ class TestGenerationSearch:
         # search walks only the slices of that cycle's points and one per other
         # length; ZERO_MOVED names the cases where such an A reaches the
         # transitivity filter.
+        # The B's that reach the Sims table are the least of each C(A)-orbit
+        # among the unpruned search's transitive survivors: those survivors
+        # are met in lex order and an orbit either survives whole or not at
+        # all, so its least element is the first one met.
         walked = set()
         real = permgrp._is_transitive
         monkeypatch.setattr(permgrp, "_is_transitive",
                             lambda a, b, m: walked.add(a) or real(a, b, m))
+        sims_calls = []
+        real_bsgs = permgrp._bsgs_order
+        monkeypatch.setattr(permgrp, "_bsgs_order",
+                            lambda gens, m: sims_calls.append(tuple(gens)) or real_bsgs(gens, m))
         tr = Triple(*orders)
-        assert search_outcome(find_generating_triple(m, tr)) == search_outcome(unpruned_search(m, tr))
+        found = search_outcome(find_generating_triple(m, tr))
         assert any(a[0] != 0 for a in walked) == ((m, orders) in ZERO_MOVED)
+        pruned_calls = sims_calls.copy()
+        sims_calls.clear()
+        assert found == search_outcome(unpruned_search(m, tr))
+        minima, met = [], set()
+        for a, b in sims_calls:
+            if (a, b) not in met:
+                minima.append((a, b))
+                centraliser = group_elements(permgrp._centraliser_gens(a))
+                met.update((a, conjugate(b, c)) for c in centraliser)
+        assert pruned_calls == minima
 
     @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 4), ((3, 3, 6), 13)])
     def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, calls):
