@@ -65,15 +65,14 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(_mul(self.images, other.images))
+        # apply self first, then other; a generator, not itemgetter, which
+        # returns a scalar on one point
+        q = other.images
+        return Permutation(tuple(q[i] for i in self.images))
 
 
-# Image-tuple kernel, shared by Permutation, the search and the Sims table.
-
-
-def _mul(p, q):
-    # apply p first, then q
-    return tuple(q[i] for i in p)
+# Image-tuple kernel: _inv for the Sims table and the orbit step,
+# _cycle_lengths for cycle_type and the search.
 
 
 def _inv(p):
@@ -337,9 +336,17 @@ def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int,
 
 
 def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
-    """Order of the group generated by the image tuples ``gens`` on m points."""
+    """Order of the group generated by the image tuples ``gens`` on m points.
+
+    Beside each coset representative reps[k][j] the table keeps its inverse
+    invs[k][j], computed once when the representative enters, so a sift
+    step never inverts.  Every product is one itemgetter gather:
+    g * u^-1 is itemgetter(*g)(u^-1), u * g is itemgetter(*u)(g).  A product
+    is formed only once g moves a point, so m >= 2 and the gather is a tuple.
+    """
     ident = tuple(range(m))
     reps = [{k: ident} for k in range(m)]  # reps[k][j] fixes 0..k-1 and sends k to j
+    invs = [{k: ident} for k in range(m)]  # invs[k][j] is the inverse of reps[k][j]
     strong: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
 
     # Every strong generator added below level k lies in <strong[k]>, and
@@ -348,24 +355,25 @@ def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
     def add(k, g):
         for i in range(k, m):
             if g[i] != i:
-                u = reps[i].get(g[i])
-                if u is None:
+                v = invs[i].get(g[i])
+                if v is None:
                     break
-                g = _mul(g, _inv(u))
+                g = operator.itemgetter(*g)(v)
         else:
             return  # g sifted to the identity: already a member
         strong[k].append(g)
         for u in list(reps[k].values()):
-            close(k, _mul(u, g))
+            close(k, operator.itemgetter(*u)(g))
 
     def close(k, g):
-        u = reps[k].get(g[k])
-        if u is None:
+        v = invs[k].get(g[k])
+        if v is None:
             reps[k][g[k]] = g
+            invs[k][g[k]] = _inv(g)
             for s in strong[k]:
-                close(k, _mul(g, s))
+                close(k, operator.itemgetter(*g)(s))
         else:
-            add(k + 1, _mul(g, _inv(u)))
+            add(k + 1, operator.itemgetter(*g)(v))
 
     for g in gens:
         add(0, g)
@@ -523,7 +531,8 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 #: class sizes before anything is enumerated.  It prices whole classes, though
 #: the walk skips slices and blocks and a first hit stops at its witness.
 #: Alt_12 (3,3,4), priced at 985,600, builds 291,200 B's and walks 8,240 in
-#: about 0.6 s with a 59 MB peak (a fresh process on a 2-vCPU Xeon VM);
+#: about 0.67 s CPU with a 59 MB peak (median of 8 fresh processes on a
+#: 2-vCPU Xeon VM);
 #: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every slice
 #: was walked.  It also bounds the image tuples _class_images keeps.
 MAX_PAIRS = 1_000_000

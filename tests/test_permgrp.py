@@ -315,19 +315,22 @@ class TestGroupOrder:
     def test_identity_only(self):
         assert group_order([Permutation(range(5))]) == 1
 
-    def test_against_naive_closure(self):
-        rng = random.Random(20240817)
-        for _ in range(25):
-            m = rng.randint(3, 7)
-            k = rng.randint(1, 3)
-            gens = []
-            for _ in range(k):
-                imgs = list(range(m))
-                rng.shuffle(imgs)
-                gens.append(Permutation(imgs))
-            assert group_order(gens) == naive_order(gens)
+    def test_one_and_two_points(self):
+        # the table gathers only once a point moves, so never on one point
+        assert group_order([Permutation((0,))]) == 1
+        assert group_order([Permutation((1, 0))]) == 2
+        assert Permutation((0,)) * Permutation((0,)) == Permutation((0,))
 
-    @pytest.mark.parametrize("m,orders", [(8, (3, 3, 6)), (9, (2, 3, 7))])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(2, 7).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)))
+    def test_against_naive_closure(self, gens):
+        # odd generators included: the table is not confined to Alt_m
+        gens = [Permutation(g) for g in gens]
+        assert group_order(gens) == naive_order(gens)
+
+    @pytest.mark.parametrize("m,orders", [(8, (3, 3, 6)), (9, (2, 3, 7)),
+                                          (9, (2, 3, 9)), (9, (3, 3, 6))])
     def test_exhaustive_proof_groups_against_naive_closure(self, monkeypatch, m, orders):
         seen = []
         real = permgrp._bsgs_order
