@@ -9,10 +9,10 @@ by slice on B[0], in lexicographic order, and stops at the first witness,
 so a hit builds only the slices up to its own.  For each A it walks only
 the B whose every point B[k] is the least of its orbit under the pointwise
 stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A, block by
-block, and it settles each C(A)-orbit of B with one Sims-table call.
-Neither step changes a witness or an answer: the first cuts the pairs
-walked, the second the calls to _bsgs_order.  find_generating_triple
-states both with the cheaper filters.  One process enumerates each class
+block.  That cuts the pairs walked and changes no witness or answer;
+find_generating_triple states it with the cheaper filters.  Each walked
+pair that passes them gets its own Sims-table call, so the search keeps
+no state from one B to the next.  One process enumerates each class
 slice once, up to MAX_PAIRS image tuples: the lists are shared and
 read-only, and stay held until that memo empties or the process exits.
 
@@ -71,7 +71,7 @@ class Permutation:
         return Permutation(tuple(q[i] for i in self.images))
 
 
-# Image-tuple kernel: _inv for the Sims table and the orbit step,
+# Image-tuple kernel: _inv for the Sims table,
 # _cycle_lengths for cycle_type and the search.
 
 
@@ -409,38 +409,6 @@ def _cycles(a) -> list[list[int]]:
     return cycles
 
 
-def _centraliser_gens(a) -> list[tuple[int, ...]]:
-    """Generators of the centraliser of the image tuple ``a`` in Sym_m.
-
-    For each cycle length l of a, with k cycles of that length: the rotation
-    of the first of them (l > 1), the swap of the first two (k > 1) and the
-    cyclic shift of all k (k > 2), each matching the points of the cycles
-    along a.  Together they generate prod_l C_l wr Sym_k, the whole
-    centraliser (Dixon-Mortimer, Permutation Groups, 1996, section 1.6).
-    """
-    m = len(a)
-    cycles_of: dict[int, list[list[int]]] = {}
-    for cyc in _cycles(a):
-        cycles_of.setdefault(len(cyc), []).append(cyc)
-    gens = []
-    for length, cycles in cycles_of.items():
-        # each move sends the points of cycles[i] to those of targets[i]
-        moves = []
-        if length > 1:
-            moves.append([cycles[0][1:] + cycles[0][:1]])  # rotate the first
-        if len(cycles) > 1:
-            moves.append(cycles[1::-1])  # swap the first two
-        if len(cycles) > 2:
-            moves.append(cycles[1:] + cycles[:1])  # shift all k
-        for targets in moves:
-            g = list(range(m))
-            for cyc, target in zip(cycles, targets):
-                for x, y in zip(cyc, target):
-                    g[x] = y
-            gens.append(tuple(g))
-    return gens
-
-
 def _leads(cycles, fixed) -> set[int]:
     """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(A).
 
@@ -484,26 +452,6 @@ def _block_walk(images, cycles):
                 yield from blocks(start, end, k + 1, fixed | {k + 1, v})
 
     return itertools.chain.from_iterable(blocks(0, len(images), 1, {0, 1, images[0][0]}))
-
-
-def _conjugacy_orbit(b, gens) -> set[tuple[int, ...]]:
-    """All c^-1 b c for c in the group generated by ``gens`` (BFS), on m >= 5 points.
-
-    c^-1 p c sends c[x] to c[p[x]]: c gathered by p, then by c^-1, two C-level
-    itemgetter calls (on one point itemgetter would return a scalar).
-    """
-    moves = [(c, operator.itemgetter(*_inv(c))) for c in gens]
-    orbit = {b}
-    frontier = [b]
-    while frontier:
-        p = frontier.pop()
-        by_p = operator.itemgetter(*p)
-        for c, by_cinv in moves:
-            q = by_cinv(by_p(c))
-            if q not in orbit:
-                orbit.add(q)
-                frontier.append(q)
-    return orbit
 
 
 def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
@@ -617,20 +565,11 @@ def find_generating_triple(
       allowed AB class (the wrong order or class);
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
-    - a pair whose B is conjugate, under the centraliser C(A) of A in
-      Sym_m, to a B already shown not to generate is skipped: c^-1 B c
-      keeps A, the classes of B and AB, transitivity and the order of
-      <A, B> (Alt_m is normal in Sym_m), so one Sims-table call settles a
-      whole C(A)-orbit;
-    - the survivors are settled by the exact group order from the Sims table.
+    - each survivor is settled by the exact group order from the Sims table.
 
-    Only B's known not to generate are skipped, so the walk order and the
-    first witness are those of the search without the orbit step; `known`
-    holds the conjugates in walked slices, those in skipped blocks unmet.
     Each walked pair calls _cycle_lengths on AB, then on B if AB passes,
     _is_transitive if Scott's test passes, and _bsgs_order if <A, B> is
-    transitive and B not known: bench/tracing.py reads the funnel off
-    these calls.
+    transitive: bench/tracing.py reads the funnel off these calls.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -658,11 +597,9 @@ def find_generating_triple(
 
     reps = {lex_min_of_type(ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
-        centraliser = _centraliser_gens(a_img)
         cycles = _cycles(a_img)
         leads = _leads(cycles, {0})
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        known: set[tuple[int, ...]] = set()  # non-generating B not walked yet
         # every B with B[0] = v sorts before every B with B[0] = v + 1
         for first in sorted(leads):
             for tb in kept[ta]:
@@ -681,19 +618,11 @@ def find_generating_triple(
                     continue
                 if not _is_transitive(a_img, b_img, m):
                     continue
-                if b_img in known:
-                    known.remove(b_img)  # the walk meets each B once
-                    continue
                 if _bsgs_order([a_img, b_img], m) == target:
                     ga, gb = Permutation(a_img), Permutation(b_img)
                     return GenerationWitness(
                         ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
                     )
-                # B's earlier conjugates would have put B in `known`: the rest lie
-                # ahead, and of those in a walked slice the ones in a skipped block
-                # stay in `known` unmet
-                known.update(q for q in _conjugacy_orbit(b_img, centraliser) if q[0] in leads)
-                known.remove(b_img)
     return NotFound("exhausted all class pairs")
 
 

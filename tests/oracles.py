@@ -7,9 +7,11 @@ rigid table as a predicate instead of the spec rows ``tables`` expands;
 ``partitions`` lists every partition of m, the check on the cycle-type
 lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
 closures and ``conjugate`` composes by definition, the checks on the
-search's transitivity filter and its conjugation orbits;
-``centraliser_leads`` builds a centraliser element by element, the
-check on which blocks of B the search walks; ``lawther_closed_form`` is
+search's transitivity filter and on the C(A)-orbits its tests close;
+``centraliser`` builds a centraliser element by element, and
+``centraliser_gens`` names generators of it, checked against it;
+``centraliser_leads`` reads orbits off ``centraliser``, the check on
+which blocks of B the search walks; ``lawther_closed_form`` is
 Lawther's closed form for the codimension of the elements of order
 dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test.
@@ -122,23 +124,19 @@ def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c[p[c_inv[x]]] for x in range(len(c)))
 
 
-def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
-    """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(a).
+def centraliser(a: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every element of C(a), the centraliser of ``a`` in Sym_m.
 
-    C(a) is the centraliser of ``a`` in Sym_m.  Every c in it, that is every
-    c with c[a[x]] == a[c[x]] for all x, is built point by point: once
+    Every c with c[a[x]] == a[c[x]] for all x is built point by point: once
     c[x] = y is chosen, c[a[x]] = a[y] is forced, and a choice that clashes
-    with an earlier value or repeats one is dropped.  The elements with
-    c[x] == x for every x in ``fixed`` form the stabiliser; the orbit of x is
-    {c[x]} over them.
+    with an earlier value or repeats one is dropped.
     """
     m = len(a)
-    stabiliser = []
+    elements = set()
 
     def grow(c: list):
         if None not in c:
-            if all(c[x] == x for x in fixed):
-                stabiliser.append(tuple(c))
+            elements.add(tuple(c))
             return
         x0 = c.index(None)
         for y0 in range(m):
@@ -152,7 +150,57 @@ def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
                 grow(d)
 
     grow([None] * m)
-    return {min(c[x] for c in stabiliser) for x in range(m)}
+    return elements
+
+
+def centraliser_gens(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generators of C(a), the centraliser of ``a`` in Sym_m.
+
+    For each cycle length l of a, with k cycles of that length: the rotation
+    of the first of them (l > 1), the swap of the first two (k > 1) and the
+    cyclic shift of all k (k > 2), each matching the points of the cycles
+    along a.  Together they generate prod_l C_l wr Sym_k, the whole
+    centraliser (Dixon-Mortimer, Permutation Groups, 1996, section 1.6).
+    Cycles are read along a from their least point, in the order of it.
+    """
+    m = len(a)
+    cycles_of: dict[int, list[list[int]]] = {}
+    seen: set[int] = set()
+    for start in range(m):
+        if start in seen:
+            continue
+        cyc = [start]
+        while a[cyc[-1]] != start:
+            cyc.append(a[cyc[-1]])
+        seen.update(cyc)
+        cycles_of.setdefault(len(cyc), []).append(cyc)
+    gens = []
+    for length, cycles in cycles_of.items():
+        # each move sends the points of cycles[i] to those of targets[i]
+        moves = []
+        if length > 1:
+            moves.append([cycles[0][1:] + cycles[0][:1]])  # rotate the first
+        if len(cycles) > 1:
+            moves.append(cycles[1::-1])  # swap the first two
+        if len(cycles) > 2:
+            moves.append(cycles[1:] + cycles[:1])  # shift all k
+        for targets in moves:
+            g = list(range(m))
+            for cyc, target in zip(cycles, targets):
+                for x, y in zip(cyc, target):
+                    g[x] = y
+            gens.append(tuple(g))
+    return gens
+
+
+def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
+    """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(a).
+
+    The elements of centraliser(a) with c[x] == x for every x in ``fixed``
+    form the stabiliser; the orbit of x is {c[x]} over them.
+    """
+    stabiliser = [c for c in centraliser(a) if all(c[x] == x for x in fixed)]
+    return {min(c[x] for c in stabiliser) for x in range(len(a))}
 
 
 def lawther_closed_form(t: DynkinType, a: int) -> int:

@@ -29,6 +29,8 @@ from trisat import permgrp
 from trisat.tables import generating_pair_hint
 
 from oracles import (
+    centraliser,
+    centraliser_gens,
     centraliser_leads,
     conjugate,
     group_elements,
@@ -386,6 +388,8 @@ class TestGroupOrder:
 
 
 class TestCentraliser:
+    # centraliser_gens closes the C(A)-orbits of the exactness tests below;
+    # these tests check it against the whole centraliser.
     @pytest.mark.parametrize("m", range(5, 11))
     def test_generators_give_the_centraliser_order(self, m):
         # |C_Sym(A)| = m! / |class of A|, the class-size formula as the oracle
@@ -393,42 +397,29 @@ class TestCentraliser:
         assert even
         for t in even:
             a = lex_min_of_type(t)
-            gens = [Permutation(g) for g in permgrp._centraliser_gens(a.images)]
+            gens = [Permutation(g) for g in centraliser_gens(a.images)]
             assert all(a * g == g * a for g in gens), t
             assert group_order(gens) == factorial(m) // t.class_size(), t
 
+    @pytest.mark.parametrize("m", range(5, 8))
+    def test_generators_give_the_centraliser(self, m):
+        # the closure of the generators is C(A) as built point by point
+        for parts in partitions(m):
+            a = lex_min_of_type(CycleType(parts)).images
+            assert group_elements(centraliser_gens(a)) == centraliser(a), parts
+
     def test_identity_and_single_cycles(self):
         # A = identity: a transposition and an m-cycle, the whole of Sym_m
-        ident = permgrp._centraliser_gens(tuple(range(7)))
+        ident = centraliser_gens(tuple(range(7)))
         assert ident == [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
         assert group_order([Permutation(g) for g in ident]) == factorial(7)
         # one m-cycle: its own rotation only, C_m
         five = lex_min_of_type(CycleType((5,))).images
-        assert permgrp._centraliser_gens(five) == [five]
+        assert centraliser_gens(five) == [five]
         # one 3-cycle next to two fixed points: C_3 x Sym_2
         a = lex_min_of_type(CycleType((3, 1, 1))).images
-        gens = [Permutation(g) for g in permgrp._centraliser_gens(a)]
+        gens = [Permutation(g) for g in centraliser_gens(a)]
         assert len(gens) == 2 and group_order(gens) == 6
-
-    def test_orbit_is_closed_under_conjugation(self):
-        a = lex_min_of_type(CycleType((2, 2, 2, 2, 1))).images
-        gens = [Permutation(g) for g in permgrp._centraliser_gens(a)]
-        b = lex_min_of_type(CycleType((3, 3, 3))).images
-        orbit = permgrp._conjugacy_orbit(b, [c.images for c in gens])
-        assert b in orbit
-        for p in orbit:
-            # c^-1 p c applies c^-1, then p, then c
-            assert all(conjugate(p, c.images) in orbit for c in gens)
-            assert sorted(permgrp._cycle_lengths(p)) == [3, 3, 3]
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(5, 7).flatmap(lambda m: st.tuples(st.permutations(range(m)),
-                                                         st.permutations(range(m)))))
-    def test_orbit_matches_conjugates_by_the_closure(self, pair):
-        a, b = map(tuple, pair)
-        gens = permgrp._centraliser_gens(a)
-        expected = {conjugate(b, c) for c in group_elements(gens)}
-        assert permgrp._conjugacy_orbit(b, gens) == expected
 
 
 class TestSliceLeads:
@@ -519,7 +510,7 @@ class TestBlockWalk:
             if CycleType(parts_a).order > 15:
                 continue
             a = lex_min_of_type(CycleType(parts_a)).images
-            cycles, gens = permgrp._cycles(a), permgrp._centraliser_gens(a)
+            cycles, gens = permgrp._cycles(a), centraliser_gens(a)
             for parts_b in rng.sample(classes, 3):
                 walked = []
                 for f in range(m):
@@ -678,10 +669,11 @@ class TestGenerationSearch:
         # search walks only the slices of that cycle's points and one per other
         # length; ZERO_MOVED names the cases where such an A reaches the
         # transitivity filter.
-        # The B's that reach the Sims table are the least of each C(A)-orbit
-        # among the unpruned search's transitive survivors: those survivors
-        # are met in lex order and an orbit either survives whole or not at
-        # all, so its least element is the first one met.
+        # The pairs that reach the Sims table are some of the unpruned
+        # search's transitive survivors, in the same order, and among them is
+        # the least of each C(A)-orbit of those survivors: the survivors are
+        # met in lex order and an orbit either survives whole or not at all,
+        # so its least element is the first one met.
         walked = set()
         real = permgrp._is_transitive
         monkeypatch.setattr(permgrp, "_is_transitive",
@@ -696,23 +688,28 @@ class TestGenerationSearch:
         pruned_calls = sims_calls.copy()
         sims_calls.clear()
         assert found == search_outcome(unpruned_search(m, tr))
-        minima, met = [], set()
+        unpruned = iter(sims_calls)
+        assert all(call in unpruned for call in pruned_calls)  # an in-order subsequence
+        minima, met = set(), set()
         for a, b in sims_calls:
             if (a, b) not in met:
-                minima.append((a, b))
-                centraliser = group_elements(permgrp._centraliser_gens(a))
-                met.update((a, conjugate(b, c)) for c in centraliser)
-        assert pruned_calls == minima
+                minima.add((a, b))
+                met.update((a, conjugate(b, c)) for c in group_elements(centraliser_gens(a)))
+        assert minima <= set(pruned_calls)
 
-    @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 4), ((3, 3, 6), 13)])
-    def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, calls):
-        # Alt_9 (2,3,9): the 2,112 surviving pairs fall into 4 C(A)-orbits, one
-        # for A = (2)^2(1)^5 and three for A = (2)^4(1).  Alt_9 (3,3,6) has 13.
-        seen = []
+    @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 63), ((3, 3, 6), 99)])
+    def test_one_sims_table_call_per_transitive_pair(self, monkeypatch, orders, calls):
+        # Alt_9 (2,3,9): the walk meets 63 transitive pairs, which fall into
+        # 4 C(A)-orbits; each pair gets its own Sims-table call.  Alt_9
+        # (3,3,6) meets 99, in 13 orbits.
+        seen, transitive = [], []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: seen.append(gens) or real(gens, m))
+        real_transitive = permgrp._is_transitive
+        monkeypatch.setattr(permgrp, "_is_transitive",
+                            lambda a, b, m: transitive.append(ok := real_transitive(a, b, m)) or ok)
         assert find_generating_triple(9, Triple(*orders)) == NotFound("exhausted all class pairs")
-        assert len(seen) == calls
+        assert len(seen) == sum(transitive) == calls
 
     def test_no_elements_reason(self):
         out = find_generating_triple(9, Triple(2, 3, 8))  # Alt_9 has no order-8 element
