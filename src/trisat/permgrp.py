@@ -1,20 +1,17 @@
 """Exact permutation-group machinery on {0, ..., m-1}.
 
 Covers what the alternating-group saturation method needs: cycle types and
-their conjugacy classes, deterministic class enumeration, exact group order
-via a Sims table, search for generating pairs of prescribed orders in
-Alt_m, and non-generation proofs (Scott's cycle-count bound, else
-exhaustion over class pairs).  The search enumerates each B class slice
-by slice on B[0], in lexicographic order, and stops at the first witness,
-so a hit builds only the slices up to its own.  For each A it walks only
-the B whose every point B[k] is the least of its orbit under the pointwise
-stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A, block by
-block.  That cuts the pairs walked and changes no witness or answer;
+their conjugacy classes, exact group order via a Sims table, search for
+generating pairs of prescribed orders in Alt_m, and non-generation proofs
+(Scott's cycle-count bound, else exhaustion over class pairs).  For each A
+the search builds, by one backtrack in lexicographic order, only the B
+whose every point B[k] is the least of its orbit under the pointwise
+stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A, and whose
+product AB has, for each length, no more cycles than some allowed AB class
+has.  That cuts the pairs walked and changes no witness or answer;
 find_generating_triple states it with the cheaper filters.  Each walked
-pair that passes them gets its own Sims-table call, so the search keeps
-no state from one B to the next.  One process enumerates each class
-slice once, up to MAX_PAIRS image tuples: the lists are shared and
-read-only, and stay held until that memo empties or the process exits.
+pair that passes them gets its own Sims-table call, and a search keeps no
+state from one B, or one search, to the next.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -23,7 +20,6 @@ and the conjugacy class of a product are unaffected by this choice.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -71,7 +67,7 @@ class Permutation:
         return Permutation(tuple(q[i] for i in self.images))
 
 
-# Image-tuple kernel: _inv for the Sims table,
+# Image-tuple kernel: _inv for the Sims table and _class_images,
 # _cycle_lengths for cycle_type and the search.
 
 
@@ -242,95 +238,6 @@ def lex_min_of_type(ct: CycleType) -> Permutation:
     return Permutation.from_cycles(ct.m, [range(s, s + n) for s, n in zip(starts, lengths)])
 
 
-#: The class slices built so far in this process, by (m, parts, first).
-_SLICE_MEMO: dict[tuple[int, tuple[int, ...], int], list[tuple[int, ...]]] = {}
-
-
-def _class_images(m: int, parts: tuple[int, ...], first: int) -> list[tuple[int, ...]]:
-    """The image tuples of cycle type `parts` on m points that send 0 to `first`, sorted.
-
-    One slice of the class: the slices for first = 0, 1, ..., m-1 partition
-    it, and every tuple of a slice sorts before every tuple of the next, so
-    the generation search enumerates a B class slice by slice on B[0] and
-    builds none past the slice of its first witness.
-    Point 0 leads the recursion: it is fixed when first == 0, else it opens
-    a cycle whose next point is `first`.  Each later cycle is led by the
-    smallest point left that is not fixed.  Neither fixed points nor the
-    last cycle cost a recursion level: `images` is the identity on every
-    point off the cycles laid so far (each branch resets its arm points),
-    so the last cycle's arm loop emits `images` as it writes each arm.
-    A process builds each slice once: later calls get the same list from
-    _SLICE_MEMO, so no caller may mutate it.  The memo empties before it would
-    hold more than MAX_PAIRS tuples; until then, or until the process exits,
-    it keeps what a large search built.
-    """
-    key = (m, parts, first)
-    if key in _SLICE_MEMO:
-        return _SLICE_MEMO[key]
-    counts = Counter(parts)
-    fixed = counts.pop(1, 0)
-    lengths = sorted(counts)
-    out: list[tuple[int, ...]] = []
-    images = list(range(m))
-
-    def rec(points: tuple[int, ...], fixed: int, left: int):
-        # lay `left` cycles longer than 1 and `fixed` fixed points on `points`
-        if not left:
-            out.append(tuple(images))
-            return
-        for i in range(fixed + 1):  # points[:i] stay fixed, points[i] leads
-            leader, rest = points[i], points[i + 1:]
-            for length in lengths:
-                if counts[length]:
-                    counts[length] -= 1
-                    close(leader, itertools.permutations(rest, length - 1), rest, fixed - i, left - 1)
-                    counts[length] += 1
-
-    def close(leader: int, arms, rest: tuple[int, ...], fixed: int, left: int):
-        # each arm closes the cycle (leader, *arm); `left` cycles longer than 1
-        # and `fixed` fixed points take the rest of `rest`
-        covers = not (fixed or left)  # the last cycle, on every point left
-        for arm in arms:
-            images[leader] = arm[0]
-            for i in range(len(arm) - 1):
-                images[arm[i]] = arm[i + 1]
-            images[arm[-1]] = leader
-            if left:
-                armset = set(arm)
-                rec(tuple(p for p in rest if p not in armset), fixed, left)
-            else:
-                out.append(tuple(images))
-                if covers:
-                    continue  # the next arm writes every point of `rest` again
-            for x in arm:
-                images[x] = x
-        images[leader] = leader
-        if covers:  # the last arm is still written
-            for x in rest:
-                images[x] = x
-
-    # point 0 leads: a fixed point when first == 0, else on the cycle (0, first, *tail)
-    left = sum(counts.values())
-    if first == 0:
-        if fixed:
-            rec(tuple(range(1, m)), fixed - 1, left)
-    else:
-        rest = tuple(range(1, m))
-        others = tuple(p for p in rest if p != first)
-        for length in lengths:
-            counts[length] -= 1
-            arms = ((first,) + tail for tail in itertools.permutations(others, length - 2))
-            close(0, arms, rest, fixed, left - 1)
-            counts[length] += 1
-    del rec, close  # they refer to each other; empty those cells so `out` is freed by refcount
-    out.sort()
-    if sum(map(len, _SLICE_MEMO.values())) + len(out) > MAX_PAIRS:
-        _SLICE_MEMO.clear()
-    if len(out) <= MAX_PAIRS:
-        _SLICE_MEMO[key] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sims table (Knuth, Combinatorica 11 (1991) 33-43), base 0..m-1
 
@@ -427,31 +334,88 @@ def _leads(cycles, fixed) -> set[int]:
     return leads.union(firsts.values())
 
 
-def _block_walk(images, cycles):
-    """The tuples of the sorted slice ``images`` that pass the C(A) rule at every position.
+def _class_images(a, parts, room_ab) -> list[tuple[int, ...]]:
+    """The image tuples B of cycle type ``parts`` that the search walks against A = ``a``, sorted.
 
-    The tuples with one prefix B[0..k-1] form one block, found by bisection.
-    Inside it, the block with B[k] = v is walked only if v is in _leads of
-    F = {0..k} and B[0..k-1].  Once every orbit is a single point, no block
-    below is skipped, so the block is handed out whole.
+    A backtrack sets B[0], B[1], ... in turn, each to its values in
+    ascending order, so the B's come out sorted.  It tries v at position k
+    only if v is unused and
+    - v is in _leads of F = {0..k} and B[0..k-1] (the C(A) rule);
+    - the edge k -> v closes a B-cycle only of a length the class still
+      has room for, and opens no path longer than its longest cycle;
+    - the AB-edge it sets, x -> v with A[x] = k, closes an AB-cycle only
+      of a length with room left in ``room_ab`` (for each cycle length,
+      the most cycles of that length an AB may have), and opens no path
+      longer than the longest length there.
+    Every B of type ``parts`` whose AB fits ``room_ab`` passes the last two
+    at every k, so what they prune would fail later.  The leads depend only
+    on which A-cycles F meets, so one call keeps them by a bitmask of those.
     """
-    if not images:
-        return iter(())
-    m = len(images[0])
+    m = len(a)
+    cycles = _cycles(a)
+    bit = [0] * (m + 1)  # bit[x]: A's cycle through x; bit[m] stays 0 for the last step
+    for i, cyc in enumerate(cycles):
+        for x in cyc:
+            bit[x] = 1 << i
+    a_inv = _inv(a)
+    room_b, room_ab = [0] * (m + 1), [room_ab.get(n, 0) for n in range(m + 1)]
+    for n in parts:
+        room_b[n] += 1
+    top_b, top_ab = max(parts), max(n for n in range(m + 1) if room_ab[n])
+    # B and AB so far, as paths of the edges set: each path's two ends
+    # name each other in `end` and hold its point count in `size`
+    end_b, size_b = list(range(m)), [1] * m
+    end_ab, size_ab = list(range(m)), [1] * m
+    b, free = [0] * m, [True] * m
+    leads_of: dict[int, list[int]] = {}
+    out: list[tuple[int, ...]] = []
 
-    def blocks(lo, hi, k, fixed):
-        leads = _leads(cycles, fixed)
-        if len(leads) == m:
-            yield images[lo:hi]
+    def rec(k, touched):
+        if k == m:
+            out.append(tuple(b))
             return
-        prefix = images[lo][:k]
-        for v in sorted(leads):
-            start = bisect.bisect_left(images, prefix + (v,), lo, hi)
-            end = bisect.bisect_left(images, prefix + (v + 1,), start, hi)
-            if start < end:
-                yield from blocks(start, end, k + 1, fixed | {k + 1, v})
+        leads = leads_of.get(touched)
+        if leads is None:
+            fixed = {cyc[0] for i, cyc in enumerate(cycles) if touched >> i & 1}
+            leads = leads_of[touched] = sorted(_leads(cycles, fixed))
+        x = a_inv[k]  # B[k] = v sets AB[x] = v
+        for v in leads:
+            if not free[v]:
+                continue
+            # k ends the B-path from s, v starts the B-path to t; so do x, sa and v, ta in AB
+            s, t, sa, ta = end_b[k], end_b[v], end_ab[x], end_ab[v]
+            nk, nv, nx, nva = size_b[k], size_b[v], size_ab[x], size_ab[v]
+            if (not room_b[nk]) if s == v else nk + nv > top_b:
+                continue
+            if (not room_ab[nx]) if sa == v else nx + nva > top_ab:
+                continue
+            if s == v:
+                room_b[nk] -= 1
+            else:
+                end_b[s], end_b[t] = t, s
+                size_b[s] = size_b[t] = nk + nv
+            if sa == v:
+                room_ab[nx] -= 1
+            else:
+                end_ab[sa], end_ab[ta] = ta, sa
+                size_ab[sa] = size_ab[ta] = nx + nva
+            b[k], free[v] = v, False
+            rec(k + 1, touched | bit[k + 1] | bit[v])
+            free[v] = True
+            if sa == v:
+                room_ab[nx] += 1
+            else:
+                end_ab[sa], end_ab[ta] = x, v
+                size_ab[sa], size_ab[ta] = nx, nva
+            if s == v:
+                room_b[nk] += 1
+            else:
+                end_b[s], end_b[t] = k, v
+                size_b[s], size_b[t] = nk, nv
 
-    return itertools.chain.from_iterable(blocks(0, len(images), 1, {0, 1, images[0][0]}))
+    rec(0, bit[0])
+    del rec  # it refers to itself; empty its cell so `out` is freed by refcount
+    return out
 
 
 def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
@@ -476,13 +440,13 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
 
 
 #: Most candidate (A representative, B) pairs a search may walk, counted from
-#: class sizes before anything is enumerated.  It prices whole classes, though
-#: the walk skips slices and blocks and a first hit stops at its witness.
-#: Alt_12 (3,3,4), priced at 985,600, builds 291,200 B's and walks 8,240 in
-#: about 0.67 s CPU with a 59 MB peak (median of 8 fresh processes on a
-#: 2-vCPU Xeon VM);
-#: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every slice
-#: was walked.  It also bounds the image tuples _class_images keeps.
+#: class sizes before anything is built.  It prices whole classes, though the
+#: backtrack builds only the B's the walk reads and a first hit stops at its
+#: witness's A representative.  Alt_12 (3,3,4), priced at 985,600, builds
+#: and walks 193 B's in about 0.03 s CPU with a 16 MB peak, the interpreter's
+#: own (8 fresh processes on a 2-vCPU Xeon VM);
+#: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every class
+#: element was walked.
 MAX_PAIRS = 1_000_000
 
 
@@ -539,26 +503,28 @@ def find_generating_triple(
     classes of order b, in lexicographic order, so the first validated hit
     is the lexicographically minimal witness; the walk stops there.  A
     shape_hint pins the three classes to search.  One plan, made before
-    anything is enumerated, keeps for each A type the B classes within
-    Scott's room: with A's cycle count and the fewest cycles of an allowed
-    AB class, at most m + 2.  It prices the search (more than MAX_PAIRS
+    anything is built, keeps for each A type the B classes within Scott's
+    room: with A's cycle count and the fewest cycles of an allowed AB
+    class, at most m + 2.  It prices the search (more than MAX_PAIRS
     candidate pairs is refused with ValueError) and then drives the walk.
     The filters, cheapest first:
 
     - a B is walked only if each B[k] is the least point of its orbit
       under the pointwise stabiliser of F = {0..k} and B[0..k-1] in C(A),
       the centraliser of A in Sym_m (_leads reads these points off A's
-      cycles; at k = 0 they pick the B[0] slices, and _block_walk the
-      blocks below).  Exact: if c fixes F, commutes with A and sends
-      B[k] = v below v, then c^-1 B c agrees with B before k, has c[v] at
-      k, so sorts before B, and keeps A, the classes of B and AB,
-      transitivity and the order of <A, B>.  So the least B of each
-      C(A)-orbit is walked, first of its orbit, and the witness with it;
-    - a B class outside the plan for A is never enumerated for it; the
-      others are enumerated slice by slice on B[0], each slice when the
-      walk first reaches it (later A representatives reuse it), so a hit
-      leaves the slices past its own unbuilt; the slice of a single kept
-      class is walked directly, those of two or more are merged;
+      cycles, and _class_images keeps to them as it sets each B[k]).
+      Exact: if c fixes F, commutes with A and sends B[k] = v below v,
+      then c^-1 B c agrees with B before k, has c[v] at k, so sorts before
+      B, and keeps A, the classes of B and AB, transitivity and the order
+      of <A, B>.  So the least B of each C(A)-orbit is walked, first of
+      its orbit, and the witness with it;
+    - a B class outside the plan for A is never built for it.  For each
+      other one _class_images builds, per A representative, the B's that
+      keep that rule and whose AB has, for each length, no more cycles
+      than some allowed AB class has; a B it leaves out would fail the
+      product-class test below.  The list of a single kept class is walked
+      directly, those of two or more are merged, and a hit leaves the
+      later A representatives unbuilt;
     - a pair whose product AB (one itemgetter gather, a fresh tuple) has
       a cycle count that no allowed AB class has is skipped before its
       lengths are sorted, and then one whose sorted lengths are not an
@@ -569,7 +535,8 @@ def find_generating_triple(
 
     Each walked pair calls _cycle_lengths on AB, then on B if AB passes,
     _is_transitive if Scott's test passes, and _bsgs_order if <A, B> is
-    transitive: bench/tracing.py reads the funnel off these calls.
+    transitive: bench/tracing.py reads the funnel off these calls, and
+    tells B from AB by the identity of the tuples _class_images returned.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -592,37 +559,36 @@ def find_generating_triple(
     if pairs > MAX_PAIRS:
         raise ValueError(f"Alt_{m} {tr} search over {pairs} candidate pairs "
                          f"exceeds supported cap {MAX_PAIRS}")
-    # B class slices enumerated so far, by (type, B[0]); later A representatives reuse them
-    slices: dict[tuple[CycleType, int], list[tuple[int, ...]]] = {}
+    # per length, the most cycles of that length that an allowed AB class has
+    room_ab: Counter = Counter()
+    for parts in allowed_c:
+        room_ab |= Counter(parts)
+    # every walked list stays held until the search returns: bench/tracing.py
+    # tells a B from a product by its id, and a product may reuse a freed B's
+    held = []
 
     reps = {lex_min_of_type(ta).images: ta for ta in types_a}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
-        cycles = _cycles(a_img)
-        leads = _leads(cycles, {0})
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        # every B with B[0] = v sorts before every B with B[0] = v + 1
-        for first in sorted(leads):
-            for tb in kept[ta]:
-                if (tb, first) not in slices:
-                    slices[tb, first] = _class_images(m, tb.parts, first)
-            walk = [_block_walk(slices[tb, first], cycles) for tb in kept[ta]]
-            for b_img in walk[0] if len(walk) == 1 else heapq.merge(*walk):
-                lengths = _cycle_lengths(times_a(b_img))
-                if len(lengths) not in counts_c:
-                    continue
-                lengths.sort(reverse=True)  # a fresh list
-                parts = tuple(lengths)
-                if parts not in allowed_c:
-                    continue
-                if ta.cycle_count + len(_cycle_lengths(b_img)) + len(parts) > scott_cap:
-                    continue
-                if not _is_transitive(a_img, b_img, m):
-                    continue
-                if _bsgs_order([a_img, b_img], m) == target:
-                    ga, gb = Permutation(a_img), Permutation(b_img)
-                    return GenerationWitness(
-                        ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
-                    )
+        walk = [_class_images(a_img, tb.parts, room_ab) for tb in kept[ta]]
+        held.append(walk)
+        for b_img in walk[0] if len(walk) == 1 else heapq.merge(*walk):
+            lengths = _cycle_lengths(times_a(b_img))
+            if len(lengths) not in counts_c:
+                continue
+            lengths.sort(reverse=True)  # a fresh list
+            parts = tuple(lengths)
+            if parts not in allowed_c:
+                continue
+            if ta.cycle_count + len(_cycle_lengths(b_img)) + len(parts) > scott_cap:
+                continue
+            if not _is_transitive(a_img, b_img, m):
+                continue
+            if _bsgs_order([a_img, b_img], m) == target:
+                ga, gb = Permutation(a_img), Permutation(b_img)
+                return GenerationWitness(
+                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                )
     return NotFound("exhausted all class pairs")
 
 

@@ -5,19 +5,22 @@ actions on the standard module), forms the antisymmetric square, and reads
 fixed-space dimensions off numeric ranks; ``rigid_contains`` states the
 rigid table as a predicate instead of the spec rows ``tables`` expands;
 ``partitions`` lists every partition of m, the check on the cycle-type
-lister; ``reaches_every_point`` and ``group_elements`` are naive set-based
+lister; ``class_elements`` lists every permutation of one cycle type, the
+check on the B's the search builds; ``reaches_every_point`` and ``group_elements`` are naive set-based
 closures and ``conjugate`` composes by definition, the checks on the
 search's transitivity filter and on the C(A)-orbits its tests close;
 ``centraliser`` builds a centraliser element by element, and
 ``centraliser_gens`` names generators of it, checked against it;
 ``centraliser_leads`` reads orbits off ``centraliser``, the check on
-which blocks of B the search walks; ``lawther_closed_form`` is
+which points the backtrack sets each B[k] to; ``lawther_closed_form`` is
 Lawther's closed form for the codimension of the elements of order
 dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -96,6 +99,34 @@ def partitions(m: int, largest: int | None = None) -> list[tuple[int, ...]]:
         return [()]
     top = m if largest is None else min(m, largest)
     return [(first,) + rest for first in range(1, top + 1) for rest in partitions(m - first, first)]
+
+
+def class_elements(m: int, parts) -> list[tuple[int, ...]]:
+    """Every permutation of 0..m-1 with cycle lengths ``parts``, as sorted image tuples.
+
+    Cycles are laid one at a time: each is led by the least point on no
+    cycle yet, takes one of the lengths left, and runs through an ordered
+    choice of the other points left.
+    """
+    out = []
+
+    def lay(images: list, left: list[int], lengths: list[int]):
+        if not left:
+            out.append(tuple(images))
+            return
+        lead, rest = left[0], left[1:]
+        for n in set(lengths):
+            others = list(lengths)
+            others.remove(n)
+            for arm in itertools.permutations(rest, n - 1):
+                cycle = (lead,) + arm
+                laid = list(images)
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    laid[x] = y
+                lay(laid, [p for p in rest if p not in arm], others)
+
+    lay([None] * m, list(range(m)), list(parts))
+    return sorted(out)
 
 
 def reaches_every_point(gens: list[tuple[int, ...]], m: int) -> bool:

@@ -47,40 +47,54 @@ def test_traced_search_funnel():
     # search makes on every transitive pair, so it is the true count.
     with _load("tracing").Tracer() as tracer:
         permgrp.prove_non_generation(9, Triple(2, 3, 9))
-    assert tracer.funnel() == {"pairs_tried": 176, "product_class_pass": 63, "scott_pass": 63,
+    assert tracer.funnel() == {"pairs_tried": 63, "product_class_pass": 63, "scott_pass": 63,
                                "transitive_pass": 63, "bsgs_calls": 63, "accepted": 0}
 
 
 def test_traced_first_hit_funnel():
-    # Hinted Alt_11 (2,3,11) goes the first-hit route: its witness lies in
-    # slice 1 of the (3)^3(1)^2 class, so slices 0 and 1 (22,400 + 10,080
-    # elements) are all that is built, and the 151st pair walked is the witness.
+    # Hinted Alt_11 (2,3,11) goes the first-hit route: 54 B's of the
+    # (3)^3(1)^2 class are built, and the first pair walked is the witness.
     with _load("tracing").Tracer() as tracer:
         permgrp.find_generating_triple(11, Triple(2, 3, 11),
                                        shape_hint=tables.generating_pair_hint(11, (2, 3, 11)))
-    assert tracer.funnel() == {"pairs_tried": 151, "product_class_pass": 1, "scott_pass": 1,
+    assert tracer.funnel() == {"pairs_tried": 1, "product_class_pass": 1, "scott_pass": 1,
                                "transitive_pass": 1, "bsgs_calls": 1, "accepted": 1}
-    assert tracer.counters["class_images.elements"] == 32_480
+    assert tracer.counters["class_images.elements"] == 54
 
 
-def test_traced_funnels_with_a_warm_memo(monkeypatch):
-    # permgrp._class_images hands a repeated search the slices built before,
-    # but the search still asks for each slice once: a second traced run
-    # reads the same funnel and the same element count as a cold one.
-    monkeypatch.setattr(permgrp, "_SLICE_MEMO", {})
+def test_traced_funnels_of_a_repeated_search():
+    # A search keeps nothing for the next one: a second traced run reads
+    # the same funnel and the same element count as the first.
     tracing = _load("tracing")
     hint = tables.generating_pair_hint(11, (2, 3, 11))
     for _ in range(2):
         with tracing.Tracer() as tracer:
             permgrp.prove_non_generation(9, Triple(2, 3, 9))
-        assert tracer.funnel() == {"pairs_tried": 176, "product_class_pass": 63, "scott_pass": 63,
+        assert tracer.funnel() == {"pairs_tried": 63, "product_class_pass": 63, "scott_pass": 63,
                                    "transitive_pass": 63, "bsgs_calls": 63, "accepted": 0}
-        assert tracer.counters["class_images.elements"] == 1_960
+        assert tracer.counters["class_images.elements"] == 63
         with tracing.Tracer() as tracer:
             permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
-        assert tracer.funnel() == {"pairs_tried": 151, "product_class_pass": 1, "scott_pass": 1,
+        assert tracer.funnel() == {"pairs_tried": 1, "product_class_pass": 1, "scott_pass": 1,
                                    "transitive_pass": 1, "bsgs_calls": 1, "accepted": 1}
-        assert tracer.counters["class_images.elements"] == 32_480
+        assert tracer.counters["class_images.elements"] == 54
+
+
+def test_traced_exhaustive_searches_walk_every_b_built():
+    # An exhaustive search walks every B that _class_images built, so the
+    # tracer's pairs tried equal the elements built.  Were a walked list
+    # freed before the search returned, a later product could take a freed
+    # B's id and be counted as a product-class pass.
+    tracing = _load("tracing")
+    exhaustive = 0
+    for _, run in _load("workloads").build("alt-nongen"):
+        with tracing.Tracer() as tracer:
+            run()
+        funnel = tracer.funnel()
+        assert funnel["pairs_tried"] == tracer.counters["class_images.elements"]
+        assert funnel["pairs_tried"] >= funnel["product_class_pass"]
+        exhaustive += tracer.counters["prove_non_generation.exhaustive"]
+    assert exhaustive == 13
 
 
 def test_traced_closed_form_calls_with_a_warm_memo():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -32,6 +33,7 @@ from oracles import (
     centraliser,
     centraliser_gens,
     centraliser_leads,
+    class_elements,
     conjugate,
     group_elements,
     partitions,
@@ -59,11 +61,6 @@ def dotted(parts):
     return ".".join(f"{n}^{k}" if k > 1 else str(n) for n, k in Counter(parts).items())
 
 
-def whole_class(m, parts):
-    """Every image tuple of cycle type ``parts``, sorted: the m slices on B[0] in turn."""
-    return [b for f in range(m) for b in permgrp._class_images(m, parts, f)]
-
-
 def unpruned_search(m, tr):
     """Reference generation search: every B class is enumerated up front and
     Scott's bound is only applied pair by pair."""
@@ -75,10 +72,7 @@ def unpruned_search(m, tr):
     target = factorial(m) // 2
     allowed_c = {t.parts: t.cycle_count for t in types_c}
     reps = sorted(lex_min_of_type(t).images for t in types_a)
-    b_imgs = []
-    for t in types_b:
-        b_imgs.extend(whole_class(m, t.parts))
-    b_imgs.sort()
+    b_imgs = sorted(b for t in types_b for b in class_elements(m, t.parts))
     for a_img in reps:
         count_a = len(permgrp._cycle_lengths(a_img))
         for b_img in b_imgs:
@@ -99,15 +93,23 @@ def unpruned_search(m, tr):
     return NotFound("exhausted all class pairs")
 
 
+def open_room(m):
+    """A ``room_ab`` for _class_images that lets AB hold any cycles on m points."""
+    return {n: m for n in range(1, m + 1)}
+
+
+def room_of(m, c):
+    """The ``room_ab`` of a search whose AB has order c on m points: for each
+    cycle length, the most cycles of that length an even type of order c has."""
+    room = Counter()
+    for t in cycle_types_of_order(m, c):
+        if t.is_even:
+            room |= Counter(t.parts)
+    return dict(room)
+
+
 def search_outcome(found):
     return found.reason if isinstance(found, NotFound) else found.as_dict()
-
-
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """An empty class-slice memo for the test; the process's own comes back after it."""
-    monkeypatch.setattr(permgrp, "_SLICE_MEMO", {})
-    return permgrp._SLICE_MEMO
 
 
 class TestPermutation:
@@ -205,11 +207,13 @@ class TestCycleType:
 
 
 class TestEnumerateClass:
+    # tests/oracles.class_elements, the class list the search's B's are
+    # checked against, and the class facts read off it
     def test_small_counts(self):
-        assert len(whole_class(4, CycleType.parse("2^2").parts)) == 3
-        assert len(whole_class(9, CycleType.parse("3^3").parts)) == 2240
+        assert len(class_elements(4, CycleType.parse("2^2").parts)) == 3
+        assert len(class_elements(9, CycleType.parse("3^3").parts)) == 2240
 
-    # every cycle type on m <= 7 points, with m slices each: 240 slices in all
+    # every cycle type on m <= 7 points
     @pytest.mark.parametrize("m,shape", [(m, dotted(p)) for m in range(1, 8) for p in partitions(m)])
     def test_matches_brute_force(self, m, shape):
         ct = CycleType.parse(shape)
@@ -217,16 +221,15 @@ class TestEnumerateClass:
             perm for perm in itertools.permutations(range(m))
             if cycle_type(Permutation(perm)) == ct
         )
-        slices = [permgrp._class_images(m, ct.parts, f) for f in range(m)]
-        for f, got in enumerate(slices):
-            assert got == [perm for perm in want if perm[0] == f]  # complete, exact, lexicographic
-        assert [perm for got in slices for perm in got] == want  # the slices partition the class
+        assert class_elements(m, ct.parts) == want  # complete, exact, lexicographic
 
     # Every B class the alt workloads and acceptance criteria 5 and 7 walk,
-    # pinned by the sha256 of its m slices' image bytes, concatenated.  The
-    # digests were taken from the enumerator that gave each fixed point its
-    # own recursion level.  The Alt_12 classes of alt --m 12 --triple 3,3,4
-    # take over a second each, so they are not pinned here.
+    # pinned by the sha256 of its sorted image bytes.  The digests were taken
+    # from the class enumerator the search used while it built whole class
+    # slices, so they tie the oracle to its output.  The Alt_12 classes of
+    # alt --m 12 --triple 3,3,4 are left out: the oracle lists 492,800
+    # elements for one of them, and that search is pinned by its Sims-table
+    # calls in TestProveNonGeneration instead.
     WALKED_CLASS_DIGESTS = {
         (8, "3^2.1^2"): "f27cad88488fa629689ddb0864d364e74514791865bce13d0550b9972d86b75f",
         (8, "4^2"): "278add6f72aae5791848a896ddf43f3db5e8b404dfe6e78cafb376154a178969",
@@ -238,7 +241,7 @@ class TestEnumerateClass:
     @pytest.mark.parametrize("m,shape", WALKED_CLASS_DIGESTS)
     def test_walked_classes_pinned(self, m, shape):
         ct = CycleType.parse(shape)
-        imgs = whole_class(m, ct.parts)
+        imgs = class_elements(m, ct.parts)
         assert len(imgs) == ct.class_size()
         digest = hashlib.sha256(b"".join(map(bytes, imgs))).hexdigest()
         assert digest == self.WALKED_CLASS_DIGESTS[m, shape]
@@ -246,18 +249,18 @@ class TestEnumerateClass:
     def test_lex_min_matches_enumeration(self):
         for m, shape in [(5, "3.1^2"), (6, "3.2.1"), (6, "2^2.1^2"), (7, "4.2.1")]:
             ct = CycleType.parse(shape)
-            first = whole_class(m, ct.parts)[0]
+            first = class_elements(m, ct.parts)[0]
             assert lex_min_of_type(ct).images == first
 
-    def test_class_list_freed_without_cycle_collector(self, empty_memo):
-        # the memo keeps every slice alive; once it is emptied, refcounting
-        # alone must free them
+    def test_class_list_freed_without_cycle_collector(self):
+        # _class_images's backtrack refers to itself; refcounting alone must
+        # free what it built once the caller lets go of the list
+        a = lex_min_of_type(CycleType((3, 3, 1, 1))).images
         gc.collect()
         gc.disable()
         try:
-            imgs = whole_class(8, (2, 2, 2, 2))
-            assert len(imgs) == 105
-            empty_memo.clear()
+            imgs = permgrp._class_images(a, (2, 2, 2, 2), open_room(8))
+            assert len(imgs) == 10
             del imgs
             assert gc.collect() == 0
         finally:
@@ -275,32 +278,10 @@ class TestEnumerateClass:
         finally:
             gc.enable()
 
-    def test_repeated_slice_is_the_same_list(self, empty_memo):
-        parts = CycleType.parse("3^3").parts
-        built = permgrp._class_images(9, parts, 1)
-        assert permgrp._class_images(9, parts, 1) is built
-        empty_memo.clear()
-        fresh = permgrp._class_images(9, parts, 1)
-        assert fresh is not built and fresh == built
-
-    def test_memo_holds_at_most_max_pairs(self, monkeypatch, empty_memo):
-        # the 9 slices of (3)^3 on 9 points hold 2,240 tuples, more than the
-        # bound: the memo empties on the way, and every slice stays exact
-        parts = CycleType.parse("3^3").parts
-        want = [list(permgrp._class_images(9, parts, f)) for f in range(9)]
-        empty_memo.clear()
-        monkeypatch.setattr(permgrp, "MAX_PAIRS", 2_000)
-        for _ in range(2):
-            for f in range(9):
-                assert permgrp._class_images(9, parts, f) == want[f]
-                assert sum(map(len, empty_memo.values())) <= 2_000
-        digest = hashlib.sha256(b"".join(bytes(b) for got in want for b in got)).hexdigest()
-        assert digest == self.WALKED_CLASS_DIGESTS[9, "3^3"]
-
     def test_class_size_formula_agreement(self):
         for m, shape in [(6, "2^2.1^2"), (7, "3.2^2"), (7, "5.1^2"), (8, "4.2.1^2")]:
             ct = CycleType.parse(shape)
-            assert len(whole_class(m, ct.parts)) == ct.class_size()
+            assert len(class_elements(m, ct.parts)) == ct.class_size()
 
 
 class TestGroupOrder:
@@ -423,9 +404,9 @@ class TestCentraliser:
 
 
 class TestSliceLeads:
-    # The search walks the blocks of B whose next point is in _leads(A's
-    # cycles, F); the oracle closes the pointwise stabiliser of F in C(A)
-    # element by element and reads its orbits.
+    # The backtrack sets each B[k] only to a point of _leads(A's cycles, F);
+    # the oracle closes the pointwise stabiliser of F in C(A) element by
+    # element and reads its orbits.
     @staticmethod
     def representatives():
         for m in range(5, 10):
@@ -496,11 +477,17 @@ def orbit_minima(images, gens):
     return minima
 
 
+@functools.lru_cache(maxsize=None)
+def stabiliser_leads(a, fixed):
+    """centraliser_leads, kept per (A, F): the class-pair tests ask for few distinct ones."""
+    return centraliser_leads(a, fixed)
+
+
 class TestBlockWalk:
-    # Within a B[0] slice the walk hands out a sorted part of the slice, as
-    # the very tuples of the slice (bench/tracing.py tells B from AB by
-    # identity); over the slices on _leads(A's cycles, {0}) it meets the
-    # least element of every C(A)-orbit of the class, so no witness is lost.
+    # The B's _class_images builds for one A are the very tuples the search
+    # walks (bench/tracing.py tells B from AB by identity); over them the
+    # walk meets the least element of every C(A)-orbit of the class, so no
+    # witness is lost.
     @pytest.mark.parametrize("m", range(5, 9))
     def test_meets_every_orbit_minimum(self, m):
         rng = random.Random(m)
@@ -510,21 +497,54 @@ class TestBlockWalk:
             if CycleType(parts_a).order > 15:
                 continue
             a = lex_min_of_type(CycleType(parts_a)).images
-            cycles, gens = permgrp._cycles(a), centraliser_gens(a)
+            gens = centraliser_gens(a)
             for parts_b in rng.sample(classes, 3):
-                walked = []
-                for f in range(m):
-                    slice_ = permgrp._class_images(m, parts_b, f)
-                    ids = set(map(id, slice_))
-                    got = list(permgrp._block_walk(slice_, cycles))
-                    assert got == sorted(set(got)) and all(id(b) in ids for b in got)
-                    if f in permgrp._leads(cycles, {0}):
-                        walked.extend(got)
-                whole = whole_class(m, parts_b)
+                walked = permgrp._class_images(a, parts_b, open_room(m))
+                assert walked == sorted(set(walked))
+                whole = class_elements(m, parts_b)
                 assert orbit_minima(whole, gens) <= set(walked), (a, parts_b)
                 walked_total += len(walked)
                 class_total += len(whole)
         assert walked_total < class_total / 2
+
+
+class TestClassImages:
+    # _class_images builds, in lex order, exactly the B's of one class whose
+    # every B[k] is in centraliser_leads of {0..k} and B[0..k-1], and whose
+    # AB has no more cycles of any length than the room allows.
+    @staticmethod
+    def check_against_the_oracle(a, parts_b, rooms):
+        m = len(a)
+        led = [b for b in class_elements(m, parts_b)
+               if all(b[k] in stabiliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
+                      for k in range(m))]
+        assert permgrp._class_images(a, parts_b, open_room(m)) == led, (a, parts_b)
+        for room in rooms:
+            fits = [b for b in led
+                    if all(n <= room.get(length, 0) for length, n in
+                           Counter(permgrp._cycle_lengths(tuple(b[x] for x in a))).items())]
+            assert permgrp._class_images(a, parts_b, room) == fits, (a, parts_b, room)
+
+    @staticmethod
+    def rooms(m):
+        """The room of every order c < 2m that has an even type on m points."""
+        return [room for room in map(lambda c: room_of(m, c), range(1, 2 * m)) if room]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_class_pair_matches_the_oracle(self, m):
+        # every A class against every B class; each pair takes one real room in turn
+        rooms = self.rooms(m)
+        pairs = itertools.product(partitions(m), repeat=2)
+        for i, (parts_a, parts_b) in enumerate(pairs):
+            a = lex_min_of_type(CycleType(parts_a)).images
+            self.check_against_the_oracle(a, parts_b, [rooms[i % len(rooms)]])
+
+    def test_sampled_class_pairs_at_degree_8(self):
+        rng = random.Random(8)
+        classes = partitions(8)
+        for parts_a, parts_b in [rng.sample(classes, 2) for _ in range(8)]:
+            a = lex_min_of_type(CycleType(parts_a)).images
+            self.check_against_the_oracle(a, parts_b, rng.sample(self.rooms(8), 2))
 
 
 @st.composite
@@ -619,39 +639,18 @@ class TestGenerationSearch:
         assert out == NotFound("exhausted all class pairs")
         assert calls == []
 
-    @staticmethod
-    def enumerated_sizes(monkeypatch):
-        sizes = []
+    def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
+        # the one A representative keeps the one hinted B class: 54 of its
+        # 123,200 elements are built, and the first of them is the witness
+        built = []
         real = permgrp._class_images
         monkeypatch.setattr(permgrp, "_class_images",
-                            lambda *args: sizes.append(len(out := real(*args))) or out)
-        return sizes
-
-    def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
-        # the witness has B[0] = 1: slices 0 and 1 (22,400 + 10,080) of the
-        # 123,200-element (3)^3(1)^2 class are built, and no more
-        sizes = self.enumerated_sizes(monkeypatch)
+                            lambda *args: built.append(out := real(*args)) or out)
         w = find_generating_triple(11, Triple(2, 3, 11), shape_hint=generating_pair_hint(11, (2, 3, 11)))
         assert w.as_dict()["A"] == [0, 1, 2, 4, 3, 6, 5, 8, 7, 10, 9]
         assert w.as_dict()["B"] == [1, 3, 4, 0, 5, 2, 7, 9, 8, 6, 10]
-        assert sum(sizes) == 32_480
-
-    def test_exhaustive_walk_builds_each_slice_once(self, monkeypatch):
-        # two A representatives walk the B classes of Alt_9 (2,3,9), yet each
-        # slice is built once: 1,960 elements, those of the slices on B[0] in
-        # {0, 1, 2, 4, 8} that either representative walks (of 5,600 in the classes)
-        sizes = self.enumerated_sizes(monkeypatch)
-        assert prove_non_generation(9, Triple(2, 3, 9)).method == "exhaustive"
-        assert sum(sizes) == 1_960
-
-    def test_later_search_reuses_the_slices(self, empty_memo):
-        # (2,3,9) and (2,3,12) on 9 points walk the same A and B classes
-        exhausted = NonGenerated("exhaustive", {"reason": "exhausted all class pairs"})
-        assert prove_non_generation(9, Triple(2, 3, 9)) == exhausted
-        built = dict(empty_memo)
-        assert prove_non_generation(9, Triple(2, 3, 12)) == exhausted
-        assert empty_memo == built
-        assert all(empty_memo[key] is got for key, got in built.items())
+        assert [len(imgs) for imgs in built] == [54]
+        assert built[0][0] == w.gen_b.images
 
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
@@ -666,9 +665,9 @@ class TestGenerationSearch:
         # Alt_9 (3,3,4): the (3)^3 representative walks a merge of two classes.
         # Alt_8 (4,4,6): the witness is found inside a merge of two classes.
         # A representative without fixed points has 0 on a longer cycle, so the
-        # search walks only the slices of that cycle's points and one per other
-        # length; ZERO_MOVED names the cases where such an A reaches the
-        # transitivity filter.
+        # backtrack sets B[0] only to a point of that cycle or to the first
+        # point of one cycle of each other length; ZERO_MOVED names the cases
+        # where such an A reaches the transitivity filter.
         # The pairs that reach the Sims table are some of the unpruned
         # search's transitive survivors, in the same order, and among them is
         # the least of each C(A)-orbit of those survivors: the survivors are
@@ -801,6 +800,16 @@ class TestProveNonGeneration:
     def test_exhaustive_route(self):
         out = prove_non_generation(9, Triple(3, 3, 5))
         assert isinstance(out, NonGenerated) and out.method == "exhaustive"
+
+    def test_alt12_exhaustive_route(self, monkeypatch):
+        # alt --m 12 --triple 3,3,4: priced at 985,600 pairs, exhausted with
+        # one Sims-table call for each of its 60 transitive pairs
+        calls = []
+        real = permgrp._bsgs_order
+        monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: calls.append(gens) or real(gens, m))
+        out = prove_non_generation(12, Triple(3, 3, 4))
+        assert out == NonGenerated("exhaustive", {"reason": "exhausted all class pairs"})
+        assert len(calls) == 60
 
     def test_refuted(self):
         out = prove_non_generation(9, Triple(3, 3, 7))
