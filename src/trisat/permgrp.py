@@ -67,8 +67,8 @@ class Permutation:
         return Permutation(tuple(q[i] for i in self.images))
 
 
-# Image-tuple kernel: _inv for the Sims table and _class_images,
-# _cycle_lengths for cycle_type and the search.
+# Image-tuple kernel: _inv for _class_images, _cycle_lengths for cycle_type
+# and the search.  The Sims table keeps its own byte strings.
 
 
 def _inv(p):
@@ -158,13 +158,15 @@ class CycleType:
 
     def check_slot(self, m: int, n: int, slot: str) -> None:
         """Raise ValueError naming ``slot`` unless this is a class of Alt_m of exact order n."""
-        where = f"shape {self} for the {slot} slot"
         if self.m != m:
-            raise ValueError(f"{where} has degree {self.m}, expected {m}")
-        if self.order != n:
-            raise ValueError(f"{where} has order {self.order}, expected {n}")
-        if not self.is_even:
-            raise ValueError(f"{where} is not even, so not a class of Alt_{m}")
+            fault = f"has degree {self.m}, expected {m}"
+        elif self.order != n:
+            fault = f"has order {self.order}, expected {n}"
+        elif not self.is_even:
+            fault = f"is not even, so not a class of Alt_{m}"
+        else:
+            return  # the str(self) of the message is built only on a refusal
+        raise ValueError(f"shape {self} for the {slot} slot {fault}")
 
     def class_size(self) -> int:
         """Size of the Sym_m conjugacy class: m! / prod(b^k_b * k_b!)."""
@@ -245,16 +247,22 @@ def lex_min_of_type(ct: CycleType) -> Permutation:
 def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
     """Order of the group generated by the image tuples ``gens`` on m points.
 
-    Beside each coset representative reps[k][j] the table keeps its inverse
-    invs[k][j], computed once when the representative enters, so a sift
-    step never inverts.  Every product is one itemgetter gather:
-    g * u^-1 is itemgetter(*g)(u^-1), u * g is itemgetter(*u)(g).  A product
-    is formed only once g moves a point, so m >= 2 and the gather is a tuple.
+    Sifted elements and coset representatives reps[k][j] are m-byte image
+    strings.  Right factors are 256-byte translate tables, identity past m:
+    the strong generators, and each representative's inverse invs[k][j],
+    one bytes.maketrans as it enters.  So a product g * t (g first, then t)
+    is one C call, g.translate(t), and a sift step never inverts.  Tables
+    index by byte, so m > 256 is refused.  The search never gets there: past
+    m = 145 even the 3-cycles, the smallest nontrivial class of Alt_m,
+    outnumber MAX_PAIRS, so find_generating_triple refuses before any B.
     """
-    ident = tuple(range(m))
+    if m > 256:
+        raise ValueError(f"degree {m} exceeds the Sims table's cap of 256 points")
+    table = bytes(range(256))
+    ident, pad = table[:m], table[m:]
     reps = [{k: ident} for k in range(m)]  # reps[k][j] fixes 0..k-1 and sends k to j
-    invs = [{k: ident} for k in range(m)]  # invs[k][j] is the inverse of reps[k][j]
-    strong: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    invs = [{k: table} for k in range(m)]  # invs[k][j] is the inverse of reps[k][j]
+    strong: list[list[bytes]] = [[] for _ in range(m)]
 
     # Every strong generator added below level k lies in <strong[k]>, and
     # R_{m-1}...R_k is closed under right multiplication by strong[k], so
@@ -265,25 +273,26 @@ def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
                 v = invs[i].get(g[i])
                 if v is None:
                     break
-                g = operator.itemgetter(*g)(v)
+                g = g.translate(v)
         else:
             return  # g sifted to the identity: already a member
+        g += pad
         strong[k].append(g)
         for u in list(reps[k].values()):
-            close(k, operator.itemgetter(*u)(g))
+            close(k, u.translate(g))
 
     def close(k, g):
         v = invs[k].get(g[k])
         if v is None:
             reps[k][g[k]] = g
-            invs[k][g[k]] = _inv(g)
+            invs[k][g[k]] = bytes.maketrans(g, ident)
             for s in strong[k]:
-                close(k, operator.itemgetter(*g)(s))
+                close(k, g.translate(s))
         else:
-            add(k + 1, operator.itemgetter(*g)(v))
+            add(k + 1, g.translate(v))
 
     for g in gens:
-        add(0, g)
+        add(0, bytes(g))
     del add, close  # they refer to each other; empty those cells so `reps` is freed by refcount
     return math.prod(len(r) for r in reps)
 

@@ -7,7 +7,7 @@ from collections import Counter
 from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisat import Triple
@@ -299,18 +299,31 @@ class TestGroupOrder:
         assert group_order([Permutation(range(5))]) == 1
 
     def test_one_and_two_points(self):
-        # the table gathers only once a point moves, so never on one point
+        # the least degrees: the identity on one point, a transposition on two
         assert group_order([Permutation((0,))]) == 1
         assert group_order([Permutation((1, 0))]) == 2
         assert Permutation((0,)) * Permutation((0,)) == Permutation((0,))
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(2, 7).flatmap(
-        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)))
-    def test_against_naive_closure(self, gens):
-        # odd generators included: the table is not confined to Alt_m
-        gens = [Permutation(g) for g in gens]
-        assert group_order(gens) == naive_order(gens)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 7).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+        st.one_of(st.just(tuple(range(m))), st.permutations(range(m)).map(tuple)),
+        min_size=1, max_size=3))))
+    @example((1, [(0,)]))
+    @example((2, [(0, 1), (0, 1)]))
+    @example((2, [(0, 1), (1, 0), (0, 1)]))
+    def test_against_naive_closure(self, case):
+        # odd generators, identity generators and m <= 2 included: the table
+        # is not confined to Alt_m
+        m, gens = case
+        assert permgrp._bsgs_order(gens, m) == naive_order([Permutation(g) for g in gens])
+
+    def test_largest_degree_the_table_takes(self):
+        # 256 points fill a translate table exactly
+        assert group_order([Permutation.from_cycles(256, [tuple(range(256))])]) == 256
+
+    def test_degree_past_the_table_cap_is_refused(self):
+        with pytest.raises(ValueError, match="degree 257 exceeds the Sims table's cap of 256 points"):
+            group_order([Permutation.from_cycles(257, [tuple(range(257))])])
 
     @pytest.mark.parametrize("m,orders", [(8, (3, 3, 6)), (9, (2, 3, 7)),
                                           (9, (2, 3, 9)), (9, (3, 3, 6))])
