@@ -4,14 +4,14 @@ Covers what the alternating-group saturation method needs: cycle types and
 their conjugacy classes, exact group order via a Sims table, search for
 generating pairs of prescribed orders in Alt_m, and non-generation proofs
 (Scott's cycle-count bound, else exhaustion over class pairs).  For each A
-the search builds, by one backtrack in lexicographic order, only the B
-whose every point B[k] is the least of its orbit under the pointwise
-stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A, and whose
-product AB has, for each length, no more cycles than some allowed AB class
-has.  That cuts the pairs walked and changes no witness or answer;
-find_generating_triple states it with the cheaper filters.  Each walked
-pair that passes them gets its own Sims-table call, and a search keeps no
-state from one B, or one search, to the next.
+the search builds, by one backtrack in lexicographic order, only the B of
+a kept class whose every point B[k] is the least of its orbit under the
+pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
+and whose product AB is of an allowed class.  That cuts the pairs walked
+and changes no witness or answer; find_generating_triple states it with
+the cheaper filters.  Each walked pair that passes them gets its own
+Sims-table call, and a search keeps no state from one B, or one search,
+to the next.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -20,7 +20,6 @@ and the conjugacy class of a product are unaffected by this choice.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -124,10 +123,12 @@ class CycleType:
                 raise ValueError(f"cannot parse cycle type {text!r}")
             matches = _SHAPE_PRETTY.findall(text)
         else:
+            # a dot may have whitespace on either side, but not an empty term
+            terms = re.split(r"\s*\.\s*|\s+", text) if text else []
+            if "" in terms:
+                raise ValueError(f"cannot parse cycle type {text!r}")
             matches = []
-            for term in re.split(r"[.\s]+", text):
-                if not term:
-                    continue
+            for term in terms:
                 m = _SHAPE_TERM.match(term)
                 if not m:
                     raise ValueError(f"cannot parse cycle type term {term!r}")
@@ -343,22 +344,26 @@ def _leads(cycles, fixed) -> set[int]:
     return leads.union(firsts.values())
 
 
-def _class_images(a, parts, room_ab) -> list[tuple[int, ...]]:
-    """The image tuples B of cycle type ``parts`` that the search walks against A = ``a``, sorted.
+def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
+    """The image tuples B that the search walks against A = ``a``, sorted.
 
-    A backtrack sets B[0], B[1], ... in turn, each to its values in
-    ascending order, so the B's come out sorted.  It tries v at position k
-    only if v is unused and
+    These are the B of a class in ``classes_b`` whose AB is of a class in
+    ``classes_ab`` (both non-empty lists of parts) and whose every point is
+    a C(A) lead.  Per cycle length, the room of a list is the most cycles
+    of that length any of its classes has.  A backtrack sets B[0], B[1],
+    ... in turn, each to its values in ascending order, so the B's come out
+    sorted.  It tries v at position k only if v is unused and
     - v is in _leads of F = {0..k} and B[0..k-1] (the C(A) rule);
-    - the edge k -> v closes a B-cycle only of a length the class still
-      has room for, and opens no path longer than its longest cycle;
-    - the AB-edge it sets, x -> v with A[x] = k, closes an AB-cycle only
-      of a length with room left in ``room_ab`` (for each cycle length,
-      the most cycles of that length an AB may have), and opens no path
-      longer than the longest length there.
-    Every B of type ``parts`` whose AB fits ``room_ab`` passes the last two
-    at every k, so what they prune would fail later.  The leads depend only
-    on which A-cycles F meets, so one call keeps them by a bitmask of those.
+    - the edge k -> v closes a B-cycle only of a length with room left in
+      the room of ``classes_b``, and opens no path longer than the longest
+      length there;
+    - the AB-edge it sets, x -> v with A[x] = k, does the same against the
+      room of ``classes_ab``.
+    A full B is kept only if the cycles it closed, of B and of AB, form
+    exactly one listed class each: the room left is the room less that
+    class.  Every kept B passes the two cycle checks at every k, so what
+    they prune would fail at the end.  The leads depend only on which
+    A-cycles F meets, so one call keeps them by a bitmask of those.
     """
     m = len(a)
     cycles = _cycles(a)
@@ -367,10 +372,15 @@ def _class_images(a, parts, room_ab) -> list[tuple[int, ...]]:
         for x in cyc:
             bit[x] = 1 << i
     a_inv = _inv(a)
-    room_b, room_ab = [0] * (m + 1), [room_ab.get(n, 0) for n in range(m + 1)]
-    for n in parts:
-        room_b[n] += 1
-    top_b, top_ab = max(parts), max(n for n in range(m + 1) if room_ab[n])
+
+    def room(classes):
+        # the room, the room left by each class, and the longest length in room
+        counts = [Counter(parts) for parts in classes]
+        full = [max(c[n] for c in counts) for n in range(m + 1)]
+        left = {tuple(r - c[n] for n, r in enumerate(full)) for c in counts}
+        return full, left, max(n for n, r in enumerate(full) if r)
+
+    (room_b, left_b, top_b), (room_ab, left_ab, top_ab) = room(classes_b), room(classes_ab)
     # B and AB so far, as paths of the edges set: each path's two ends
     # name each other in `end` and hold its point count in `size`
     end_b, size_b = list(range(m)), [1] * m
@@ -381,7 +391,8 @@ def _class_images(a, parts, room_ab) -> list[tuple[int, ...]]:
 
     def rec(k, touched):
         if k == m:
-            out.append(tuple(b))
+            if tuple(room_b) in left_b and tuple(room_ab) in left_ab:
+                out.append(tuple(b))
             return
         leads = leads_of.get(touched)
         if leads is None:
@@ -527,25 +538,22 @@ def find_generating_triple(
       B, and keeps A, the classes of B and AB, transitivity and the order
       of <A, B>.  So the least B of each C(A)-orbit is walked, first of
       its orbit, and the witness with it;
-    - a B class outside the plan for A is never built for it.  For each
-      other one _class_images builds, per A representative, the B's that
-      keep that rule and whose AB has, for each length, no more cycles
-      than some allowed AB class has; a B it leaves out would fail the
-      product-class test below.  The list of a single kept class is walked
-      directly, those of two or more are merged, and a hit leaves the
-      later A representatives unbuilt;
-    - a pair whose product AB (one itemgetter gather, a fresh tuple) has
-      a cycle count that no allowed AB class has is skipped before its
-      lengths are sorted, and then one whose sorted lengths are not an
-      allowed AB class (the wrong order or class);
+    - a B class outside the plan for A is never built for it, and an A
+      representative whose plan keeps no class is not built at all.  For
+      each other one a single _class_images call builds the B's of its
+      kept classes that keep that rule and whose AB is an allowed class
+      (the right order and class), and a hit leaves the later A
+      representatives unbuilt;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
     - each survivor is settled by the exact group order from the Sims table.
 
-    Each walked pair calls _cycle_lengths on AB, then on B if AB passes,
-    _is_transitive if Scott's test passes, and _bsgs_order if <A, B> is
-    transitive: bench/tracing.py reads the funnel off these calls, and
-    tells B from AB by the identity of the tuples _class_images returned.
+    Each walked pair calls _cycle_lengths on AB (one itemgetter gather, a
+    fresh tuple) and on B, _is_transitive if Scott's test passes, and
+    _bsgs_order if <A, B> is transitive: bench/tracing.py reads the funnel
+    off these calls, and tells B from AB by the identity of the tuples
+    _class_images returned.  Every AB is of an allowed class, so the
+    tracer's product-class pass counts every pair tried.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -556,10 +564,9 @@ def find_generating_triple(
         return NotFound("no elements of required order")
 
     target = factorial(m) // 2
-    allowed_c = {t.parts for t in types_c}
-    counts_c = {len(parts) for parts in allowed_c}
+    classes_c = [t.parts for t in types_c]
     scott_cap = m + 2
-    min_count_c = min(counts_c)
+    min_count_c = min(t.cycle_count for t in types_c)
     # every allowed product has at least min_count_c cycles, so a B class
     # over this cap would fail the per-pair Scott test below for every B
     kept = {ta: [tb for tb in types_b if ta.cycle_count + tb.cycle_count + min_count_c <= scott_cap]
@@ -568,35 +575,25 @@ def find_generating_triple(
     if pairs > MAX_PAIRS:
         raise ValueError(f"Alt_{m} {tr} search over {pairs} candidate pairs "
                          f"exceeds supported cap {MAX_PAIRS}")
-    # per length, the most cycles of that length that an allowed AB class has
-    room_ab: Counter = Counter()
-    for parts in allowed_c:
-        room_ab |= Counter(parts)
     # every walked list stays held until the search returns: bench/tracing.py
     # tells a B from a product by its id, and a product may reuse a freed B's
     held = []
 
-    reps = {lex_min_of_type(ta).images: ta for ta in types_a}
+    reps = {lex_min_of_type(ta).images: ta for ta in types_a if kept[ta]}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        walk = [_class_images(a_img, tb.parts, room_ab) for tb in kept[ta]]
+        walk = _class_images(a_img, [tb.parts for tb in kept[ta]], classes_c)
         held.append(walk)
-        for b_img in walk[0] if len(walk) == 1 else heapq.merge(*walk):
+        for b_img in walk:
             lengths = _cycle_lengths(times_a(b_img))
-            if len(lengths) not in counts_c:
-                continue
-            lengths.sort(reverse=True)  # a fresh list
-            parts = tuple(lengths)
-            if parts not in allowed_c:
-                continue
-            if ta.cycle_count + len(_cycle_lengths(b_img)) + len(parts) > scott_cap:
+            if ta.cycle_count + len(_cycle_lengths(b_img)) + len(lengths) > scott_cap:
                 continue
             if not _is_transitive(a_img, b_img, m):
                 continue
             if _bsgs_order([a_img, b_img], m) == target:
                 ga, gb = Permutation(a_img), Permutation(b_img)
                 return GenerationWitness(
-                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(tuple(lengths)))
                 )
     return NotFound("exhausted all class pairs")
 

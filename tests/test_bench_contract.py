@@ -97,6 +97,22 @@ def test_traced_exhaustive_searches_walk_every_b_built():
     assert exhaustive == 13
 
 
+@pytest.mark.parametrize("workload", ["alt-nongen", "alt-gen", "decide-alt"])
+def test_every_traced_pair_passes_the_product_class(workload):
+    # _class_images returns only B's whose AB is an allowed class, so each
+    # pair tried calls _cycle_lengths on B too: the tracer's product-class
+    # pass equals its pairs tried, case by case.
+    tracing = _load("tracing")
+    tried = 0
+    for key, run in _load("workloads").build(workload):
+        with tracing.Tracer() as tracer:
+            run()
+        funnel = tracer.funnel()
+        assert funnel["product_class_pass"] == funnel["pairs_tried"], key
+        tried += funnel["pairs_tried"]
+    assert tried > 0
+
+
 def test_traced_closed_form_calls_with_a_warm_memo():
     # weil.principal_fixed_dim, weil.weil_h1 and bibi.so_fixed_dim are
     # memoised; the tracer wraps so_fixed_dim and h1_principal from outside

@@ -72,6 +72,11 @@ class TestOtherCommands:
         code, report = run_json(capsys, "bibi", "--type", "D5", "--triple", "3,4,4")
         assert code == 0 and report["status"] == "Saturated"
 
+    def test_bibi_rejects_k_zero(self, capsys):
+        assert cli.main(["bibi", "--type", "D7", "--triple", "2,3,7", "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need k >= 1\n"
+
     def test_bibi_rejects_non_d(self, capsys):
         assert cli.main(["bibi", "--type", "B5", "--triple", "2,3,7"]) == 2
 
@@ -100,6 +105,14 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"]
+
+    def test_alt_shapes_reject_stray_dot(self, capsys):
+        # "3^3." must be refused, not read as (3)^3
+        assert cli.main(["alt", "--m", "9", "--triple", "3,3,7",
+                         "--shapes", "3^3.,3^3,7.1^2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse cycle type '3^3.'" in captured.err
 
     def test_alt_check(self, capsys):
         code, report = run_json(capsys, "alt", "--m", "9", "--triple", "3,3,9")

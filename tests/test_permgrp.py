@@ -93,19 +93,9 @@ def unpruned_search(m, tr):
     return NotFound("exhausted all class pairs")
 
 
-def open_room(m):
-    """A ``room_ab`` for _class_images that lets AB hold any cycles on m points."""
-    return {n: m for n in range(1, m + 1)}
-
-
-def room_of(m, c):
-    """The ``room_ab`` of a search whose AB has order c on m points: for each
-    cycle length, the most cycles of that length an even type of order c has."""
-    room = Counter()
-    for t in cycle_types_of_order(m, c):
-        if t.is_even:
-            room |= Counter(t.parts)
-    return dict(room)
+def classes_of(m, c):
+    """The AB classes of a search whose AB has order c on m points: the even types of order c."""
+    return [t.parts for t in cycle_types_of_order(m, c) if t.is_even]
 
 
 def search_outcome(found):
@@ -158,6 +148,7 @@ class TestCycleType:
         assert CycleType.parse("7.1^2").parts == (7, 1, 1)
         assert CycleType.parse("(2)^4(1)^3").parts == (2, 2, 2, 2, 1, 1, 1)
         assert CycleType.parse("5.3").parts == (5, 3)
+        assert CycleType.parse(" 5 . 3 1").parts == (5, 3, 1)  # whitespace beside a dot, or for one
         with pytest.raises(ValueError):
             CycleType.parse("3^^2")
 
@@ -175,6 +166,12 @@ class TestCycleType:
     @pytest.mark.parametrize("text", ["03^3", "(03)^3", "3^3.01", "0"])
     def test_leading_zero_length_is_refused(self, text):
         # a cycle length is written as a multiplicity is: no leading zero, no 0
+        with pytest.raises(ValueError, match="cannot parse"):
+            CycleType.parse(text)
+
+    @pytest.mark.parametrize("text", [".3^3", "3^3.", "3^3..1", "3^3. .1"])
+    def test_empty_dotted_term_is_refused(self, text):
+        # a stray dot must not vanish silently
         with pytest.raises(ValueError, match="cannot parse"):
             CycleType.parse(text)
 
@@ -259,7 +256,7 @@ class TestEnumerateClass:
         gc.collect()
         gc.disable()
         try:
-            imgs = permgrp._class_images(a, (2, 2, 2, 2), open_room(8))
+            imgs = permgrp._class_images(a, [(2, 2, 2, 2)], partitions(8))
             assert len(imgs) == 10
             del imgs
             assert gc.collect() == 0
@@ -512,7 +509,7 @@ class TestBlockWalk:
             a = lex_min_of_type(CycleType(parts_a)).images
             gens = centraliser_gens(a)
             for parts_b in rng.sample(classes, 3):
-                walked = permgrp._class_images(a, parts_b, open_room(m))
+                walked = permgrp._class_images(a, [parts_b], partitions(m))
                 assert walked == sorted(set(walked))
                 whole = class_elements(m, parts_b)
                 assert orbit_minima(whole, gens) <= set(walked), (a, parts_b)
@@ -521,43 +518,74 @@ class TestBlockWalk:
         assert walked_total < class_total / 2
 
 
+def led_images(a, classes_b):
+    """The oracle's B's of the listed classes whose every B[k] is in
+    centraliser_leads of {0..k} and B[0..k-1], sorted."""
+    return sorted(b for parts in classes_b for b in class_elements(len(a), parts)
+                  if all(b[k] in stabiliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
+                         for k in range(len(a))))
+
+
+def product_class(a, b):
+    """The parts of A*B, A applied first, descending."""
+    return tuple(sorted(permgrp._cycle_lengths(tuple(b[x] for x in a)), reverse=True))
+
+
 class TestClassImages:
-    # _class_images builds, in lex order, exactly the B's of one class whose
-    # every B[k] is in centraliser_leads of {0..k} and B[0..k-1], and whose
-    # AB has no more cycles of any length than the room allows.
+    # _class_images builds, in lex order, exactly the led B's of the listed
+    # classes whose AB is of a listed AB class; every class lets AB be any
+    # permutation.
     @staticmethod
-    def check_against_the_oracle(a, parts_b, rooms):
-        m = len(a)
-        led = [b for b in class_elements(m, parts_b)
-               if all(b[k] in stabiliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
-                      for k in range(m))]
-        assert permgrp._class_images(a, parts_b, open_room(m)) == led, (a, parts_b)
-        for room in rooms:
-            fits = [b for b in led
-                    if all(n <= room.get(length, 0) for length, n in
-                           Counter(permgrp._cycle_lengths(tuple(b[x] for x in a))).items())]
-            assert permgrp._class_images(a, parts_b, room) == fits, (a, parts_b, room)
+    def check_against_the_oracle(a, classes_b, lists_ab):
+        led = led_images(a, classes_b)
+        assert permgrp._class_images(a, classes_b, partitions(len(a))) == led, (a, classes_b)
+        for classes_ab in lists_ab:
+            fits = [b for b in led if product_class(a, b) in classes_ab]
+            assert permgrp._class_images(a, classes_b, classes_ab) == fits, (a, classes_b, classes_ab)
 
     @staticmethod
-    def rooms(m):
-        """The room of every order c < 2m that has an even type on m points."""
-        return [room for room in map(lambda c: room_of(m, c), range(1, 2 * m)) if room]
+    def lists_ab(m):
+        """The AB classes of every order c < 2m that has an even type on m points."""
+        return [classes for classes in (classes_of(m, c) for c in range(1, 2 * m)) if classes]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_every_class_pair_matches_the_oracle(self, m):
-        # every A class against every B class; each pair takes one real room in turn
-        rooms = self.rooms(m)
+        # every A class against every B class; each pair takes one real AB list in turn
+        lists_ab = self.lists_ab(m)
         pairs = itertools.product(partitions(m), repeat=2)
         for i, (parts_a, parts_b) in enumerate(pairs):
             a = lex_min_of_type(CycleType(parts_a)).images
-            self.check_against_the_oracle(a, parts_b, [rooms[i % len(rooms)]])
+            self.check_against_the_oracle(a, [parts_b], [lists_ab[i % len(lists_ab)]])
 
     def test_sampled_class_pairs_at_degree_8(self):
         rng = random.Random(8)
         classes = partitions(8)
         for parts_a, parts_b in [rng.sample(classes, 2) for _ in range(8)]:
             a = lex_min_of_type(CycleType(parts_a)).images
-            self.check_against_the_oracle(a, parts_b, rng.sample(self.rooms(8), 2))
+            self.check_against_the_oracle(a, [parts_b], rng.sample(self.lists_ab(8), 2))
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_sampled_class_lists_match_the_oracle(self, m):
+        # lists of 2 or 3 B classes, against a real AB list and a drawn one;
+        # the room of a list may admit classes that are not on it
+        rng = random.Random(m)
+        classes, real = partitions(m), self.lists_ab(m)
+        for _ in range(6):
+            a = lex_min_of_type(CycleType(rng.choice(classes))).images
+            classes_b = sorted(rng.sample(classes, rng.choice((2, 3))))
+            self.check_against_the_oracle(a, classes_b, [rng.choice(real), rng.sample(classes, 3)])
+
+    def test_rooms_that_admit_classes_off_the_list(self):
+        # The room of [(4, 4), (2, 2, 1, 1, 1, 1)] admits (4, 2, 1, 1), which is
+        # on neither list: a B, or an AB, of that class passes every check on
+        # the way down, and only the check on the full B turns it away.
+        two, off = [(4, 4), (2, 2, 1, 1, 1, 1)], (4, 2, 1, 1)
+        a = lex_min_of_type(CycleType((3, 3, 1, 1))).images
+        assert led_images(a, [off])
+        self.check_against_the_oracle(a, two, [two])
+        classes_b = [(3, 3, 1, 1), (2, 2, 2, 2)]
+        assert off in {product_class(a, b) for b in led_images(a, classes_b)}
+        self.check_against_the_oracle(a, classes_b, [two])
 
 
 @st.composite
@@ -675,8 +703,8 @@ class TestGenerationSearch:
     @pytest.mark.parametrize("m", [8, 9])
     def test_matches_unpruned_search(self, monkeypatch, m, orders):
         # Alt_9 (2,3,7): only the (2)^4(1) representative keeps a B class.
-        # Alt_9 (3,3,4): the (3)^3 representative walks a merge of two classes.
-        # Alt_8 (4,4,6): the witness is found inside a merge of two classes.
+        # Alt_9 (3,3,4): the (3)^3 representative walks the B's of two classes.
+        # Alt_8 (4,4,6): the witness is found among the B's of two classes.
         # A representative without fixed points has 0 on a longer cycle, so the
         # backtrack sets B[0] only to a point of that cycle or to the first
         # point of one cycle of each other length; ZERO_MOVED names the cases
