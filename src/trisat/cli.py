@@ -70,8 +70,8 @@ def cmd_typed(args) -> int:
 
 
 def _parse_shapes(text: str, m: int) -> tuple[CycleType, CycleType, CycleType]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
+    parts = text.split(",")
+    if len(parts) != 3 or not all(p.strip() for p in parts):  # an empty term is refused, not dropped
         raise ValueError(f"--shapes needs three comma-separated cycle types, got {text!r}")
     return tuple(CycleType.parse(p).padded(m) for p in parts)
 

@@ -9,9 +9,10 @@ a kept class whose every point B[k] is the least of its orbit under the
 pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
 and whose product AB is of an allowed class.  That cuts the pairs walked
 and changes no witness or answer; find_generating_triple states it with
-the cheaper filters.  Each walked pair that passes them gets its own
-Sims-table call, and a search keeps no state from one B, or one search,
-to the next.
+the cheaper filters.  A walked pair that passes them gets a Sims-table
+call only if B is the least of its C(A)-orbit, by a minimal-image test
+that never lists C(A).  A search keeps no state from one B, or one
+search, to the next.
 
 Composition convention: (p * q) applies p first, then q, so
 (p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
@@ -455,6 +456,86 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
     return len(reached) == m
 
 
+def _orbit_least(a):
+    """The minimal-image test of A = ``a``: least(b) says whether no c in C(A)
+    makes c^-1 B c, which sends c[x] to c[B[x]], sort before B = b.
+
+    C(A) maps each A-cycle onto one of the same length, rotated, and any
+    partial such map of cycles extends to an element of C(A).  So least(b)
+    maps cycles as it reads the conjugate at y = 0, 1, ...  Where c^-1[y]
+    is not yet set, y leads an unmapped cycle: it reads what each point of
+    each unmapped cycle of that length would put at y.  Where c[z], z =
+    B[c^-1[y]], is not set, the least value is the least free point of z's
+    length.  A value below B[y] answers at once, the ties are followed and
+    the rest end (Jefferson, Jonauskyte, Pfeiffer and Waldecker, "Minimal
+    and canonical images", J. Algebra 521 (2019)).  C(A) is never listed:
+    the branches that reach y = m are the elements of C(A) that commute
+    with B, at most m when <A, B> is transitive.  A's cycle tables are
+    read here, once per A.
+    """
+    m = len(a)
+    cyc, turn = [None] * m, [None] * m  # p's A-cycle, and that cycle read from p
+    peers: dict[int, list[list[int]]] = {}  # A's cycles of each length, by least point
+    for cy in _cycles(a):
+        peers.setdefault(len(cy), []).append(cy)
+        for j, p in enumerate(cy):
+            cyc[p], turn[p] = cy, cy[j:] + cy[:j]
+
+    def least(b):
+        c, c_inv = [-1] * m, [-1] * m  # -1 where not yet mapped
+
+        def follow(x, y, k):
+            # map x's cycle onto y's, x to y, and read on from k
+            pairs = list(zip(turn[x], turn[y]))
+            for p, q in pairs:
+                c[p], c_inv[q] = q, p
+            found = lower(k)
+            for p, q in pairs:
+                c[p] = c_inv[q] = -1
+            return found
+
+        def lower(y):
+            # whether some c extending the cycles mapped so far sorts c^-1 B c
+            # before B; it agrees with B before y
+            while y < m:
+                x, v = c_inv[y], b[y]
+                if x < 0:
+                    dst, ties = cyc[y], []
+                    for src in peers[len(dst)]:
+                        if c[src[0]] >= 0:
+                            continue
+                        for x in src:  # x to y maps src onto dst
+                            z = b[x]
+                            if cyc[z] is src:
+                                w = turn[y][turn[x].index(z)]
+                            else:
+                                w = c[z] if c[z] >= 0 else next(
+                                    cy for cy in peers[len(cyc[z])]
+                                    if c_inv[cy[0]] < 0 and cy is not dst)[0]
+                            if w < v:
+                                return True
+                            if w == v:
+                                ties.append(x)
+                    return any(follow(x, y, y) for x in ties)
+                z = b[x]
+                w = c[z]
+                if w < 0:
+                    # a free cycle of z's length holding v is led by v, the least free point
+                    w = next(cy for cy in peers[len(cyc[z])] if c_inv[cy[0]] < 0)[0]
+                    if w == v:
+                        return follow(z, v, y + 1)
+                if w != v:
+                    return w < v
+                y += 1
+            return False
+
+        found = lower(0)
+        del follow, lower  # they refer to each other; empty their cells
+        return not found
+
+    return least
+
+
 # ---------------------------------------------------------------------------
 # Generation search in Alt_m
 
@@ -546,14 +627,21 @@ def find_generating_triple(
       representatives unbuilt;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
+    - a pair whose B is not the least of its C(A)-orbit is skipped: the
+      walk reached that least B earlier, and it settled the same order of
+      <A, B> (_orbit_least, built once per A representative).  The first
+      pair of a walk to get here is orbit-least untested: the least of its
+      orbit is walked and passes every filter, so it cannot come later;
     - each survivor is settled by the exact group order from the Sims table.
 
     Each walked pair calls _cycle_lengths on AB (one itemgetter gather, a
     fresh tuple) and on B, _is_transitive if Scott's test passes, and
-    _bsgs_order if <A, B> is transitive: bench/tracing.py reads the funnel
-    off these calls, and tells B from AB by the identity of the tuples
-    _class_images returned.  Every AB is of an allowed class, so the
-    tracer's product-class pass counts every pair tried.
+    _bsgs_order if <A, B> is transitive and B orbit-least: bench/tracing.py
+    reads the funnel off these calls, and tells B from AB by the identity
+    of the tuples _class_images returned.  Every AB is of an allowed class,
+    so the tracer's product-class pass counts every pair tried; it reads
+    its transitive pass off the Sims-table calls, so that counts the
+    orbit-least transitive pairs only.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -584,11 +672,16 @@ def find_generating_triple(
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         walk = _class_images(a_img, [tb.parts for tb in kept[ta]], classes_c)
         held.append(walk)
+        least = None  # built at the first transitive pair, which is orbit-least
         for b_img in walk:
             lengths = _cycle_lengths(times_a(b_img))
             if ta.cycle_count + len(_cycle_lengths(b_img)) + len(lengths) > scott_cap:
                 continue
             if not _is_transitive(a_img, b_img, m):
+                continue
+            if least is None:
+                least = _orbit_least(a_img)
+            elif not least(b_img):
                 continue
             if _bsgs_order([a_img, b_img], m) == target:
                 ga, gb = Permutation(a_img), Permutation(b_img)

@@ -47,8 +47,8 @@ class Triple:
 
     @classmethod
     def parse(cls, text: str) -> "Triple":
-        parts = [p for p in text.replace(" ", "").split(",") if p]
-        if len(parts) != 3:
+        parts = text.replace(" ", "").split(",")
+        if len(parts) != 3 or "" in parts:  # an empty term is refused, not dropped
             raise ValueError(f"expected three comma-separated integers, got {text!r}")
         return cls(*(int(p) for p in parts))
 

@@ -265,6 +265,23 @@ def test_oversized_degree_exits_2(argv, error):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["h1", "--type", "G2", "--triple", "2,,3,7"],
+     "expected three comma-separated integers, got '2,,3,7'"),
+    (["h1", "--type", "G2", "--triple", "2,3,7,"],
+     "expected three comma-separated integers, got '2,3,7,'"),
+    (["alt", "--m", "9", "--triple", "3,3,7", "--shapes", "3^3,,3^3,7.1^2"],
+     "--shapes needs three comma-separated cycle types, got '3^3,,3^3,7.1^2'"),
+    (["alt", "--m", "9", "--triple", "3,3,7", "--shapes", "3^3,3^3,7.1^2,"],
+     "--shapes needs three comma-separated cycle types, got '3^3,3^3,7.1^2,'"),
+], ids=["triple-double-comma", "triple-trailing-comma", "shapes-double-comma",
+        "shapes-trailing-comma"])
+def test_empty_comma_term_exits_2(argv, error, capsys):
+    # an empty term is refused, not dropped: 2,,3,7 used to run as (2,3,7)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisat", "h1", "--type", "G2", "--triple", "2,3,7"],

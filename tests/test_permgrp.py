@@ -617,6 +617,55 @@ class TestTransitivity:
         assert permgrp._is_transitive(a, b, m) == reaches_every_point([a, b], m)
 
 
+# The lex-minimal representative of every even class at m = 2..8 but the
+# identity at m = 8, whose centraliser, all of Sym_8, takes group_elements
+# about 1.5 s to close; the identity at m = 2..7 takes the same code path.
+EVEN_REPS = [lex_min_of_type(CycleType(parts)).images for m in range(2, 9)
+             for parts in partitions(m) if CycleType(parts).is_even and parts != (1,) * 8]
+
+
+@functools.lru_cache(maxsize=None)
+def centraliser_pairs(a):
+    """Each element c of C(A), closed from centraliser_gens, with its inverse."""
+    return [(c, tuple(sorted(range(len(c)), key=c.__getitem__)))
+            for c in sorted(group_elements(centraliser_gens(a)))]
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_by_a_generator(a):
+    """The B's that a generator of C(A) commutes with, so fixes by conjugation."""
+    return sorted({b for g in centraliser_gens(a) for b in centraliser(g)})
+
+
+class TestOrbitLeast:
+    # _orbit_least(A)(B) against the least conjugate c^-1 B c over the whole
+    # of C(A); the walk's B's are its inputs in the search, but the test is
+    # exact for any B.
+    @pytest.mark.parametrize("a", EVEN_REPS, ids=str)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_least_conjugate(self, a, data):
+        m, pairs = len(a), centraliser_pairs(a)
+        # a B at random; one in C(A), which A fixes; one a generator of C(A) fixes
+        b = data.draw(st.one_of(st.permutations(range(m)).map(tuple),
+                                st.sampled_from([c for c, _ in pairs]),
+                                st.sampled_from(fixed_by_a_generator(a))))
+        low = min(tuple(c[b[c_inv[x]]] for x in range(m)) for c, c_inv in pairs)
+        least = permgrp._orbit_least(a)
+        assert least(b) == (b == low)
+        assert least(low)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_orbit_minimum_and_nothing_else(self, m):
+        # every B on m points: least exactly on the least of each C(A)-orbit
+        whole = sorted(itertools.permutations(range(m)))
+        for a in EVEN_REPS:
+            if len(a) == m:
+                least = permgrp._orbit_least(a)
+                minima = orbit_minima(whole, centraliser_gens(a))
+                assert {b for b in whole if least(b)} == minima, a
+
+
 class TestTypesOfOrder:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 60, 840])
     @pytest.mark.parametrize("m", range(1, 25))
@@ -710,10 +759,10 @@ class TestGenerationSearch:
         # point of one cycle of each other length; ZERO_MOVED names the cases
         # where such an A reaches the transitivity filter.
         # The pairs that reach the Sims table are some of the unpruned
-        # search's transitive survivors, in the same order, and among them is
-        # the least of each C(A)-orbit of those survivors: the survivors are
-        # met in lex order and an orbit either survives whole or not at all,
-        # so its least element is the first one met.
+        # search's transitive survivors, in the same order, and they are
+        # exactly the least of each C(A)-orbit of those survivors: the
+        # survivors are met in lex order and an orbit either survives whole
+        # or not at all, so its least element is the first one met.
         walked = set()
         real = permgrp._is_transitive
         monkeypatch.setattr(permgrp, "_is_transitive",
@@ -735,21 +784,22 @@ class TestGenerationSearch:
             if (a, b) not in met:
                 minima.add((a, b))
                 met.update((a, conjugate(b, c)) for c in group_elements(centraliser_gens(a)))
-        assert minima <= set(pruned_calls)
+        assert minima == set(pruned_calls)
 
-    @pytest.mark.parametrize("orders,calls", [((2, 3, 9), 63), ((3, 3, 6), 99)])
-    def test_one_sims_table_call_per_transitive_pair(self, monkeypatch, orders, calls):
+    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 99, 13)])
+    def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, transitive, calls):
         # Alt_9 (2,3,9): the walk meets 63 transitive pairs, which fall into
-        # 4 C(A)-orbits; each pair gets its own Sims-table call.  Alt_9
-        # (3,3,6) meets 99, in 13 orbits.
-        seen, transitive = [], []
+        # 4 C(A)-orbits; only the least pair of each orbit gets a Sims-table
+        # call.  Alt_9 (3,3,6) meets 99, in 13 orbits.
+        seen, accepted = [], []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: seen.append(gens) or real(gens, m))
         real_transitive = permgrp._is_transitive
         monkeypatch.setattr(permgrp, "_is_transitive",
-                            lambda a, b, m: transitive.append(ok := real_transitive(a, b, m)) or ok)
+                            lambda a, b, m: accepted.append(ok := real_transitive(a, b, m)) or ok)
         assert find_generating_triple(9, Triple(*orders)) == NotFound("exhausted all class pairs")
-        assert len(seen) == sum(transitive) == calls
+        assert sum(accepted) == transitive
+        assert len(seen) == calls
 
     def test_no_elements_reason(self):
         out = find_generating_triple(9, Triple(2, 3, 8))  # Alt_9 has no order-8 element
@@ -844,13 +894,13 @@ class TestProveNonGeneration:
 
     def test_alt12_exhaustive_route(self, monkeypatch):
         # alt --m 12 --triple 3,3,4: priced at 985,600 pairs, exhausted with
-        # one Sims-table call for each of its 60 transitive pairs
+        # one Sims-table call for each C(A)-orbit of its 60 transitive pairs
         calls = []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: calls.append(gens) or real(gens, m))
         out = prove_non_generation(12, Triple(3, 3, 4))
         assert out == NonGenerated("exhaustive", {"reason": "exhausted all class pairs"})
-        assert len(calls) == 60
+        assert len(calls) == 8
 
     def test_refuted(self):
         out = prove_non_generation(9, Triple(3, 3, 7))

@@ -39,8 +39,10 @@ class TestTriple:
 
     def test_parse(self):
         assert Triple.parse("2, 3, 7").orders == (2, 3, 7)
-        with pytest.raises(ValueError):
-            Triple.parse("2,3")
+        # an empty term is refused, not dropped
+        for text in ("2,3", "2,,3,7", "2,3,7,", ",2,3,7", "2, ,3,7"):
+            with pytest.raises(ValueError, match="expected three comma-separated integers"):
+                Triple.parse(text)
 
 
 class TestPrincipalFixedDim:
