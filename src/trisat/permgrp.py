@@ -14,14 +14,14 @@ call only if B is the least of its C(A)-orbit, by a minimal-image test
 that never lists C(A).  A search keeps no state from one B, or one
 search, to the next.
 
-Composition convention: (p * q) applies p first, then q, so
-(p * q).images[x] == q.images[p.images[x]].  Cycle types, element orders
-and the conjugacy class of a product are unaffected by this choice.
+A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
+The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
+tuple(q[x] for x in p).  Cycle types, element orders and the conjugacy
+class of a product are unaffected by this choice.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -32,39 +32,6 @@ from math import factorial
 
 from . import rootsys
 from .weil import Triple
-
-
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """Immutable permutation of {0..m-1}, stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-
-    @classmethod
-    def from_cycles(cls, m: int, cycles) -> "Permutation":
-        images = list(range(m))
-        for cyc in cycles:
-            for u, v in zip(cyc, cyc[1:]):
-                images[u] = v
-            if cyc:
-                images[cyc[-1]] = cyc[0]
-        return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # apply self first, then other; a generator, not itemgetter, which
-        # returns a scalar on one point
-        q = other.images
-        return Permutation(tuple(q[i] for i in self.images))
 
 
 # Image-tuple kernel: _inv for _class_images, _cycle_lengths for cycle_type
@@ -99,9 +66,10 @@ def _cycle_lengths(images) -> list[int]:
 #: the largest degree whose B/D target (B_r at m = 2r + 2) rootsys accepts.
 MAX_DEGREE = 2 * rootsys.MAX_RANK + 2
 
-_SHAPE_TERM = re.compile(r"^([1-9]\d*)(?:\^([1-9]\d*))?$")
-_SHAPE_PRETTY = re.compile(r"\(([1-9]\d*)\)(?:\^([1-9]\d*))?")
-_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\([1-9]\d*\)(?:\^[1-9]\d*)?)+")
+# [0-9], not \d: \d matches any Unicode digit, and int() reads them all
+_SHAPE_TERM = re.compile(r"^([1-9][0-9]*)(?:\^([1-9][0-9]*))?$")
+_SHAPE_PRETTY = re.compile(r"\(([1-9][0-9]*)\)(?:\^([1-9][0-9]*))?")
+_SHAPE_PRETTY_WHOLE = re.compile(r"(?:\s*\([1-9][0-9]*\)(?:\^[1-9][0-9]*)?)+")
 
 
 @dataclass(frozen=True)
@@ -185,14 +153,33 @@ class CycleType:
             raise ValueError(f"cycle type {self} exceeds degree {m}")
         return CycleType(self.parts + (1,) * (m - self.m))
 
+    def lex_min(self) -> tuple[int, ...]:
+        """The lexicographically least image tuple of this type.
+
+        Cycles are laid on consecutive blocks of points in increasing length
+        order; each cycle maps its block cyclically upward.  Shorter cycles
+        first is forced: closing a cycle writes the block's smallest point,
+        which beats any continuation.
+        """
+        images: list[int] = []
+        for n in sorted(self.parts):
+            start = len(images)
+            images += range(start + 1, start + n)
+            images.append(start)
+        return tuple(images)
+
     def __str__(self) -> str:
         # parts are stored descending, so the Counter lists them in that order
         return "".join(f"({length})" + (f"^{k}" if k > 1 else "")
                        for length, k in Counter(self.parts).items())
 
 
-def cycle_type(p: Permutation) -> CycleType:
-    return CycleType(tuple(_cycle_lengths(p.images)))
+def cycle_type(p: tuple[int, ...]) -> CycleType:
+    """The cycle type of the image tuple ``p``; ValueError unless p is a
+    permutation of 0..m-1, on which alone _cycle_lengths ends."""
+    if sorted(p) != list(range(len(p))):
+        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {tuple(p)}")
+    return CycleType(tuple(_cycle_lengths(p)))
 
 
 #: Most partitions of m into divisors of n that cycle_types_of_order walks.
@@ -229,17 +216,10 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     return tuple(CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n)
 
 
-def lex_min_of_type(ct: CycleType) -> Permutation:
-    """The lexicographically smallest (by image tuple) permutation of type ct.
-
-    Cycles are laid on consecutive blocks of points in increasing length
-    order; each cycle maps its block cyclically upward.  Shorter cycles
-    first is forced: closing a cycle writes the block's smallest point,
-    which beats any continuation.
-    """
-    lengths = sorted(ct.parts)
-    starts = itertools.accumulate(lengths, initial=0)
-    return Permutation.from_cycles(ct.m, [range(s, s + n) for s, n in zip(starts, lengths)])
+def lex_min_of_type(ct: CycleType) -> tuple[int, ...]:
+    """ct.lex_min(), kept only because bench/tracing.TARGETS names it;
+    ROADMAP item 1 removes it together with the tracer's hook on it."""
+    return ct.lex_min()
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +277,6 @@ def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
         add(0, bytes(g))
     del add, close  # they refer to each other; empty those cells so `reps` is freed by refcount
     return math.prod(len(r) for r in reps)
-
-
-def group_order(gens) -> int:
-    """Exact order of the permutation group generated by ``gens``."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    m = gens[0].degree
-    if any(g.degree != m for g in gens):
-        raise ValueError("generators act on different degrees")
-    return _bsgs_order([g.images for g in gens], m)
 
 
 def _cycles(a) -> list[list[int]]:
@@ -555,22 +524,28 @@ MAX_PAIRS = 1_000_000
 class GenerationWitness:
     """A pair (A, B) in Alt_m with |A| = a, |B| = b, |AB| = c and <A,B> = Alt_m."""
 
-    gen_a: Permutation
-    gen_b: Permutation
+    gen_a: tuple[int, ...]
+    gen_b: tuple[int, ...]
     orders: tuple[int, int, int]
     shapes: tuple[CycleType, CycleType, CycleType]
 
     def validate(self) -> bool:
-        slots = zip((self.gen_a, self.gen_b, self.gen_a * self.gen_b), self.shapes, self.orders)
+        """Whether A and B are permutations of one degree m with the stated
+        shapes and orders, and generate Alt_m."""
+        a, b = self.gen_a, self.gen_b
+        m = len(a)
+        if len(b) != m or sorted(a) != list(range(m)) or sorted(b) != list(range(m)):
+            return False
+        slots = zip((a, b, tuple(b[x] for x in a)), self.shapes, self.orders)
         return (
             all(cycle_type(g) == shape and shape.order == n for g, shape, n in slots)
-            and group_order([self.gen_a, self.gen_b]) == factorial(self.gen_a.degree) // 2
+            and _bsgs_order([a, b], m) == factorial(m) // 2
         )
 
     def as_dict(self) -> dict:
         return {
-            "A": list(self.gen_a.images),
-            "B": list(self.gen_b.images),
+            "A": list(self.gen_a),
+            "B": list(self.gen_b),
             "orders": list(self.orders),
             "shapes": [str(s) for s in self.shapes],
         }
@@ -641,7 +616,9 @@ def find_generating_triple(
     of the tuples _class_images returned.  Every AB is of an allowed class,
     so the tracer's product-class pass counts every pair tried; it reads
     its transitive pass off the Sims-table calls, so that counts the
-    orbit-least transitive pairs only.
+    orbit-least transitive pairs only.  The witness's A and B shapes are
+    read through cycle_type, never by _cycle_lengths directly, which the
+    tracer would count as pairs tried.
     """
     if m < 5:
         raise ValueError("need m >= 5")
@@ -667,7 +644,7 @@ def find_generating_triple(
     # tells a B from a product by its id, and a product may reuse a freed B's
     held = []
 
-    reps = {lex_min_of_type(ta).images: ta for ta in types_a if kept[ta]}
+    reps = {ta.lex_min(): ta for ta in types_a if kept[ta]}
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         walk = _class_images(a_img, [tb.parts for tb in kept[ta]], classes_c)
@@ -684,10 +661,8 @@ def find_generating_triple(
             elif not least(b_img):
                 continue
             if _bsgs_order([a_img, b_img], m) == target:
-                ga, gb = Permutation(a_img), Permutation(b_img)
-                return GenerationWitness(
-                    ga, gb, tr.orders, (cycle_type(ga), cycle_type(gb), CycleType(tuple(lengths)))
-                )
+                return GenerationWitness(a_img, b_img, tr.orders, (
+                    cycle_type(a_img), cycle_type(b_img), CycleType(tuple(lengths))))
     return NotFound("exhausted all class pairs")
 
 

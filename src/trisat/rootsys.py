@@ -28,7 +28,7 @@ _EXCEPTIONAL_EXPONENTS = {
 #: Hard cap so that accidental huge ranks fail fast instead of allocating.
 MAX_RANK = 512
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")  # not \d, which matches any Unicode digit
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,12 @@ class Triple:
     @classmethod
     def parse(cls, text: str) -> "Triple":
         parts = text.replace(" ", "").split(",")
-        if len(parts) != 3 or "" in parts:  # an empty term is refused, not dropped
-            raise ValueError(f"expected three comma-separated integers, got {text!r}")
-        return cls(*(int(p) for p in parts))
+        if len(parts) == 3 and "" not in parts:  # an empty term is refused, not dropped
+            values = [int(p) for p in parts]  # a term int() cannot read is refused in its words
+            # int() also reads "1_0", "+7" and non-ASCII digits such as "٧"
+            if all(p.isascii() and p.isdigit() for p in parts):
+                return cls(*values)
+        raise ValueError(f"expected three comma-separated integers, got {text!r}")
 
     @property
     def orders(self) -> tuple[int, int, int]:

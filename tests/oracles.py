@@ -2,8 +2,10 @@
 
 Builds explicit real orthogonal matrices (block rotations, permutation
 actions on the standard module), forms the antisymmetric square, and reads
-fixed-space dimensions off numeric ranks; ``rigid_contains`` states the
-rigid table as a predicate instead of the spec rows ``tables`` expands;
+fixed-space dimensions off numeric ranks; ``from_cycles`` builds a
+permutation's image tuple from its cycles and refuses a non-bijection;
+``rigid_contains`` states the rigid table as a predicate instead of the
+spec rows ``tables`` expands;
 ``partitions`` lists every partition of m, the check on the cycle-type
 lister; ``class_elements`` lists every permutation of one cycle type, the
 check on the B's the search builds; ``reaches_every_point`` and ``group_elements`` are naive set-based
@@ -24,7 +26,6 @@ import itertools
 
 import numpy as np
 
-from trisat.permgrp import Permutation
 from trisat.rootsys import DynkinType
 
 
@@ -79,11 +80,28 @@ def fixed_dim_numeric(mat: np.ndarray) -> int:
     return d - np.linalg.matrix_rank(a - np.eye(d), tol=1e-9)
 
 
-def standard_module_matrix(p: Permutation) -> np.ndarray:
-    """Orthogonal (m-1)x(m-1) matrix of p on the complement of the ones line."""
-    m = p.degree
+def from_cycles(m: int, cycles) -> tuple[int, ...]:
+    """The image tuple on 0..m-1 that sends each point of each of ``cycles``
+    to the next, the last to the first, and fixes the rest.
+
+    ValueError unless the result is a permutation: cycles that share a
+    point can send two points to one.
+    """
+    images = list(range(m))
+    for cyc in cycles:
+        cyc = tuple(cyc)
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            images[x] = y
+    if sorted(images) != list(range(m)):
+        raise ValueError(f"not a permutation of 0..{m - 1}: {tuple(images)}")
+    return tuple(images)
+
+
+def standard_module_matrix(p: tuple[int, ...]) -> np.ndarray:
+    """Orthogonal (m-1)x(m-1) matrix of the image tuple p on the complement of the ones line."""
+    m = len(p)
     perm = np.zeros((m, m))
-    for i, j in enumerate(p.images):
+    for i, j in enumerate(p):
         perm[j, i] = 1.0
     basis = np.zeros((m, m - 1))
     for i in range(m - 1):

@@ -5,13 +5,7 @@ import pytest
 
 from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt
 from trisat.altmethod import alt_degree, alt_target, perm_fixed_dim
-from trisat.permgrp import (
-    NotFound,
-    Permutation,
-    cycle_types_of_order,
-    find_generating_triple,
-    lex_min_of_type,
-)
+from trisat.permgrp import NotFound, cycle_types_of_order, find_generating_triple
 from trisat.rootsys import all_types
 from trisat.tables import ALT_GEN_ROWS
 
@@ -106,7 +100,7 @@ class TestStandardModuleEigenvalues:
         types = [ct for n in range(1, m * m) for ct in cycle_types_of_order(m, n)]
         assert len(types) == len({ct.parts for ct in types}) == {7: 15, 8: 22, 9: 30, 10: 42}[m]
         for ct in types:
-            perm = lex_min_of_type(ct)
+            perm = ct.lex_min()
             assert perm_fixed_dim(ct) == fixed_dim_numeric(standard_module_matrix(perm)), ct
 
 
@@ -121,10 +115,9 @@ def _random_partition(rng, m):
 
 
 def _random_class_member(rng, m, ct):
-    base = lex_min_of_type(ct)
     imgs = list(range(m))
     rng.shuffle(imgs)
-    return Permutation(conjugate(base.images, imgs))
+    return conjugate(ct.lex_min(), imgs)
 
 
 class TestH1Alt:

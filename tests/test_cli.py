@@ -282,6 +282,21 @@ def test_empty_comma_term_exits_2(argv, error, capsys):
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["h1", "--type", "A2", "--triple", "2,3,1_0"],
+     "expected three comma-separated integers, got '2,3,1_0'"),
+    (["h1", "--type", "A2", "--triple", "2,3,\u0667"],
+     "expected three comma-separated integers, got '2,3,\u0667'"),
+    (["h1", "--type", "D\u0665", "--triple", "2,3,7"], "cannot parse Dynkin type 'D\u0665'"),
+    (["alt", "--m", "9", "--triple", "3,3,7", "--shapes", "3^3,3^3,7.1^\u0662"],
+     "cannot parse cycle type term '1^\u0662'"),
+], ids=["triple-underscore", "triple-arabic-indic", "type-arabic-indic", "shapes-arabic-indic"])
+def test_non_ascii_digit_exits_2(argv, error, capsys):
+    # int() reads "1_0" and any Unicode digit: --triple 2,3,1_0 used to run as (2,3,10)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisat", "h1", "--type", "G2", "--triple", "2,3,7"],

@@ -13,11 +13,11 @@ import types
 import pytest
 
 from trisat import fixtures, tables
-from trisat.permgrp import CycleType, GenerationWitness, NotFound, Permutation, Refuted
+from trisat.permgrp import CycleType, GenerationWitness, NotFound, Refuted
 from trisat.rootsys import all_types
 from trisat.weil import Status, Triple, Verdict
 
-_ID5 = Permutation(range(5))
+_ID5 = tuple(range(5))
 _FIXED5 = CycleType((1,) * 5)
 _FAKE_WITNESS = GenerationWitness(_ID5, _ID5, (2, 3, 7), (_FIXED5,) * 3)
 _FAKE_WITNESS_DICT = {"A": [0, 1, 2, 3, 4], "B": [0, 1, 2, 3, 4], "orders": [2, 3, 7],

@@ -16,12 +16,10 @@ from trisat.permgrp import (
     GenerationWitness,
     NonGenerated,
     NotFound,
-    Permutation,
     Refuted,
     cycle_type,
     cycle_types_of_order,
     find_generating_triple,
-    group_order,
     lex_min_of_type,
     prove_non_generation,
     scott_min_sum,
@@ -35,6 +33,7 @@ from oracles import (
     centraliser_leads,
     class_elements,
     conjugate,
+    from_cycles,
     group_elements,
     partitions,
     reaches_every_point,
@@ -52,8 +51,13 @@ ZERO_MOVED = {(8, (2, 3, 7)), (8, (2, 5, 7)), (8, (4, 5, 5)), (9, (3, 3, 4)),
 
 
 def naive_order(gens):
-    """Closure enumeration, the oracle for group_order on small degrees."""
-    return len(group_elements([g.images for g in gens]))
+    """Closure enumeration, the oracle for the Sims table on small degrees."""
+    return len(group_elements(gens))
+
+
+def sims_order(gens):
+    """The Sims table's order of the group the image tuples ``gens`` generate."""
+    return permgrp._bsgs_order(gens, len(gens[0]))
 
 
 def dotted(parts):
@@ -71,7 +75,7 @@ def unpruned_search(m, tr):
         return NotFound("no elements of required order")
     target = factorial(m) // 2
     allowed_c = {t.parts: t.cycle_count for t in types_c}
-    reps = sorted(lex_min_of_type(t).images for t in types_a)
+    reps = sorted(t.lex_min() for t in types_a)
     b_imgs = sorted(b for t in types_b for b in class_elements(m, t.parts))
     for a_img in reps:
         count_a = len(permgrp._cycle_lengths(a_img))
@@ -86,9 +90,8 @@ def unpruned_search(m, tr):
             if not reaches_every_point([a_img, b_img], m):
                 continue
             if permgrp._bsgs_order([a_img, b_img], m) == target:
-                ga, gb = Permutation(a_img), Permutation(b_img)
                 return GenerationWitness(
-                    ga, gb, (a, b, c), (cycle_type(ga), cycle_type(gb), CycleType(parts))
+                    a_img, b_img, (a, b, c), (cycle_type(a_img), cycle_type(b_img), CycleType(parts))
                 )
     return NotFound("exhausted all class pairs")
 
@@ -103,43 +106,29 @@ def search_outcome(found):
 
 
 class TestPermutation:
-    def test_mul_applies_left_then_right(self):
-        p = Permutation.from_cycles(4, [(0, 1), (2, 3)])
-        q = Permutation.from_cycles(4, [(1, 2)])
-        assert cycle_type(p * q).parts == (4,)
-
-    def test_inverse_and_order(self):
-        p = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5, 6, 7)])
-        inverse = Permutation(sorted(range(9), key=p.images.__getitem__))  # x -> the y with p(y) = x
-        assert p * inverse == Permutation(range(9))
-        assert cycle_type(p).order == 15
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-
-    def test_images_stored_as_tuple(self):
-        for images in ([1, 0, 2], range(3)):
-            p = Permutation(images)
-            assert type(p.images) is tuple and p.images == tuple(images)
-
-    def test_value_semantics(self):
-        p, q = Permutation([1, 2, 0]), Permutation((1, 2, 0))
-        assert p == q and hash(p) == hash(q)
-        assert len({p, q, Permutation(range(3))}) == 2
-        assert p != (1, 2, 0) and (1, 2, 0) != p
+    # a permutation is its image tuple
+    def test_rejects_non_bijection(self, alarm):
+        # _cycle_lengths would loop for ever on a point no other point maps to
+        for images in ((0, 0, 1), (1, 1, 0)):
+            with pytest.raises(ValueError, match=r"not a permutation of 0\.\.2"):
+                cycle_type(images)
 
     def test_witnesses_from_equal_images_are_equal(self):
         a, b = (1, 2, 0, 3, 4), (0, 1, 3, 4, 2)
         shapes = (CycleType((3, 1, 1)),) * 2 + (CycleType((5,)),)
-        built = [GenerationWitness(Permutation(a), Permutation(list(b)), (3, 3, 5), shapes)
+        built = [GenerationWitness(tuple(list(a)), tuple(list(b)), (3, 3, 5), shapes)
                  for _ in range(2)]
-        assert built[0] == built[1]
+        assert built[0] == built[1] and built[0].gen_a is not built[1].gen_a
 
     def test_cycle_type_examples(self):
-        assert cycle_type(Permutation(range(5))).parts == (1, 1, 1, 1, 1)
-        p = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-        assert str(cycle_type(p)) == "(3)^3"
+        assert cycle_type(tuple(range(5))).parts == (1, 1, 1, 1, 1)
+        assert str(cycle_type(from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]))) == "(3)^3"
+        assert cycle_type(from_cycles(9, [(0, 1, 2), (3, 4, 5, 6, 7)])).order == 15
+
+    def test_from_cycles_refuses_a_non_bijection(self):
+        assert from_cycles(4, [(0, 1), (2, 3)]) == (1, 0, 3, 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            from_cycles(3, [(0, 1), (1, 2)])  # 0 and 2 both go to 1
 
 
 class TestCycleType:
@@ -172,6 +161,12 @@ class TestCycleType:
     @pytest.mark.parametrize("text", [".3^3", "3^3.", "3^3..1", "3^3. .1"])
     def test_empty_dotted_term_is_refused(self, text):
         # a stray dot must not vanish silently
+        with pytest.raises(ValueError, match="cannot parse"):
+            CycleType.parse(text)
+
+    @pytest.mark.parametrize("text", ["1\u0663.1", "(1\u0663)", "3^\u0663", "(3)^\u0663", "\uff13"])
+    def test_non_ascii_digit_is_refused(self, text):
+        # "1\u0663.1", with an Arabic-Indic 3, used to parse as (13)(1)
         with pytest.raises(ValueError, match="cannot parse"):
             CycleType.parse(text)
 
@@ -216,7 +211,7 @@ class TestEnumerateClass:
         ct = CycleType.parse(shape)
         want = sorted(
             perm for perm in itertools.permutations(range(m))
-            if cycle_type(Permutation(perm)) == ct
+            if cycle_type(perm) == ct
         )
         assert class_elements(m, ct.parts) == want  # complete, exact, lexicographic
 
@@ -244,15 +239,18 @@ class TestEnumerateClass:
         assert digest == self.WALKED_CLASS_DIGESTS[m, shape]
 
     def test_lex_min_matches_enumeration(self):
-        for m, shape in [(5, "3.1^2"), (6, "3.2.1"), (6, "2^2.1^2"), (7, "4.2.1")]:
-            ct = CycleType.parse(shape)
-            first = class_elements(m, ct.parts)[0]
-            assert lex_min_of_type(ct).images == first
+        # every cycle type on m <= 7 points: the first of its class, and of its type
+        for m in range(1, 8):
+            for parts in partitions(m):
+                ct = CycleType(parts)
+                least = ct.lex_min()
+                assert least == class_elements(m, parts)[0], parts
+                assert cycle_type(least) == ct and lex_min_of_type(ct) == least
 
     def test_class_list_freed_without_cycle_collector(self):
         # _class_images's backtrack refers to itself; refcounting alone must
         # free what it built once the caller lets go of the list
-        a = lex_min_of_type(CycleType((3, 3, 1, 1))).images
+        a = CycleType((3, 3, 1, 1)).lex_min()
         gc.collect()
         gc.disable()
         try:
@@ -266,7 +264,7 @@ class TestEnumerateClass:
     def test_sims_table_freed_without_cycle_collector(self):
         # _bsgs_order's helpers refer to each other; refcounting alone must
         # free its table once it returns
-        gens = [Permutation.from_cycles(9, [(0, 1, 2)]).images, tuple(range(1, 9)) + (0,)]
+        gens = [from_cycles(9, [(0, 1, 2)]), tuple(range(1, 9)) + (0,)]
         gc.collect()
         gc.disable()
         try:
@@ -282,24 +280,22 @@ class TestEnumerateClass:
 
 
 class TestGroupOrder:
+    # the Sims table, _bsgs_order, on image tuples
     def test_known_groups(self):
-        alt5 = [Permutation.from_cycles(5, [(0, 1, 2)]),
-                Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])]
-        assert group_order(alt5) == 60
-        sym7 = [Permutation.from_cycles(7, [(0, 1)]),
-                Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])]
-        assert group_order(sym7) == 5040
+        alt5 = [from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(0, 1, 2, 3, 4)])]
+        assert sims_order(alt5) == 60
+        sym7 = [from_cycles(7, [(0, 1)]), from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])]
+        assert sims_order(sym7) == 5040
         for m in (3, 6, 11):
-            assert group_order([Permutation.from_cycles(m, [tuple(range(m))])]) == m
+            assert sims_order([from_cycles(m, [tuple(range(m))])]) == m
 
     def test_identity_only(self):
-        assert group_order([Permutation(range(5))]) == 1
+        assert sims_order([tuple(range(5))]) == 1
 
     def test_one_and_two_points(self):
         # the least degrees: the identity on one point, a transposition on two
-        assert group_order([Permutation((0,))]) == 1
-        assert group_order([Permutation((1, 0))]) == 2
-        assert Permutation((0,)) * Permutation((0,)) == Permutation((0,))
+        assert sims_order([(0,)]) == 1
+        assert sims_order([(1, 0)]) == 2
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 7).flatmap(lambda m: st.tuples(st.just(m), st.lists(
@@ -312,15 +308,15 @@ class TestGroupOrder:
         # odd generators, identity generators and m <= 2 included: the table
         # is not confined to Alt_m
         m, gens = case
-        assert permgrp._bsgs_order(gens, m) == naive_order([Permutation(g) for g in gens])
+        assert permgrp._bsgs_order(gens, m) == naive_order(gens)
 
     def test_largest_degree_the_table_takes(self):
         # 256 points fill a translate table exactly
-        assert group_order([Permutation.from_cycles(256, [tuple(range(256))])]) == 256
+        assert sims_order([from_cycles(256, [tuple(range(256))])]) == 256
 
     def test_degree_past_the_table_cap_is_refused(self):
         with pytest.raises(ValueError, match="degree 257 exceeds the Sims table's cap of 256 points"):
-            group_order([Permutation.from_cycles(257, [tuple(range(257))])])
+            sims_order([from_cycles(257, [tuple(range(257))])])
 
     @pytest.mark.parametrize("m,orders", [(8, (3, 3, 6)), (9, (2, 3, 7)),
                                           (9, (2, 3, 9)), (9, (3, 3, 6))])
@@ -337,16 +333,16 @@ class TestGroupOrder:
         assert prove_non_generation(m, Triple(*orders)).method == "exhaustive"
         assert seen
         for gens, order in seen:
-            assert order == naive_order([Permutation(g) for g in gens])
+            assert order == naive_order(gens)
 
     def test_primitive_non_alternating_groups(self):
-        m11 = [Permutation.from_cycles(11, [tuple(range(11))]),
-               Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+        m11 = [from_cycles(11, [tuple(range(11))]),
+               from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
         # PGL(2,7) on the projective line {0..6, inf = 7}: x+1, 3x, -1/x.
         inf = 7
-        pgl27 = [Permutation([(x + 1) % 7 for x in range(7)] + [inf]),
-                 Permutation([3 * x % 7 for x in range(7)] + [inf]),
-                 Permutation([inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0])]
+        pgl27 = [tuple([(x + 1) % 7 for x in range(7)] + [inf]),
+                 tuple([3 * x % 7 for x in range(7)] + [inf]),
+                 tuple([inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0])]
         # PGammaL(2,8) on {GF(8), inf = 8}, GF(8) = GF(2)[w]/(w^3 + w + 1):
         # x+1, wx, 1/x and the Frobenius x^2.
         def gf8_mul(x, y):
@@ -361,21 +357,20 @@ class TestGroupOrder:
 
         inv8 = {x: next(y for y in range(1, 8) if gf8_mul(x, y) == 1) for x in range(1, 8)}
         inf = 8
-        pgaml28 = [Permutation([x ^ 1 for x in range(8)] + [inf]),
-                   Permutation([gf8_mul(2, x) for x in range(8)] + [inf]),
-                   Permutation([inf] + [inv8[x] for x in range(1, 8)] + [0]),
-                   Permutation([gf8_mul(x, x) for x in range(8)] + [inf])]
+        pgaml28 = [tuple([x ^ 1 for x in range(8)] + [inf]),
+                   tuple([gf8_mul(2, x) for x in range(8)] + [inf]),
+                   tuple([inf] + [inv8[x] for x in range(1, 8)] + [0]),
+                   tuple([gf8_mul(x, x) for x in range(8)] + [inf])]
         for gens, order in ((m11, 7920), (pgl27, 336), (pgaml28, 1512)):
-            assert group_order(gens) == order == naive_order(gens)
+            assert sims_order(gens) == order == naive_order(gens)
 
     @pytest.mark.parametrize("m", [12, 16, 20])
     def test_large_symmetric_and_alternating(self, m):
-        sym = [Permutation.from_cycles(m, [(0, 1)]), Permutation.from_cycles(m, [tuple(range(m))])]
-        assert group_order(sym) == factorial(m)
+        sym = [from_cycles(m, [(0, 1)]), from_cycles(m, [tuple(range(m))])]
+        assert sims_order(sym) == factorial(m)
         # m is even, so (0 1 2) and the (m-1)-cycle (1 2 ... m-1) generate Alt_m.
-        alt = [Permutation.from_cycles(m, [(0, 1, 2)]),
-               Permutation.from_cycles(m, [tuple(range(1, m))])]
-        assert group_order(alt) == factorial(m) // 2
+        alt = [from_cycles(m, [(0, 1, 2)]), from_cycles(m, [tuple(range(1, m))])]
+        assert sims_order(alt) == factorial(m) // 2
 
 
 class TestCentraliser:
@@ -387,33 +382,34 @@ class TestCentraliser:
         even = [CycleType(parts) for parts in partitions(m) if CycleType(parts).is_even]
         assert even
         for t in even:
-            a = lex_min_of_type(t)
-            gens = [Permutation(g) for g in centraliser_gens(a.images)]
-            assert all(a * g == g * a for g in gens), t
-            assert group_order(gens) == factorial(m) // t.class_size(), t
+            a = t.lex_min()
+            gens = centraliser_gens(a)
+            assert all(tuple(g[x] for x in a) == tuple(a[x] for x in g) for g in gens), t
+            assert sims_order(gens) == factorial(m) // t.class_size(), t
 
     @pytest.mark.parametrize("m", range(5, 8))
     def test_generators_give_the_centraliser(self, m):
         # the closure of the generators is C(A) as built point by point
         for parts in partitions(m):
-            a = lex_min_of_type(CycleType(parts)).images
+            a = CycleType(parts).lex_min()
             assert group_elements(centraliser_gens(a)) == centraliser(a), parts
 
     def test_identity_and_single_cycles(self):
         # A = identity: a transposition and an m-cycle, the whole of Sym_m
         ident = centraliser_gens(tuple(range(7)))
         assert ident == [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
-        assert group_order([Permutation(g) for g in ident]) == factorial(7)
+        assert sims_order(ident) == factorial(7)
         # one m-cycle: its own rotation only, C_m
-        five = lex_min_of_type(CycleType((5,))).images
+        five = CycleType((5,)).lex_min()
         assert centraliser_gens(five) == [five]
         # one 3-cycle next to two fixed points: C_3 x Sym_2
-        a = lex_min_of_type(CycleType((3, 1, 1))).images
-        gens = [Permutation(g) for g in centraliser_gens(a)]
-        assert len(gens) == 2 and group_order(gens) == 6
+        a = CycleType((3, 1, 1)).lex_min()
+        gens = centraliser_gens(a)
+        assert len(gens) == 2 and sims_order(gens) == 6
 
 
 class TestSliceLeads:
+    # Named for the B[0] slices it first checked; it checks _leads.
     # The backtrack sets each B[k] only to a point of _leads(A's cycles, F);
     # the oracle closes the pointwise stabiliser of F in C(A) element by
     # element and reads its orbits.
@@ -422,7 +418,7 @@ class TestSliceLeads:
         for m in range(5, 10):
             for parts in partitions(m):
                 if 2 <= CycleType(parts).order <= 15:
-                    yield lex_min_of_type(CycleType(parts)).images
+                    yield CycleType(parts).lex_min()
 
     @staticmethod
     def leads(a, fixed):
@@ -455,15 +451,15 @@ class TestSliceLeads:
 
     def test_both_branches(self):
         # 0 fixed: 0, the next fixed point, and the first point of each cycle length
-        a = lex_min_of_type(CycleType((3, 3, 2, 1))).images
+        a = CycleType((3, 3, 2, 1)).lex_min()
         assert a[0] == 0 and self.leads(a, {0}) == {0, 1, 3}
         # 0 on a longer cycle: each point of that cycle, and the first of the next
         for parts, leads in [((2, 2, 2, 2), {0, 1, 2}), ((4, 4), {0, 1, 2, 3, 4})]:
-            a = lex_min_of_type(CycleType(parts)).images
+            a = CycleType(parts).lex_min()
             assert a[0] != 0 and self.leads(a, {0}) == leads == centraliser_leads(a, {0})
         # A = (0)(1 2)(3 4)(5 6)(7 8) with F = {0, 1, 3}: the touched cycles in
         # full, and 5 for the two untouched 2-cycles
-        a = lex_min_of_type(CycleType((2, 2, 2, 2, 1))).images
+        a = CycleType((2, 2, 2, 2, 1)).lex_min()
         assert self.leads(a, {0, 1, 3}) == {0, 1, 2, 3, 4, 5} == centraliser_leads(a, {0, 1, 3})
 
 
@@ -494,6 +490,8 @@ def stabiliser_leads(a, fixed):
 
 
 class TestBlockWalk:
+    # Named for the block walk _class_images replaced; it checks what
+    # _class_images builds.
     # The B's _class_images builds for one A are the very tuples the search
     # walks (bench/tracing.py tells B from AB by identity); over them the
     # walk meets the least element of every C(A)-orbit of the class, so no
@@ -506,7 +504,7 @@ class TestBlockWalk:
         for parts_a in classes:
             if CycleType(parts_a).order > 15:
                 continue
-            a = lex_min_of_type(CycleType(parts_a)).images
+            a = CycleType(parts_a).lex_min()
             gens = centraliser_gens(a)
             for parts_b in rng.sample(classes, 3):
                 walked = permgrp._class_images(a, [parts_b], partitions(m))
@@ -554,14 +552,14 @@ class TestClassImages:
         lists_ab = self.lists_ab(m)
         pairs = itertools.product(partitions(m), repeat=2)
         for i, (parts_a, parts_b) in enumerate(pairs):
-            a = lex_min_of_type(CycleType(parts_a)).images
+            a = CycleType(parts_a).lex_min()
             self.check_against_the_oracle(a, [parts_b], [lists_ab[i % len(lists_ab)]])
 
     def test_sampled_class_pairs_at_degree_8(self):
         rng = random.Random(8)
         classes = partitions(8)
         for parts_a, parts_b in [rng.sample(classes, 2) for _ in range(8)]:
-            a = lex_min_of_type(CycleType(parts_a)).images
+            a = CycleType(parts_a).lex_min()
             self.check_against_the_oracle(a, [parts_b], rng.sample(self.lists_ab(8), 2))
 
     @pytest.mark.parametrize("m", range(5, 9))
@@ -571,7 +569,7 @@ class TestClassImages:
         rng = random.Random(m)
         classes, real = partitions(m), self.lists_ab(m)
         for _ in range(6):
-            a = lex_min_of_type(CycleType(rng.choice(classes))).images
+            a = CycleType(rng.choice(classes)).lex_min()
             classes_b = sorted(rng.sample(classes, rng.choice((2, 3))))
             self.check_against_the_oracle(a, classes_b, [rng.choice(real), rng.sample(classes, 3)])
 
@@ -580,7 +578,7 @@ class TestClassImages:
         # on neither list: a B, or an AB, of that class passes every check on
         # the way down, and only the check on the full B turns it away.
         two, off = [(4, 4), (2, 2, 1, 1, 1, 1)], (4, 2, 1, 1)
-        a = lex_min_of_type(CycleType((3, 3, 1, 1))).images
+        a = CycleType((3, 3, 1, 1)).lex_min()
         assert led_images(a, [off])
         self.check_against_the_oracle(a, two, [two])
         classes_b = [(3, 3, 1, 1), (2, 2, 2, 2)]
@@ -620,7 +618,7 @@ class TestTransitivity:
 # The lex-minimal representative of every even class at m = 2..8 but the
 # identity at m = 8, whose centraliser, all of Sym_8, takes group_elements
 # about 1.5 s to close; the identity at m = 2..7 takes the same code path.
-EVEN_REPS = [lex_min_of_type(CycleType(parts)).images for m in range(2, 9)
+EVEN_REPS = [CycleType(parts).lex_min() for m in range(2, 9)
              for parts in partitions(m) if CycleType(parts).is_even and parts != (1,) * 8]
 
 
@@ -740,7 +738,7 @@ class TestGenerationSearch:
         assert w.as_dict()["A"] == [0, 1, 2, 4, 3, 6, 5, 8, 7, 10, 9]
         assert w.as_dict()["B"] == [1, 3, 4, 0, 5, 2, 7, 9, 8, 6, 10]
         assert [len(imgs) for imgs in built] == [54]
-        assert built[0][0] == w.gen_b.images
+        assert built[0][0] == w.gen_b
 
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
@@ -812,6 +810,17 @@ class TestGenerationSearch:
         assert find_generating_triple(1000, Triple(2, 3, 1031)) == NotFound(
             "no elements of required order")
 
+    @pytest.mark.parametrize("gen_a,gen_b", [
+        ((0, 0, 1, 2, 3), (1, 2, 3, 4, 0)),
+        ((1, 2, 0, 3, 4), (1, 1, 0, 3, 4)),
+        ((1, 2, 0, 3, 4), (1, 2, 3, 4, 5, 0)),
+    ], ids=["A-not-a-permutation", "B-not-a-permutation", "degrees-differ"])
+    def test_validate_refuses_what_is_no_pair_of_permutations(self, alarm, gen_a, gen_b):
+        # (1, 1, 0, 3, 4) sends 0 and 1 to 1, and nothing to 2: read for its
+        # cycles it would loop for ever
+        shapes = (CycleType((3, 1, 1)),) * 2 + (CycleType((5,)),)
+        assert GenerationWitness(gen_a, gen_b, (3, 3, 5), shapes).validate() is False
+
     def test_order_dividing_variant(self):
         strict = find_generating_triple(5, Triple(2, 5, 5))
         assert not isinstance(strict, NotFound) and strict.validate()
@@ -865,6 +874,7 @@ class TestSearchBudget:
         monkeypatch.setattr(permgrp, "MAX_PAIRS", pairs - 1)
         for name in ("_class_images", "lex_min_of_type", "_cycle_lengths"):
             monkeypatch.setattr(permgrp, name, never)
+        monkeypatch.setattr(permgrp.CycleType, "lex_min", never)  # no A representative either
         with pytest.raises(ValueError, match=f"over {pairs} candidate pairs exceeds supported cap"):
             find_generating_triple(m, Triple(*orders), shape_hint=hint)
 

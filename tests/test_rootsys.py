@@ -107,7 +107,8 @@ def test_unknown_family_message():
     assert str(err.value) == "unknown family 'Q'"
 
 
-@pytest.mark.parametrize("text", ["Q5", "H2", "e8"])
+# D\u0665 and D\uff15 are D with an Arabic-Indic and a fullwidth 5: not D5
+@pytest.mark.parametrize("text", ["Q5", "H2", "e8", "D\u0665", "D\uff15"])
 def test_unparsable_label_message(text):
     with pytest.raises(ValueError) as err:
         DynkinType.parse(text)

@@ -39,8 +39,11 @@ class TestTriple:
 
     def test_parse(self):
         assert Triple.parse("2, 3, 7").orders == (2, 3, 7)
-        # an empty term is refused, not dropped
-        for text in ("2,3", "2,,3,7", "2,3,7,", ",2,3,7", "2, ,3,7"):
+        assert Triple.parse("07,3,2").orders == (2, 3, 7)
+        # an empty term is refused, not dropped; so is a term int() reads
+        # that is not ASCII digits: "2,3,1_0" used to run as (2,3,10)
+        for text in ("2,3", "2,,3,7", "2,3,7,", ",2,3,7", "2, ,3,7",
+                     "2,3,1_0", "2,3,\u0667", "2,3,\uff17", "2,3,+7", "2,3,-7"):
             with pytest.raises(ValueError, match="expected three comma-separated integers"):
                 Triple.parse(text)
 
