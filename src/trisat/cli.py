@@ -2,13 +2,16 @@
 
 Subcommands: h1, ladder, bibi, alt, decide, table.  Output is UTF-8
 JSON, or flat TSV with --tsv.  Exit codes: 0 success (and exact
-fixture match for `table`), 1 fixture mismatch, 2 invalid input.
+fixture match for `table`), 1 fixture mismatch or a reader that closed
+stdout early (no traceback is printed), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from . import fixtures, tables
@@ -18,6 +21,13 @@ from .permgrp import CycleType
 from .rootsys import DynkinType
 from .saturation import decide, ladder_verdict
 from .weil import Triple, h1_principal
+
+
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits; int() alone also reads "1_2" and "٩"."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
@@ -119,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", required=True, help="Dynkin type, e.g. D7")
         p.add_argument("--triple", required=True, help="triple a,b,c e.g. 2,3,7")
         p.set_defaults(func=cmd_typed)
-    sub.choices["bibi"].add_argument("--k", type=int, default=None,
+    sub.choices["bibi"].add_argument("--k", type=_integer, default=None,
                                      help="fix the smaller factor rank")
     sub.choices["decide"].add_argument(
         "--alt-search", action="store_true",
@@ -127,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alt", parents=[common],
                        help="alternating-group method for Alt_m")
-    p.add_argument("--m", type=int, required=True, help="degree of Alt_m")
+    p.add_argument("--m", type=_integer, required=True, help="degree of Alt_m")
     p.add_argument("--triple", required=True, help="triple a,b,c")
     p.add_argument("--shapes", default=None,
                    help='three cycle types "3^3,3^3,7.1^2" (short types are '
@@ -138,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute a built-in table and diff it")
     p.add_argument("--trace", action="store_true", help="verbose progress/detail on stderr")
     p.add_argument("--id", required=True, choices=fixtures.TABLES)
-    p.add_argument("--sample-c", type=int, default=tables.DEFAULT_C_MAX,
+    p.add_argument("--sample-c", type=_integer, default=tables.DEFAULT_C_MAX,
                    help="cap for parameterized rows (default %(default)s)")
     p.add_argument("--regenerate", action="store_true",
                    help="print the recomputed rows instead of diffing")
@@ -150,8 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that is gone raises here, not at exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's last flush at exit would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 

@@ -10,9 +10,9 @@ pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
 and whose product AB is of an allowed class.  That cuts the pairs walked
 and changes no witness or answer; find_generating_triple states it with
 the cheaper filters.  A walked pair that passes them gets a Sims-table
-call only if B is the least of its C(A)-orbit, by a minimal-image test
-that never lists C(A).  A search keeps no state from one B, or one
-search, to the next.
+call only if B is the first of its C(A)-orbit in the walk.  A search
+keeps one orbit key per C(A)-orbit met in the walk of the current A,
+and nothing from one search to the next.
 
 A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
 The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
@@ -425,84 +425,55 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
     return len(reached) == m
 
 
-def _orbit_least(a):
-    """The minimal-image test of A = ``a``: least(b) says whether no c in C(A)
-    makes c^-1 B c, which sends c[x] to c[B[x]], sort before B = b.
+def _orbit_key(a):
+    """The orbit key of A = ``a``: for B, B' each generating a transitive
+    group with A, key(b) == key(b') exactly when c^-1 B c, which sends c[x]
+    to c[B[x]], is B' for some c in C(A).  Otherwise key(b) raises ValueError.
 
-    C(A) maps each A-cycle onto one of the same length, rotated, and any
-    partial such map of cycles extends to an element of C(A).  So least(b)
-    maps cycles as it reads the conjugate at y = 0, 1, ...  Where c^-1[y]
-    is not yet set, y leads an unmapped cycle: it reads what each point of
-    each unmapped cycle of that length would put at y.  Where c[z], z =
-    B[c^-1[y]], is not set, the least value is the least free point of z's
-    length.  A value below B[y] answers at once, the ties are followed and
-    the rest end (Jefferson, Jonauskyte, Pfeiffer and Waldecker, "Minimal
-    and canonical images", J. Algebra 521 (2019)).  C(A) is never listed:
-    the branches that reach y = m are the elements of C(A) that commute
-    with B, at most m when <A, B> is transitive.  A's cycle tables are
-    read here, once per A.
+    A walk from p numbers the points as it meets them, reading A, then B,
+    at each point in turn, and reads off the numbers of each point's two
+    images.  The key is the least reading from a point of the rarest kind,
+    (A-cycle length, whether B fixes it, whether AB does), ties broken by
+    (count, kind).  Exact: such a c keeps each kind and sends the walk
+    from p to the walk from c[p]; two equal readings number (A, B) and
+    (A, B') alike, so mapping one numbering to the other is a c in C(A)
+    that conjugates B to B'.  A walk stops once it reads past the best.
     """
     m = len(a)
-    cyc, turn = [None] * m, [None] * m  # p's A-cycle, and that cycle read from p
-    peers: dict[int, list[list[int]]] = {}  # A's cycles of each length, by least point
-    for cy in _cycles(a):
-        peers.setdefault(len(cy), []).append(cy)
-        for j, p in enumerate(cy):
-            cyc[p], turn[p] = cy, cy[j:] + cy[:j]
+    length = {p: 4 * len(cyc) for cyc in _cycles(a) for p in cyc}
 
-    def least(b):
-        c, c_inv = [-1] * m, [-1] * m  # -1 where not yet mapped
+    def key(b):
+        # each point's kind, packed in one int that sorts as the tuple does
+        kind = [length[p] + 2 * (b[p] == p) + (b[a[p]] == p) for p in range(m)]
+        rare = min([(kind.count(k), k) for k in set(kind)])[1]
+        best = None
+        for p in range(m):
+            if kind[p] != rare:
+                continue
+            label, order, reading = [-1] * m, [p], []
+            label[p] = 0
+            tied = best is not None
+            for i, x in enumerate(order):  # `order` grows while it is walked
+                y, z = a[x], b[x]
+                if label[y] < 0:
+                    label[y] = len(order)
+                    order.append(y)
+                if label[z] < 0:
+                    label[z] = len(order)
+                    order.append(z)
+                step = label[y] * m + label[z]  # packed, as kind is
+                if tied and step != best[i]:
+                    if step > best[i]:
+                        break
+                    tied = False
+                reading.append(step)
+            else:
+                if len(order) < m:
+                    raise ValueError(f"<A, B> is not transitive: A = {a}, B = {b}")
+                best = reading
+        return tuple(best)
 
-        def follow(x, y, k):
-            # map x's cycle onto y's, x to y, and read on from k
-            pairs = list(zip(turn[x], turn[y]))
-            for p, q in pairs:
-                c[p], c_inv[q] = q, p
-            found = lower(k)
-            for p, q in pairs:
-                c[p] = c_inv[q] = -1
-            return found
-
-        def lower(y):
-            # whether some c extending the cycles mapped so far sorts c^-1 B c
-            # before B; it agrees with B before y
-            while y < m:
-                x, v = c_inv[y], b[y]
-                if x < 0:
-                    dst, ties = cyc[y], []
-                    for src in peers[len(dst)]:
-                        if c[src[0]] >= 0:
-                            continue
-                        for x in src:  # x to y maps src onto dst
-                            z = b[x]
-                            if cyc[z] is src:
-                                w = turn[y][turn[x].index(z)]
-                            else:
-                                w = c[z] if c[z] >= 0 else next(
-                                    cy for cy in peers[len(cyc[z])]
-                                    if c_inv[cy[0]] < 0 and cy is not dst)[0]
-                            if w < v:
-                                return True
-                            if w == v:
-                                ties.append(x)
-                    return any(follow(x, y, y) for x in ties)
-                z = b[x]
-                w = c[z]
-                if w < 0:
-                    # a free cycle of z's length holding v is led by v, the least free point
-                    w = next(cy for cy in peers[len(cyc[z])] if c_inv[cy[0]] < 0)[0]
-                    if w == v:
-                        return follow(z, v, y + 1)
-                if w != v:
-                    return w < v
-                y += 1
-            return False
-
-        found = lower(0)
-        del follow, lower  # they refer to each other; empty their cells
-        return not found
-
-    return least
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -602,21 +573,22 @@ def find_generating_triple(
       representatives unbuilt;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
-    - a pair whose B is not the least of its C(A)-orbit is skipped: the
-      walk reached that least B earlier, and it settled the same order of
-      <A, B> (_orbit_least, built once per A representative).  The first
-      pair of a walk to get here is orbit-least untested: the least of its
-      orbit is walked and passes every filter, so it cannot come later;
+    - a pair whose B has the orbit key (_orbit_key, built once per A
+      representative) of a B met earlier in the walk is skipped: the two
+      are C(A)-conjugate, so the earlier one settled the same order of
+      <A, B>.  The least B of each orbit is walked and passes every
+      filter, so it is the one that reaches the Sims table;
     - each survivor is settled by the exact group order from the Sims table.
 
     Each walked pair calls _cycle_lengths on AB (one itemgetter gather, a
     fresh tuple) and on B, _is_transitive if Scott's test passes, and
-    _bsgs_order if <A, B> is transitive and B orbit-least: bench/tracing.py
+    _bsgs_order if <A, B> is transitive and B's key is new: bench/tracing.py
     reads the funnel off these calls, and tells B from AB by the identity
     of the tuples _class_images returned.  Every AB is of an allowed class,
     so the tracer's product-class pass counts every pair tried; it reads
-    its transitive pass off the Sims-table calls, so that counts the
-    orbit-least transitive pairs only.  The witness's A and B shapes are
+    its transitive pass off the Sims-table calls, so that counts one
+    transitive pair per C(A)-orbit only; _orbit_key, which it does not
+    wrap, is timed as the search's own.  The witness's A and B shapes are
     read through cycle_type, never by _cycle_lengths directly, which the
     tracer would count as pairs tried.
     """
@@ -649,17 +621,17 @@ def find_generating_triple(
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
         walk = _class_images(a_img, [tb.parts for tb in kept[ta]], classes_c)
         held.append(walk)
-        least = None  # built at the first transitive pair, which is orbit-least
+        key, met = _orbit_key(a_img), set()  # the key of each C(A)-orbit met in this walk
         for b_img in walk:
             lengths = _cycle_lengths(times_a(b_img))
             if ta.cycle_count + len(_cycle_lengths(b_img)) + len(lengths) > scott_cap:
                 continue
             if not _is_transitive(a_img, b_img, m):
                 continue
-            if least is None:
-                least = _orbit_least(a_img)
-            elif not least(b_img):
+            orbit = key(b_img)
+            if orbit in met:
                 continue
+            met.add(orbit)
             if _bsgs_order([a_img, b_img], m) == target:
                 return GenerationWitness(a_img, b_img, tr.orders, (
                     cycle_type(a_img), cycle_type(b_img), CycleType(tuple(lengths))))

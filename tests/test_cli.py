@@ -209,7 +209,9 @@ def test_readme_names_the_parser_options():
 # --trace, and `bibi --trace`, were captured again once --trace became a
 # `table` option, and `bibi --trace` once more when `codim` was dropped.
 # The two subcommand usage errors and the six --help rows were captured
-# again when --json and `alt --no-search` were dropped.
+# again when --json and `alt --no-search` were dropped.  The last three
+# rows, a non-ASCII digit or an underscore in --m, --k and --sample-c, were
+# added when those options stopped reading what int() reads.
 # Other top-level usage errors are left out: they list the subcommands,
 # whose order is not part of the contract.
 _CLI_PINS = [json.loads(line)
@@ -304,3 +306,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h1"] == 2
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the reader closes its end before the child writes: `trisat ... | head`
+    # used to end in a BrokenPipeError traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "trisat", "alt", "--m", "9", "--triple", "3,3,7"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")

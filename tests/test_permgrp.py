@@ -635,33 +635,85 @@ def fixed_by_a_generator(a):
     return sorted({b for g in centraliser_gens(a) for b in centraliser(g)})
 
 
+def transitive_with(a, b):
+    """B with the least points of its <A, B>-orbits l_1 < ... < l_k joined:
+    what B sent to l_i goes to l_{i+1}, and what it sent to l_k to l_1.  Each
+    orbit stays connected, and now leads into the next, so <A, B> is transitive."""
+    leads, seen = [], set()
+    for p in range(len(a)):
+        if p not in seen:
+            leads.append(p)
+            frontier = [p]
+            seen.add(p)
+            while frontier:
+                x = frontier.pop()
+                for y in (a[x], b[x]):
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+    turn = dict(zip(leads, leads[1:] + leads[:1]))
+    return tuple(turn.get(y, y) for y in b)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_transitive(a):
+    """The B's in C(A), or fixed by a generator of C(A), with <A, B> transitive:
+    the B's that some element of C(A) besides 1 may fix, so starts may tie."""
+    return sorted(b for b in {c for c, _ in centraliser_pairs(a)} | set(fixed_by_a_generator(a))
+                  if reaches_every_point([a, b], len(a)))
+
+
 class TestOrbitLeast:
-    # _orbit_least(A)(B) against the least conjugate c^-1 B c over the whole
-    # of C(A); the walk's B's are its inputs in the search, but the test is
-    # exact for any B.
+    # Named for the orbit-least test it first checked; it checks _orbit_key.
+    # The search calls the Sims table on the first B of each key that its
+    # walk meets, which is the least of its C(A)-orbit only if the key is
+    # exact: equal for two transitive B's exactly when they are C(A)-conjugate.
     @pytest.mark.parametrize("a", EVEN_REPS, ids=str)
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_the_least_conjugate(self, a, data):
+        # two B's share a key exactly when their least conjugates c^-1 B c over
+        # the whole of C(A) agree, and each conjugate keeps B's key; a B at
+        # random is made transitive, and one from symmetric_transitive may tie
         m, pairs = len(a), centraliser_pairs(a)
-        # a B at random; one in C(A), which A fixes; one a generator of C(A) fixes
-        b = data.draw(st.one_of(st.permutations(range(m)).map(tuple),
-                                st.sampled_from([c for c, _ in pairs]),
-                                st.sampled_from(fixed_by_a_generator(a))))
-        low = min(tuple(c[b[c_inv[x]]] for x in range(m)) for c, c_inv in pairs)
-        least = permgrp._orbit_least(a)
-        assert least(b) == (b == low)
-        assert least(low)
+        key = permgrp._orbit_key(a)
+        drawn = [st.permutations(range(m)).map(lambda p: transitive_with(a, tuple(p)))]
+        if symmetric_transitive(a):
+            drawn.append(st.sampled_from(symmetric_transitive(a)))
+        b, other = data.draw(st.one_of(drawn)), data.draw(st.one_of(drawn))
+        c, c_inv = data.draw(st.sampled_from(pairs))
+        assert key(tuple(c[b[c_inv[x]]] for x in range(m))) == key(b)
+
+        def least(b):
+            return min(tuple(c[b[c_inv[x]]] for x in range(m)) for c, c_inv in pairs)
+
+        assert (key(b) == key(other)) == (least(b) == least(other))
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_every_orbit_minimum_and_nothing_else(self, m):
-        # every B on m points: least exactly on the least of each C(A)-orbit
+        # every transitive B on m points: the first B of each key, in lex
+        # order, is exactly the least of each C(A)-orbit
         whole = sorted(itertools.permutations(range(m)))
         for a in EVEN_REPS:
             if len(a) == m:
-                least = permgrp._orbit_least(a)
-                minima = orbit_minima(whole, centraliser_gens(a))
-                assert {b for b in whole if least(b)} == minima, a
+                key, firsts = permgrp._orbit_key(a), {}
+                transitive = [b for b in whole if reaches_every_point([a, b], m)]
+                for b in transitive:
+                    firsts.setdefault(key(b), b)
+                assert set(firsts.values()) == orbit_minima(transitive, centraliser_gens(a)), a
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(permutation_pairs())
+    def test_refuses_a_non_transitive_pair(self, pair):
+        # a key read off one orbit could merge two C(A)-orbits, and the
+        # search would skip a pair that generates
+        m, a, b = pair
+        key = permgrp._orbit_key(a)
+        if reaches_every_point([a, b], m):
+            assert len(key(b)) == m
+        else:
+            with pytest.raises(ValueError, match="not transitive"):
+                key(b)
 
 
 class TestTypesOfOrder:
