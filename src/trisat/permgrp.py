@@ -328,12 +328,19 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
       the room of ``classes_b``, and opens no path longer than the longest
       length there;
     - the AB-edge it sets, x -> v with A[x] = k, does the same against the
-      room of ``classes_ab``.
+      room of ``classes_ab``;
+    - on each side, the points that can still become fixed are at least
+      the fixed points still needed: the fewest of a listed class, less
+      those closed.  rec carries the excess (the spare) per side.  y can
+      still become B-fixed while B[y] is unset and y is unused as a value;
+      x can still become AB-fixed while B[A[x]] is unset and x is unused.
     A full B is kept only if the cycles it closed, of B and of AB, form
     exactly one listed class each: the room left is the room less that
-    class.  Every kept B passes the two cycle checks at every k, so what
-    they prune would fail at the end.  The leads depend only on which
-    A-cycles F meets, so one call keeps them by a bitmask of those.
+    class.  Every kept B passes the cycle and fixed-point checks at every
+    k, so what they prune would fail at the end.  Each child restores what
+    it changed, so a node reads what the ends at k and x give once for all
+    its values.  The leads depend only on which A-cycles F meets, so one
+    call keeps them by a bitmask of those.
     """
     m = len(a)
     cycles = _cycles(a)
@@ -344,13 +351,15 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
     a_inv = _inv(a)
 
     def room(classes):
-        # the room, the room left by each class, and the longest length in room
+        # the room, the room left by each class, the longest length in room
+        # and the fewest fixed points of a class
         counts = [Counter(parts) for parts in classes]
         full = [max(c[n] for c in counts) for n in range(m + 1)]
         left = {tuple(r - c[n] for n, r in enumerate(full)) for c in counts}
-        return full, left, max(n for n, r in enumerate(full) if r)
+        return full, left, max(n for n, r in enumerate(full) if r), min(c[1] for c in counts)
 
-    (room_b, left_b, top_b), (room_ab, left_ab, top_ab) = room(classes_b), room(classes_ab)
+    (room_b, left_b, top_b, fewest_b), (room_ab, left_ab, top_ab, fewest_ab) = (
+        room(classes_b), room(classes_ab))
     # B and AB so far, as paths of the edges set: each path's two ends
     # name each other in `end` and hold its point count in `size`
     end_b, size_b = list(range(m)), [1] * m
@@ -359,7 +368,7 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
     leads_of: dict[int, list[int]] = {}
     out: list[tuple[int, ...]] = []
 
-    def rec(k, touched):
+    def rec(k, touched, spare_b, spare_ab):
         if k == m:
             if tuple(room_b) in left_b and tuple(room_ab) in left_ab:
                 out.append(tuple(b))
@@ -369,16 +378,27 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
             fixed = {cyc[0] for i, cyc in enumerate(cycles) if touched >> i & 1}
             leads = leads_of[touched] = sorted(_leads(cycles, fixed))
         x = a_inv[k]  # B[k] = v sets AB[x] = v
+        # each child restores what it changes, so these hold for every v:
+        # k ends the B-path from s, and x ends the AB-path from sa
+        s, nk, sa, nx = end_b[k], size_b[k], end_ab[x], size_ab[x]
+        close_b, close_ab = room_b[nk] > 0, room_ab[nx] > 0
+        cap_b, cap_ab = top_b - nk, top_ab - nx
+        # an edge k -> v != k (x -> v != x in AB) leaves both ends unable to become fixed
+        lose_b, lose_ab = spare_b - free[k], spare_ab - free[x]
+        below = touched | bit[k + 1]
         for v in leads:
             if not free[v]:
                 continue
-            # k ends the B-path from s, v starts the B-path to t; so do x, sa and v, ta in AB
-            s, t, sa, ta = end_b[k], end_b[v], end_ab[x], end_ab[v]
-            nk, nv, nx, nva = size_b[k], size_b[v], size_ab[x], size_ab[v]
-            if (not room_b[nk]) if s == v else nk + nv > top_b:
+            nv, nva = size_b[v], size_ab[v]
+            if (not close_b) if s == v else nv > cap_b:
                 continue
-            if (not room_ab[nx]) if sa == v else nx + nva > top_ab:
+            if (not close_ab) if sa == v else nva > cap_ab:
                 continue
+            spare_v = spare_b if v == k else lose_b - (v > k)
+            spare_va = spare_ab if v == x else lose_ab - (a[v] > k)
+            if spare_v < 0 or spare_va < 0:
+                continue
+            t, ta = end_b[v], end_ab[v]  # v starts the B-path to t, and the AB-path to ta
             if s == v:
                 room_b[nk] -= 1
             else:
@@ -390,7 +410,7 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
                 end_ab[sa], end_ab[ta] = ta, sa
                 size_ab[sa] = size_ab[ta] = nx + nva
             b[k], free[v] = v, False
-            rec(k + 1, touched | bit[k + 1] | bit[v])
+            rec(k + 1, below | bit[v], spare_v, spare_va)
             free[v] = True
             if sa == v:
                 room_ab[nx] += 1
@@ -403,7 +423,7 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
                 end_b[s], end_b[t] = k, v
                 size_b[s], size_b[t] = nk, nv
 
-    rec(0, bit[0])
+    rec(0, bit[0], m - fewest_b, m - fewest_ab)
     del rec  # it refers to itself; empty its cell so `out` is freed by refcount
     return out
 
@@ -638,6 +658,15 @@ def find_generating_triple(
     return NotFound("exhausted all class pairs")
 
 
+@lru_cache(maxsize=None)
+def _fewest_cycles(m: int, n: int) -> tuple[int | None, int | None]:
+    """The fewest cycles of an even type, and of any type, of order n on m
+    points; None where there is no such type."""
+    types = cycle_types_of_order(m, n)
+    return (min((t.cycle_count for t in types if t.is_even), default=None),
+            min((t.cycle_count for t in types), default=None))
+
+
 def scott_min_sum(m: int, tr: Triple) -> int | None:
     """Lower bound for the total cycle count of any (a, b, c) triple in Alt_m.
 
@@ -648,7 +677,8 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     to all Sym_m classes of the exact order, so the result is a lower bound
     for the constrained minimum and still proves non-generation whenever it
     exceeds m + 2.  Returns None when some order has no even cycle type at
-    all, i.e. Alt_m has no element of that order.
+    all, i.e. Alt_m has no element of that order.  Each term is one lookup
+    in _fewest_cycles, memoised per (m, n).
 
     The parity condition (count sum congruent to m mod 2) needs no separate
     check for class triples inside Alt_m: an even permutation on m points
@@ -656,11 +686,10 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     """
     if m < 3:
         raise ValueError("need m >= 3")
-    listed = [cycle_types_of_order(m, n) for n in tr.orders]
-    evens = [[t.cycle_count for t in types if t.is_even] for types in listed]
-    if not all(evens):
+    fewest = [_fewest_cycles(m, n) for n in tr.orders]
+    if any(even is None for even, _ in fewest):
         return None
-    return min(evens[0]) + sum(min(t.cycle_count for t in types) for types in listed[1:])
+    return fewest[0][0] + fewest[1][1] + fewest[2][1]
 
 
 @dataclass(frozen=True)

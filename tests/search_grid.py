@@ -1,6 +1,6 @@
 """Run the unhinted Alt_m search over a fixed grid and print one digest.
 
-    PYTHONPATH=src python tests/search_grid.py
+    PYTHONPATH=src python tests/search_grid.py [--expect SHA256]
 
 The grid is find_generating_triple on every hyperbolic (a, b, c) with
 a <= b <= c, a <= 7, b <= 9 and c <= 15 at m = 5..10, where a refusal over
@@ -9,11 +9,15 @@ Alt_11 (2,3,11), (3,3,4), (2,4,5) and Alt_12 (3,3,4).  It prints the case
 count, a SHA-256 of the results, the number of Sims-table calls
 (_bsgs_order) and the CPU time.  Two checkouts that find the same answers
 and witnesses print the same digest; two that prune the search alike
-print the same call count.  pytest does not collect this file.
+print the same call count.  With --expect, a digest other than the one
+given is reported on stderr and the exit status is 1.  pytest does not
+collect this file.
 """
 
+import argparse
 import hashlib
 import json
+import sys
 import time
 
 from trisat import Triple, permgrp
@@ -24,6 +28,9 @@ PROOFS = [(11, (2, 3, 11)), (11, (3, 3, 4)), (11, (2, 4, 5)), (12, (3, 3, 4))]
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Digest the unhinted Alt_m search grid.")
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
+    args = parser.parse_args()
     calls = 0
     real = permgrp._bsgs_order
 
@@ -52,6 +59,8 @@ def main():
     print(f"sha256 {digest.hexdigest()}")
     print(f"bsgs_calls {calls}")
     print(f"cpu_s {cpu:.2f}")
+    if args.expect is not None and args.expect != digest.hexdigest():
+        sys.exit(f"digest mismatch: expected {args.expect}")
 
 
 if __name__ == "__main__":

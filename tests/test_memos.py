@@ -2,7 +2,8 @@
 
 weil.principal_fixed_dim, weil.weil_h1, rootsys.adjoint_dim,
 bibi.so_fixed_dim and saturation.classify_ladder are memoised per argument,
-and DynkinType.parse hands out one shared instance per type.  Cold, warm,
+and so is permgrp._fewest_cycles, which Scott's bound reads; DynkinType.parse
+hands out one shared instance per type.  Cold, warm,
 keyed by an equal but distinct type, or computed by the bare function, each
 gives the same value; a refusal raises on every call.
 """
@@ -11,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from trisat import DynkinType, altmethod, bibi, fixtures, rootsys, saturation, weil
+from trisat import DynkinType, altmethod, bibi, fixtures, permgrp, rootsys, saturation, weil
 from trisat.rootsys import all_types
 
 A1 = DynkinType("A", 1)
@@ -31,6 +32,7 @@ SWEEPS = {
     "weil_h1": (weil.weil_h1, H1_ARGS),
     "so_fixed_dim": (bibi.so_fixed_dim, [(r1, r2, n) for r1 in range(1, 19)
                                          for r2 in range(1, 20 - r1) for n in ORDERS]),
+    "fewest_cycles": (permgrp._fewest_cycles, [(m, n) for m in range(3, 13) for n in ORDERS]),
 }
 
 

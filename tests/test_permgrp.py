@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 from math import factorial, lcm
 
@@ -585,6 +586,29 @@ class TestClassImages:
         assert off in {product_class(a, b) for b in led_images(a, classes_b)}
         self.check_against_the_oracle(a, classes_b, [two])
 
+    @pytest.mark.parametrize("m,orders,nodes", [
+        (8, (4, 4, 6), 2_385), (9, (2, 3, 9), 526), (9, (3, 3, 6), 1_501), (12, (6, 7, 7), 14_198)])
+    def test_nodes_entered_pinned(self, alarm, m, orders, nodes):
+        # Each check prunes only what would fail at the end, so a check that
+        # prunes too little keeps every output; only the count of backtrack
+        # nodes entered (calls of the inner rec) shows it.  Without the
+        # fixed-point spares Alt_9 (3,3,6) entered 1,822 and Alt_12 (6,7,7)
+        # 5,347,687.
+        rec = next(c for c in permgrp._class_images.__code__.co_consts
+                   if getattr(c, "co_name", None) == "rec")
+        entered = 0
+
+        def count(frame, event, arg):
+            nonlocal entered
+            entered += event == "call" and frame.f_code is rec
+
+        sys.setprofile(count)
+        try:
+            find_generating_triple(m, Triple(*orders))
+        finally:
+            sys.setprofile(None)
+        assert entered == nodes
+
 
 @st.composite
 def permutation_pairs(draw):
@@ -792,6 +816,15 @@ class TestGenerationSearch:
         assert [len(imgs) for imgs in built] == [54]
         assert built[0][0] == w.gen_b
 
+    def test_slow_first_hit_alt12_677(self, alarm):
+        # B and AB are both of class (7)(1)^5, so a B needs 5 fixed points and
+        # so does its AB; without counting the points that can still become
+        # fixed, the backtrack visits 5,347,687 nodes (about 10 s) to build 36 B's
+        w = find_generating_triple(12, Triple(6, 7, 7))
+        assert w.as_dict()["A"] == [1, 2, 3, 4, 5, 0, 7, 8, 9, 10, 11, 6]
+        assert w.as_dict()["B"] == [0, 1, 2, 3, 4, 6, 11, 5, 7, 8, 9, 10]
+        assert [str(s) for s in w.shapes] == ["(6)^2", "(7)(1)^5", "(7)(1)^5"]
+
     # With (2,3,9), (3,3,6), (2,3,12) and (2,3,15) every exhaustive case of the
     # alt-nongen table is compared with the search that calls the Sims table
     # on every surviving pair.  (2,5,7), (4,5,5), (3,4,5) and (10,10,10) add
@@ -909,6 +942,25 @@ class TestScott:
                 for n in orders
             )
             assert relaxed <= strict
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_against_brute_force_minimum(self, m):
+        # fewest[n, even]: the fewest parts of a partition of m with lcm n,
+        # and an even count of even parts if even; absent if there is none
+        fewest = {}
+        for p in partitions(m):
+            for key in {(lcm(*p), False), (lcm(*p), sum(x % 2 == 0 for x in p) % 2 == 0)}:
+                fewest[key] = min(fewest.get(key, m), len(p))
+        # every order n <= 60 in the first slot, and from 3 on in a later one
+        # ((2, 2, c) is never hyperbolic)
+        for n in range(2, 61):
+            for orders in [(n, 60, 60)] + [(2, 7, n)] * (n > 2):
+                tr = Triple(*orders)
+                if all((k, True) in fewest for k in tr.orders):
+                    want = fewest[tr.a, True] + fewest[tr.b, False] + fewest[tr.c, False]
+                else:
+                    want = None
+                assert scott_min_sum(m, tr) == want, (m, orders)
 
 
 class TestSearchBudget:
