@@ -1,16 +1,18 @@
 """Static data for irreducible root systems.
 
 Everything downstream needs only exponent-derived quantities: the exponent
-multiset e_1 <= ... <= e_r and the adjoint group dimension sum(2*e_j + 1).
-Exponent lists are the classical ones (Bourbaki, Groupes et algebres de
-Lie, planches I-IX).
+multiset e_1 <= ... <= e_r and, read from it once per type, the table
+DynkinType.principal_dims of the principal fixed dimensions
+sum_j (1 + 2*floor(e_j / n)), whose entry at n = 1 is the adjoint group
+dimension sum(2*e_j + 1).  Exponent lists are the classical ones
+(Bourbaki, Groupes et algebres de Lie, planches I-IX).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 #: Smallest rank for which each classical family is taken as irreducible here,
 #: in all_types order.
@@ -43,7 +45,7 @@ class DynkinType:
         ranks = () if lo else [r for f, r in _EXCEPTIONAL_EXPONENTS if f == self.family]
         if not (lo or ranks):
             raise ValueError(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:  # a bool is not a rank
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise ValueError(f"rank {self.rank} exceeds supported cap {MAX_RANK}")
@@ -53,17 +55,41 @@ class DynkinType:
         elif self.rank not in ranks:
             raise ValueError(f"{self.family}_r exists only for rank {', '.join(map(str, ranks))}")
 
-    @classmethod
-    def parse(cls, text: str) -> "DynkinType":
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def parse(text: str) -> "DynkinType":
         """Parse a label like "E8" or "D13".
 
         Every label of one type gives the same shared instance, so the
-        memos keyed on a type find it by identity; a refusal is not memoised.
+        memos keyed on a type find it by identity and its principal_dims
+        table is built once.  The result is memoised per label text, up to
+        1,024 texts; a refusal is not memoised.
         """
         m = _TYPE_RE.match(text.strip())
         if not m:
             raise ValueError(f"cannot parse Dynkin type {text!r}")
         return _shared(m.group(1), int(m.group(2)))
+
+    @cached_property
+    def principal_dims(self) -> tuple:
+        """dims[n] = sum_j (1 + 2*floor(e_j / n)) for 1 <= n <= top = e_max + 1.
+
+        This is the fixed dimension of an order-n element in the principal
+        PGL_2: dims[1] is dim g, the identity's, and dims[top] is the rank,
+        as is the value for every n > top, which the table does not hold.
+        dims[0] is None, as no element has order 0.  With at_least[v] the
+        number of exponents >= v, sum_j floor(e_j / n) = sum_k at_least[k*n],
+        so the table takes O(e_max log e_max) steps; it is built once per
+        instance, on first read.
+        """
+        exps = exponents(self)
+        top = exps[-1] + 1
+        at_least = [0] * (top + 1)
+        for e in exps:
+            at_least[e] += 1
+        for v in range(top - 1, 0, -1):
+            at_least[v] += at_least[v + 1]
+        return (None,) + tuple(self.rank + 2 * sum(at_least[n::n]) for n in range(1, top + 1))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -90,13 +116,10 @@ def exponents(t: DynkinType) -> tuple[int, ...]:
     return _EXCEPTIONAL_EXPONENTS[(t.family, t.rank)]
 
 
-@lru_cache(maxsize=None)
 def adjoint_dim(t: DynkinType) -> int:
-    """Dimension of the adjoint simple group of type ``t``: sum(2*e_j + 1).
-
-    Memoised per type, so callers share it.
-    """
-    return sum(2 * e + 1 for e in exponents(t))
+    """Dimension of the adjoint simple group of type ``t``: sum(2*e_j + 1),
+    read from ``t.principal_dims`` as the fixed dimension of the identity."""
+    return t.principal_dims[1]
 
 
 def all_types(max_rank: int) -> list[DynkinType]:

@@ -11,7 +11,10 @@ where i, i* are the invariant dimensions on g and its dual.  For the
 representation induced from the principal homomorphism PGL_2 -> G the fixed
 spaces are exponent sums, dim g^x = sum_j (1 + 2*floor(e_j / a)), and the
 invariants vanish.  The same exponent sum equals the codimension of the
-subvariety of elements of order dividing a.
+subvariety of elements of order dividing a.  Each type holds these sums in
+one table, DynkinType.principal_dims, indexed by the order up to
+top = e_max + 1; every larger order gives the rank.  principal_fixed_dim and
+h1_principal read that table by index, so the sum is computed in one place.
 
 The value types every deformation route shares live here too: Triple,
 CohomologyReport, and the verdict (Status, Verdict) that each route returns.
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rootsys import DynkinType, adjoint_dim, exponents
+from .rootsys import DynkinType
 
 
 @dataclass(frozen=True)
@@ -99,17 +102,19 @@ class Verdict:
         return {"status": self.status, "method": self.method, "certificate": self.certificate}
 
 
-@lru_cache(maxsize=None)
 def principal_fixed_dim(t: DynkinType, n: int) -> int:
     """Fixed-space dimension of an order-n generator under the principal action.
 
-    Equals sum_j (1 + 2*floor(e_j / n)) over the exponents of ``t``.  The
-    value is memoised per (t, n), so callers share it; a refusal is not
-    memoised, so every call with n < 2 raises again.
+    Equals sum_j (1 + 2*floor(e_j / n)) over the exponents of ``t``: entry n
+    of ``t.principal_dims``, or the rank once n is past the table.  An order
+    that is not an int, or is below 2, is refused.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"generator order must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"generator order must be >= 2, got {n}")
-    return sum(1 + 2 * (e // n) for e in exponents(t))
+    dims = t.principal_dims
+    return dims[n] if n < len(dims) else t.rank
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +141,14 @@ def h1_principal(t: DynkinType, tr: Triple) -> CohomologyReport:
     """H^1 of T on g for the representation through the principal PGL_2.
 
     dim H^1 = dim g - sum over the three generator orders of the exponent
-    fixed-space sums; the invariants vanish for the principal action.
+    fixed-space sums; the invariants vanish for the principal action.  Each
+    sum is entry n of ``t.principal_dims`` (dim g is entry 1), or the rank
+    once n is past the table, as in principal_fixed_dim.
     """
-    fixed = (principal_fixed_dim(t, tr.a), principal_fixed_dim(t, tr.b),
-             principal_fixed_dim(t, tr.c))
-    return weil_h1(adjoint_dim(t), fixed)
+    dims, rank = t.principal_dims, t.rank
+    end = len(dims)
+    a, b, c = tr.a, tr.b, tr.c
+    fixed = (dims[a] if a < end else rank, dims[b] if b < end else rank,
+             dims[c] if c < end else rank)
+    return weil_h1(dims[1], fixed)
 

@@ -120,10 +120,9 @@ def test_every_traced_pair_passes_the_product_class(workload):
 
 
 def test_traced_closed_form_calls_with_a_warm_memo():
-    # weil.principal_fixed_dim, weil.weil_h1 and bibi.so_fixed_dim are
-    # memoised; the tracer wraps so_fixed_dim and h1_principal from outside
-    # the memo, so a warm second run counts every call a cold first run counts.
-    weil.principal_fixed_dim.cache_clear()
+    # weil.weil_h1 and bibi.so_fixed_dim are memoised, and each type keeps
+    # its principal_dims table; the tracer wraps so_fixed_dim and h1_principal
+    # from outside, so a warm second run counts every call a cold first run counts.
     bibi.so_fixed_dim.cache_clear()
     weil.weil_h1.cache_clear()
     tracing = _load("tracing")

@@ -1,11 +1,13 @@
-"""The closed-form memos are transparent: a cached value is the computed one.
+"""The closed-form caches are transparent: a cached value is the computed one.
 
-weil.principal_fixed_dim, weil.weil_h1, rootsys.adjoint_dim,
-bibi.so_fixed_dim and saturation.classify_ladder are memoised per argument,
-and so is permgrp._fewest_cycles, which Scott's bound reads; DynkinType.parse
-hands out one shared instance per type.  Cold, warm,
-keyed by an equal but distinct type, or computed by the bare function, each
-gives the same value; a refusal raises on every call.
+weil.weil_h1, rootsys.exponents, bibi.so_fixed_dim and
+saturation.classify_ladder are memoised per argument, and so are
+permgrp._fewest_cycles, which Scott's bound reads, and DynkinType.parse,
+which hands out one shared instance per type.  weil.principal_fixed_dim and
+rootsys.adjoint_dim read each type's principal_dims table, built once per
+instance.  Cold, warm, keyed by an equal but distinct type, or computed
+without the cache (a memo's bare function, or the exponent sum the table
+holds), each gives the same value; a refusal raises on every call.
 """
 
 import dataclasses
@@ -23,16 +25,29 @@ TRIPLES = [(2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 60), (7, 11, 13), (29, 31, 60
 H1_ARGS = [(rootsys.adjoint_dim(t), tuple(weil.principal_fixed_dim(t, n) for n in tr))
            for t in TYPES for tr in TRIPLES]
 
-#: Every memo the closed-form routes read, and the argument tuples swept.
+
+def _exponent_sum(t, n):
+    return sum(1 + 2 * (e // n) for e in rootsys.exponents(t))
+
+
+def _adjoint_sum(t):
+    return sum(2 * e + 1 for e in rootsys.exponents(t))
+
+
+#: Every cache the closed-form routes read, the argument tuples swept, and the
+#: uncached computation: a memo's bare function, or the sum a table holds.
 SWEEPS = {
-    "principal_fixed_dim": (weil.principal_fixed_dim, [(t, n) for t in TYPES for n in ORDERS]),
-    "adjoint_dim": (rootsys.adjoint_dim, [(t,) for t in TYPES]),
-    "exponents": (rootsys.exponents, [(t,) for t in TYPES]),
-    "classify_ladder": (saturation.classify_ladder, [(t,) for t in TYPES if t != A1]),
-    "weil_h1": (weil.weil_h1, H1_ARGS),
+    "principal_fixed_dim": (weil.principal_fixed_dim, [(t, n) for t in TYPES for n in ORDERS],
+                            _exponent_sum),
+    "adjoint_dim": (rootsys.adjoint_dim, [(t,) for t in TYPES], _adjoint_sum),
+    "exponents": (rootsys.exponents, [(t,) for t in TYPES], None),
+    "classify_ladder": (saturation.classify_ladder, [(t,) for t in TYPES if t != A1], None),
+    "weil_h1": (weil.weil_h1, H1_ARGS, None),
     "so_fixed_dim": (bibi.so_fixed_dim, [(r1, r2, n) for r1 in range(1, 19)
-                                         for r2 in range(1, 20 - r1) for n in ORDERS]),
-    "fewest_cycles": (permgrp._fewest_cycles, [(m, n) for m in range(3, 13) for n in ORDERS]),
+                                         for r2 in range(1, 20 - r1) for n in ORDERS], None),
+    "fewest_cycles": (permgrp._fewest_cycles, [(m, n) for m in range(3, 13) for n in ORDERS],
+                      None),
+    "parse": (DynkinType.parse, [(text,) for t in TYPES for text in (str(t), f" {t}\n")], None),
 }
 
 
@@ -42,20 +57,37 @@ def _fresh(args):
 
 
 def _clear_all():
-    for fn, _ in SWEEPS.values():
-        fn.cache_clear()
+    """Clear every memo and drop each shared type's principal_dims table.
+
+    The shared instances stay, so parse and all_types still hand out one
+    instance per type.
+    """
+    for fn, _, _ in SWEEPS.values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for t in all_types(rootsys.MAX_RANK):
+        vars(t).pop("principal_dims", None)
+
+
+def _built(fn):
+    """What a warm call must not add to: a memo's misses, or the tables of
+    the shared types, by identity."""
+    if hasattr(fn, "cache_info"):
+        return fn.cache_info().misses
+    return [id(vars(t).get("principal_dims")) for t in TYPES]
 
 
 @pytest.mark.parametrize("name", SWEEPS)
 def test_memo_is_transparent(name):
-    fn, sweep = SWEEPS[name]
-    fn.cache_clear()
+    fn, sweep, computed = SWEEPS[name]
+    _clear_all()
     cold = [fn(*args) for args in sweep]
-    misses = fn.cache_info().misses
+    built = _built(fn)
     warm = [fn(*args) for args in sweep]
     fresh = [fn(*_fresh(args)) for args in sweep]
-    assert fn.cache_info().misses == misses  # equal types hit the memo
-    assert cold == warm == fresh == [fn.__wrapped__(*args) for args in sweep]
+    assert _built(fn) == built  # equal types hit the memo; a table is built once
+    computed = computed or fn.__wrapped__
+    assert cold == warm == fresh == [computed(*args) for args in sweep]
 
 
 def test_parse_shares_one_instance_per_type():
@@ -75,9 +107,12 @@ def test_parse_shares_one_instance_per_type():
 
 
 def test_refusals_are_not_memoised():
+    parsed = DynkinType.parse.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="generator order must be >= 2, got 1"):
             weil.principal_fixed_dim(A1, 1)
+        with pytest.raises(ValueError, match="generator order must be an integer, got 2.5"):
+            weil.principal_fixed_dim(A1, 2.5)
         with pytest.raises(ValueError, match="A1 has no ladder"):
             saturation.classify_ladder(A1)
         with pytest.raises(ValueError, match="cannot parse Dynkin type 'Q5'"):
@@ -90,6 +125,7 @@ def test_refusals_are_not_memoised():
             weil.weil_h1(3, (3, 3, 3))
         with pytest.raises(ValueError, match=r"fixed dims \(11, 0, 0\) out of range \[0, 10\]"):
             weil.weil_h1(10, (11, 0, 0))
+    assert DynkinType.parse.cache_info().currsize == parsed
 
 
 def test_shared_report_is_read_only():

@@ -115,6 +115,14 @@ def test_unparsable_label_message(text):
     assert str(err.value) == f"cannot parse Dynkin type {text!r}"
 
 
+@pytest.mark.parametrize("rank", [True, False, 1.0, "1"])
+def test_rank_must_be_an_int(rank):
+    # DynkinType("A", True) used to be accepted, equal to A1 and printed "ATrue"
+    with pytest.raises(ValueError) as err:
+        DynkinType("A", rank)
+    assert str(err.value) == f"rank must be a positive integer, got {rank!r}"
+
+
 def test_rank_cap():
     DynkinType("A", 512)
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisat import DynkinType, Triple, h1_principal
-from trisat.rootsys import MAX_RANK, all_types, exponents
+from trisat.rootsys import MAX_RANK, adjoint_dim, all_types, exponents
 from trisat.weil import principal_fixed_dim, weil_h1
 
 from oracles import lawther_closed_form, rigid_contains
@@ -71,6 +73,12 @@ class TestPrincipalFixedDim:
     def test_rejects_order_one(self):
         with pytest.raises(ValueError):
             principal_fixed_dim(T("G2"), 1)
+
+    @pytest.mark.parametrize("order", [2.5, 7.0, "7", None])
+    def test_rejects_a_non_integer_order(self, order):
+        # 2.5 used to give 96.0 on E8, a float read off floor division
+        with pytest.raises(ValueError, match="generator order must be an integer"):
+            principal_fixed_dim(T("E8"), order)
 
 
 class TestWeilFormula:
@@ -182,3 +190,97 @@ class TestCodim:
     def test_lawther_identity_every_rank(self, case):
         t, n = case
         assert lawther_closed_form(t, n) == principal_fixed_dim(t, n), (str(t), n)
+
+
+def _exponent_sum(t, n):
+    """The principal fixed dimension of an order-n element, from the exponents."""
+    return sum(1 + 2 * (e // n) for e in exponents(t))
+
+
+def _holding(n):
+    """A hyperbolic triple whose first entry is n."""
+    return Triple(n, n, n) if n >= 4 else Triple(n, 7, 8)
+
+
+#: Each classical family at the rank cap.
+AT_MAX_RANK = [DynkinType(family, MAX_RANK) for family in "ABCD"]
+
+
+@pytest.fixture(params=["shared", "distinct"])
+def types_20(request):
+    """all_types(20), as the shared instances or as equal, distinct ones whose
+    tables are built afresh."""
+    types = all_types(20)
+    return types if request.param == "shared" else [DynkinType(t.family, t.rank) for t in types]
+
+
+class TestPrincipalTable:
+    """Each type's principal_dims table, read by index, against the exponent
+    sum written out here and against Lawther's closed form."""
+
+    def test_h1_principal_reads_the_exponent_sum(self, types_20):
+        for t in types_20:
+            dim_g = sum(2 * e + 1 for e in exponents(t))
+            for n in list(range(2, coxeter(t) + 6)) + [10**6]:
+                for tr in (_holding(n), Triple(n, 7, 8)):
+                    rep = h1_principal(t, tr)
+                    assert rep.dim_g == dim_g, (str(t), tr)
+                    assert rep.fixed_dims == tuple(_exponent_sum(t, x) for x in tr.orders), \
+                        (str(t), tr)
+                    assert rep.h1 == dim_g - sum(rep.fixed_dims)
+
+    def test_table_ends_at_the_first_order_that_gives_the_rank(self):
+        for t in all_types(20) + AT_MAX_RANK:
+            dims, top = t.principal_dims, coxeter(t)
+            assert len(dims) == top + 1 and dims[0] is None, str(t)
+            assert adjoint_dim(t) == dims[1], str(t)
+            assert list(dims[1:]) == [_exponent_sum(t, n) for n in range(1, top + 1)], str(t)
+            assert dims[top] == t.rank < dims[top - 1], str(t)
+
+    def test_lawther_agrees_at_the_cap(self, types_20):
+        for t in types_20 + AT_MAX_RANK:
+            if t.family in "ABCD":
+                top = coxeter(t)
+                for n in (top - 1, top, top + 1, 10**6):
+                    if n >= 2:
+                        law = lawther_closed_form(t, n)
+                        assert principal_fixed_dim(t, n) == law, (str(t), n)
+                        assert h1_principal(t, _holding(n)).fixed_dims[0] == law, (str(t), n)
+                        assert (law == t.rank) == (n >= top), (str(t), n)
+
+
+def _capped_triples(top):
+    """Every hyperbolic triple with entries in 2..top, each entry at top read
+    as 10^6, so that it stands for every entry n >= top."""
+    out = []
+    for a in range(2, top + 1):
+        for b in range(a, top + 1):
+            for c in range(b, top + 1):
+                x, y, z = (10**6 if n == top else n for n in (a, b, c))
+                if y * z + x * z + x * y < x * y * z:
+                    out.append(Triple(x, y, z))
+    return out
+
+
+class TestRigidCappedTriples:
+    """H^1 = 0 exactly on the rigid rows, over every hyperbolic triple.
+
+    An entry n >= top(t) = e_max + 1 gives the rank, as top does, so every
+    hyperbolic triple caps to one with entries in 2..top; with each entry at
+    top read as a large value the capped triple is still hyperbolic and has
+    the same H^1, and rigid_contains reads no entry at top.  So the finite
+    sweep below covers every hyperbolic triple for every type of rank <= 20.
+    """
+
+    def test_zero_set_is_the_rigid_rows(self):
+        capped = 0
+        for top, types in groupby(sorted(all_types(20), key=coxeter), key=coxeter):
+            triples = _capped_triples(top)
+            for t in types:
+                capped += len(triples)
+                for tr in triples:
+                    h1 = h1_principal(t, tr).h1
+                    assert (h1 == 0) == rigid_contains(t, tr.orders), (str(t), tr, h1)
+        # ROADMAP item 16 counts 183,245, capping B_r (r >= 3) and D_r at 16 or
+        # more for the bibi and alt routes; the principal H^1 needs only top.
+        assert capped == 178557
