@@ -59,9 +59,9 @@ class BibiConfig:
     k: int
 
     def __post_init__(self):
-        if self.r < 4:
+        if type(self.r) is not int or self.r < 4:  # a bool or float is not a rank
             raise ValueError("need r >= 4")
-        if self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise ValueError("need k >= 1")
         if not self.k < self.r - self.k - 1:
             raise ValueError(

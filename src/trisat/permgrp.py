@@ -79,7 +79,7 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts or any(not isinstance(p, int) or p < 1 for p in self.parts):
+        if not self.parts or any(type(p) is not int or p < 1 for p in self.parts):
             raise ValueError(f"cycle lengths must be positive integers: {self.parts}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 

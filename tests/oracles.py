@@ -1,8 +1,8 @@
 """Independent oracles for the exact formulas.
 
-Builds explicit real orthogonal matrices (block rotations, permutation
-actions on the standard module), forms the antisymmetric square, and reads
-fixed-space dimensions off numeric ranks; ``from_cycles`` builds a
+Builds explicit matrices over GF(p) (block rotations, permutation actions
+on the standard module), forms the antisymmetric square, and reads
+fixed-space dimensions off exact ranks by ``rank_mod_p``; ``from_cycles`` builds a
 permutation's image tuple from its cycles and refuses a non-bijection;
 ``rigid_contains`` states the rigid table as a predicate instead of the
 spec rows ``tables`` expands;
@@ -17,67 +17,173 @@ search's transitivity filter and on the C(A)-orbits its tests close;
 which points the backtrack sets each B[k] to; ``lawther_closed_form`` is
 Lawther's closed form for the codimension of the elements of order
 dividing a in the classical families, the check on the exponent sums.
-Deliberately shares no code with the integer formulas under test.
+Deliberately shares no code with the integer formulas under test: of
+trisat it imports only ``rootsys.DynkinType``.
+
+A fixed dimension over GF(p) equals the complex one when the element has
+order N with p not dividing N.  Then x^N - 1 has no repeated root mod p,
+so the element is diagonalisable over the algebraic closure of GF(p), and
+its fixed space has the dimension of the eigenvalue 1.  For the principal
+pair element the eigenvalues are powers of a zeta of exact order n, so the
+power that is 1 mod p is 1 over the complex numbers too.  For a
+permutation the characteristic polynomial on the integer lattice is a
+product of cyclotomic Phi_d with d | N, and Phi_d(1) = 0 mod p only when d
+is a power of p, so only Phi_1 gives the eigenvalue 1.  The builders
+check both conditions and raise ValueError when p breaks them.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
+import math
+from functools import lru_cache
 
 from trisat.rootsys import DynkinType
 
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[pos:pos + k, pos:pos + k] = b
-        pos += k
-    return out
+# 1 + 16 * lcm(1..16), a prime: GF(P) holds i and a zeta of exact order n
+# for every n <= 16, and P exceeds every point count the tests use
+P = 11_531_521
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+@lru_cache(maxsize=None)
+def _require_prime(p: int) -> None:
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{p} is not a prime")
 
 
-def principal_pair_matrix(r1: int, r2: int, n: int) -> np.ndarray:
-    """Order-n element of SO(2*r1+1) x SO(2*r2+1), principal in each factor.
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of the matrix whose rows are the dicts ``rows`` ({column: entry}).
 
-    Each factor is a 1 and rotations by 2*pi*j/n for j = 1..rank.
+    Each row is reduced against the pivot rows kept so far, always at its
+    least column; a row that keeps a nonzero entry is scaled to 1 there and
+    kept as the pivot of that column.  Every other column of a pivot row is
+    larger, so a reduction never brings back a column it cleared.
     """
-    blocks = []
+    _require_prime(p)
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {c: v % p for c, v in given.items() if v % p}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - f * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def antisym_fixed_dim(rows, p: int) -> int:
+    """dim over GF(p) of the fixed space of the matrix with rows ``rows``
+    ({column: entry}) acting on its antisymmetric square.
+
+    Row (i, j) of the square, on the basis e_a ^ e_b (a < b), is
+    sum over a, b of g[i][a] g[j][b] e_a ^ e_b, with e_b ^ e_a = -e_a ^ e_b;
+    the identity is taken off its diagonal.
+    """
+    index = {pair: k for k, pair in enumerate(itertools.combinations(range(len(rows)), 2))}
+    square = []
+    for (i, j), k in index.items():
+        row = {k: -1}
+        for a, x in rows[i].items():
+            for b, y in rows[j].items():
+                if a < b:
+                    key = index[a, b]
+                    row[key] = row.get(key, 0) + x * y
+                elif a > b:
+                    key = index[b, a]
+                    row[key] = row.get(key, 0) - x * y
+        square.append(row)
+    return len(index) - rank_mod_p(square, p)
+
+
+def _unit_of_order(q: int, p: int) -> int:
+    """An element of exact order q in GF(p)*.
+
+    ValueError when there is none, that is when q does not divide p - 1.
+    """
+    if (p - 1) % q:
+        raise ValueError(f"GF({p}) has no element of exact order {q}")
+    primes = [d for d in range(2, q + 1) if q % d == 0 and all(d % e for e in range(2, d))]
+    # each w has w^q = 1, and exact order q unless w^(q/d) = 1 for a prime d | q;
+    # a generator of GF(p)* gives one, so the search ends
+    powers = (pow(g, (p - 1) // q, p) for g in range(2, p))
+    return next(w for w in powers if all(pow(w, q // d, p) != 1 for d in primes))
+
+
+def principal_pair_matrix(r1: int, r2: int, n: int, p: int = P) -> list[dict[int, int]]:
+    """Order-n element of SO(2*r1+1) x SO(2*r2+1) over GF(p), principal in each
+    factor, as rows ({column: entry}).
+
+    Each factor is a 1 and rotation blocks [[c, -s], [s, c]] for j = 1..rank,
+    with c = (z + 1/z)/2 and s = (z - 1/z)/(2i) at z = zeta^j: the block has
+    eigenvalues z and 1/z.  zeta has exact order n and i^2 = -1, both taken
+    from a unit of exact order 4n, so p = 1 (mod 4n) is needed; otherwise
+    ValueError.
+    """
+    _require_prime(p)
+    w = _unit_of_order(4 * n, p)
+    zeta, i = pow(w, 4, p), pow(w, n, p)
+    assert [k for k in range(1, n + 1) if pow(zeta, k, p) == 1] == [n], (n, p)
+    half, half_i = pow(2, -1, p), pow(2 * i, -1, p)
+    rows = []
     for rank in (r1, r2):
-        blocks.append(np.eye(1))
-        blocks.extend(_rotation(2 * np.pi * j / n) for j in range(1, rank + 1))
-    return _block_diag(blocks)
+        pos = len(rows)
+        rows.append({pos: 1})
+        for j in range(1, rank + 1):
+            z, z_inv = pow(zeta, j, p), pow(zeta, -j, p)
+            c, s = (z + z_inv) * half % p, (z - z_inv) * half_i % p
+            a, b = pos + 2 * j - 1, pos + 2 * j
+            rows.append({col: v for col, v in ((a, c), (b, -s % p)) if v})
+            rows.append({col: v for col, v in ((a, s), (b, c)) if v})
+    return rows
 
 
-def antisym_square(mat: np.ndarray) -> np.ndarray:
-    """Action induced on the antisymmetric square, basis e_i ^ e_j (i < j)."""
-    m = mat.shape[0]
-    ii = np.array([i for i in range(m) for j in range(i + 1, m)], dtype=int)
-    jj = np.array([j for i in range(m) for j in range(i + 1, m)], dtype=int)
-    return (mat[np.ix_(ii, ii)] * mat[np.ix_(jj, jj)]
-            - mat[np.ix_(jj, ii)] * mat[np.ix_(ii, jj)])
+def principal_pair_fixed_dim(r1: int, r2: int, n: int, p: int = P) -> int:
+    """dim of the fixed space on so_{2(r1+r2+1)} of principal_pair_matrix(r1, r2, n)."""
+    return antisym_fixed_dim(principal_pair_matrix(r1, r2, n, p), p)
 
 
-def fixed_dim_numeric(mat: np.ndarray) -> int:
-    """dim of the fixed space of mat acting on its antisymmetric square.
+def standard_module_matrix(perm: tuple[int, ...]) -> list[dict[int, int]]:
+    """Integer matrix of the image tuple ``perm`` on the standard module, as rows.
 
-    The rank tolerance is absolute: numpy's default is relative to the
-    largest singular value, so when mat is the identity up to rounding the
-    noise left in the difference would count as rank.
+    The basis is f_i = e_i - e_{m-1} for i < m-1.  perm sends f_i to
+    e_{perm[i]} - e_{perm[m-1]} = f_{perm[i]} - f_{perm[m-1]}, where f_{m-1} = 0.
     """
-    a = antisym_square(mat)
-    d = a.shape[0]
-    if d == 0:
-        return 0
-    return d - np.linalg.matrix_rank(a - np.eye(d), tol=1e-9)
+    m = len(perm)
+    rows: list[dict[int, int]] = [{} for _ in range(m - 1)]
+    for i in range(m - 1):
+        for r, v in ((perm[i], 1), (perm[-1], -1)):
+            if r < m - 1:
+                rows[r][i] = v  # perm[i] != perm[m-1], so no entry is written twice
+    return rows
+
+
+def standard_module_fixed_dim(perm: tuple[int, ...], p: int = P) -> int:
+    """dim of the fixed space of the image tuple ``perm`` on so_{m-1}, the
+    antisymmetric square of the standard module, by rank over GF(p).
+
+    ValueError when p divides the order of perm.
+    """
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    order = math.lcm(*lengths)
+    if order % p == 0:
+        raise ValueError(f"p = {p} divides the element order {order}")
+    return antisym_fixed_dim(standard_module_matrix(perm), p)
 
 
 def from_cycles(m: int, cycles) -> tuple[int, ...]:
@@ -95,20 +201,6 @@ def from_cycles(m: int, cycles) -> tuple[int, ...]:
     if sorted(images) != list(range(m)):
         raise ValueError(f"not a permutation of 0..{m - 1}: {tuple(images)}")
     return tuple(images)
-
-
-def standard_module_matrix(p: tuple[int, ...]) -> np.ndarray:
-    """Orthogonal (m-1)x(m-1) matrix of the image tuple p on the complement of the ones line."""
-    m = len(p)
-    perm = np.zeros((m, m))
-    for i, j in enumerate(p):
-        perm[j, i] = 1.0
-    basis = np.zeros((m, m - 1))
-    for i in range(m - 1):
-        basis[i, i] = 1.0
-        basis[i + 1, i] = -1.0
-    q, _ = np.linalg.qr(basis)
-    return q.T @ perm @ q
 
 
 def partitions(m: int, largest: int | None = None) -> list[tuple[int, ...]]:

@@ -23,12 +23,7 @@ from trisat.permgrp import (
 from trisat.rootsys import all_types
 from trisat.weil import principal_fixed_dim
 
-from oracles import (
-    fixed_dim_numeric,
-    lawther_closed_form,
-    principal_pair_matrix,
-    standard_module_matrix,
-)
+from oracles import lawther_closed_form, principal_pair_fixed_dim, standard_module_fixed_dim
 from test_altmethod import _random_class_member, _random_partition
 
 
@@ -119,12 +114,12 @@ def test_criterion_6_alt_h1_positive_and_oracle_checked():
             rep = h1_alt(m, shapes, tr)
             assert rep.h1 > 0, (m, orders)
             rng = random.Random(10_000 * m + orders[2])
-            numeric = []
+            oracle = []
             for ct in shapes:
                 perm = _random_class_member(rng, m, ct)
-                numeric.append(fixed_dim_numeric(standard_module_matrix(perm)))
-            assert tuple(numeric) == rep.fixed_dims, (m, orders)
-            assert rep.dim_g - sum(numeric) == rep.h1
+                oracle.append(standard_module_fixed_dim(perm))
+            assert tuple(oracle) == rep.fixed_dims, (m, orders)
+            assert rep.dim_g - sum(oracle) == rep.h1
 
 
 def test_criterion_7_non_generation():
@@ -156,18 +151,18 @@ def test_criterion_7_non_generation():
 
 
 def test_criterion_8_randomized_oracle_suite():
-    with _Timer(8, "randomized numeric-rank oracle agreement", budget=120.0):
+    with _Timer(8, "randomized exact-rank oracle agreement", budget=120.0):
         rng = random.Random(518352)
         instances = 0
         for _ in range(50):
             r1, r2, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 16)
-            assert so_fixed_dim(r1, r2, n) == fixed_dim_numeric(principal_pair_matrix(r1, r2, n))
+            assert so_fixed_dim(r1, r2, n) == principal_pair_fixed_dim(r1, r2, n)
             instances += 1
         for _ in range(50):
             m = rng.randint(7, 20)
             ct = CycleType(tuple(_random_partition(rng, m)))
             exact = perm_fixed_dim(ct)
             perm = _random_class_member(rng, m, ct)
-            assert exact == fixed_dim_numeric(standard_module_matrix(perm))
+            assert exact == standard_module_fixed_dim(perm)
             instances += 1
         assert instances >= 100

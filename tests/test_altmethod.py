@@ -9,7 +9,7 @@ from trisat.permgrp import NotFound, cycle_types_of_order, find_generating_tripl
 from trisat.rootsys import all_types
 from trisat.tables import ALT_GEN_ROWS
 
-from oracles import conjugate, fixed_dim_numeric, partitions, standard_module_matrix
+from oracles import conjugate, partitions, standard_module_fixed_dim
 
 
 def shapes(m, *texts):
@@ -93,7 +93,7 @@ class TestStandardModuleEigenvalues:
             ct = CycleType(tuple(parts))
             exact = perm_fixed_dim(ct)
             perm = _random_class_member(rng, m, ct)
-            assert exact == fixed_dim_numeric(standard_module_matrix(perm))
+            assert exact == standard_module_fixed_dim(perm)
 
     @pytest.mark.parametrize("m", [7, 8, 9, 10])
     def test_every_cycle_type_matches_numeric_oracle(self, m):
@@ -101,7 +101,7 @@ class TestStandardModuleEigenvalues:
         assert len(types) == len({ct.parts for ct in types}) == {7: 15, 8: 22, 9: 30, 10: 42}[m]
         for ct in types:
             perm = ct.lex_min()
-            assert perm_fixed_dim(ct) == fixed_dim_numeric(standard_module_matrix(perm)), ct
+            assert perm_fixed_dim(ct) == standard_module_fixed_dim(perm), ct
 
 
 def _random_partition(rng, m):
@@ -174,7 +174,7 @@ class TestH1Alt:
             rng = random.Random(m * 1000 + orders[2])
             for ct, expected in zip(row_shapes, rep.fixed_dims):
                 perm = _random_class_member(rng, m, ct)
-                assert fixed_dim_numeric(standard_module_matrix(perm)) == expected
+                assert standard_module_fixed_dim(perm) == expected
 
 
 class TestAltSaturationCheck:

@@ -5,7 +5,7 @@ from trisat.bibi import _block_type, so_fixed_dim
 from trisat.rootsys import DynkinType, adjoint_dim
 from trisat.weil import principal_fixed_dim
 
-from oracles import fixed_dim_numeric, principal_pair_matrix
+from oracles import principal_pair_fixed_dim
 
 
 class TestSoFixedDim:
@@ -21,7 +21,7 @@ class TestSoFixedDim:
         for r1 in range(1, 7):
             for r2 in range(r1, 13 - r1):
                 for n in range(2, 13):
-                    expected = fixed_dim_numeric(principal_pair_matrix(r1, r2, n))
+                    expected = principal_pair_fixed_dim(r1, r2, n)
                     assert so_fixed_dim(r1, r2, n) == expected, (r1, r2, n)
 
 
@@ -54,6 +54,12 @@ class TestH1Bibi:
         with pytest.raises(ValueError):
             BibiConfig(5, 2)
 
+    @pytest.mark.parametrize("r, k", [(7, True), (7, 1.0), (7.0, 1), (True, 1)])
+    def test_rejects_a_rank_that_is_not_an_int(self, r, k):
+        # a bool or float rank used to pass and print as the factor "BTrue"
+        with pytest.raises(ValueError):
+            BibiConfig(r, k)
+
     def test_triple_argument_order_irrelevant(self):
         cfg = BibiConfig(9, 2)
         assert h1_bibi(cfg, Triple(6, 2, 4)).h1 == h1_bibi(cfg, Triple(2, 4, 6)).h1
@@ -65,7 +71,7 @@ class TestH1Bibi:
             rep = h1_bibi(cfg, Triple(*orders))
             r1, r2 = cfg.ranks
             for n, expected in zip(Triple(*orders).orders, rep.fixed_dims):
-                assert fixed_dim_numeric(principal_pair_matrix(r1, r2, n)) == expected
+                assert principal_pair_fixed_dim(r1, r2, n) == expected
 
 
 class TestCriterion:

@@ -171,6 +171,12 @@ class TestCycleType:
         with pytest.raises(ValueError, match="cannot parse"):
             CycleType.parse(text)
 
+    @pytest.mark.parametrize("parts", [(2, True), (3, 2.0), (0,), ()])
+    def test_parts_that_are_not_positive_ints_are_refused(self, parts):
+        # (2, True) used to pass as degree 3 and print as (2)(True)
+        with pytest.raises(ValueError, match="positive integers"):
+            CycleType(parts)
+
     def test_str_round_trips(self):
         for m in (5, 8, 9):
             for n in (1, 2, 3, 6):
