@@ -82,7 +82,7 @@ def alt_saturation_check(m: int, tr: Triple) -> Verdict:
     search that only decide gates) and, given a witness, computes H^1 from
     the witness's actual cycle shapes; positive H^1 certifies saturation.
     """
-    key = {"m": m, "target": str(alt_target(m)), "triple": list(tr.orders)}
+    key = {"m": m, "target": alt_target(m).label, "triple": list(tr.orders)}
     hint = tables.generating_pair_hint(m, tr.orders)
     found = find_generating_triple(m, tr, shape_hint=hint)
     if isinstance(found, NotFound):

@@ -84,13 +84,13 @@ def h1_bibi(cfg: BibiConfig, tr: Triple) -> CohomologyReport:
     return weil_h1(cfg.r * (2 * cfg.r - 1), fixed)
 
 
-def _side_conditions(cfg: BibiConfig, tr: Triple) -> list[str]:
-    """Violated side conditions of the deformation theorem, if any."""
+def _side_conditions(r1: int, r2: int, tr: Triple) -> list[str]:
+    """Violated side conditions of the deformation theorem, if any, for the
+    factor ranks r1 and r2."""
     violations = []
-    factors = set(cfg.ranks)
-    if tr.b == 3 and factors & {2, 3}:
+    if tr.b == 3 and (2 <= r1 <= 3 or 2 <= r2 <= 3):
         violations.append("b = 3 requires factor ranks disjoint from {2, 3}")
-    if (tr.a, tr.c) == (2, 5) and 3 in factors:
+    if tr.c == 5 and tr.a == 2 and (r1 == 3 or r2 == 3):
         violations.append("(a, c) = (2, 5) requires no factor of rank 3")
     return violations
 
@@ -117,7 +117,7 @@ def bibi_criterion(cfg: BibiConfig, tr: Triple) -> Verdict:
         "rhs": report.h1,
         "fixed": list(report.fixed_dims),
     }
-    violations = _side_conditions(cfg, tr)
+    violations = _side_conditions(r1, r2, tr)
     if violations:
         cert["side_conditions"] = violations
         return Verdict(Status.UNKNOWN, "bibi", cert)
@@ -132,7 +132,7 @@ def search_bibi(r: int, tr: Triple) -> Verdict:
 
     Unknown verdicts carry the per-k reasons so the search can be replayed.
     """
-    if r < 4:
+    if type(r) is not int or r < 4:  # a bool, float or str is not a rank, as in BibiConfig
         raise ValueError("need r >= 4")
     attempts = []
     for k in range(1, r // 2):

@@ -75,7 +75,7 @@ TYPED = {
 def cmd_typed(args) -> int:
     t, tr = DynkinType.parse(args.type), Triple.parse(args.triple)
     body = TYPED[args.command][1](t, tr, args)
-    _emit({"type": str(t), "triple": list(tr.orders), **body}, args)
+    _emit({"type": t.label, "triple": list(tr.orders), **body}, args)
     return 0
 
 
@@ -92,7 +92,7 @@ def cmd_alt(args) -> int:
     if args.shapes:
         shapes = _parse_shapes(args.shapes, m)
         report = h1_alt(m, shapes, tr)
-        target = str(alt_target(m)) if m >= 8 else None  # so_6 (m = 7) is not B or D
+        target = alt_target(m).label if m >= 8 else None  # so_6 (m = 7) is not B or D
         _emit({"m": m, "target": target, "triple": list(tr.orders),
                "shapes": [str(s) for s in shapes], "dim_v": report.dim_g,
                "fixed": list(report.fixed_dims), "z1": report.z1, "h1": report.h1},

@@ -47,7 +47,7 @@ def _judge_rigid(case):
 
 def _nonso3_cases(c_max):
     expected = tables.nonso3_pairs()
-    return [(t, orders, (str(t), orders) in expected)
+    return [(t, orders, (t.label, orders) in expected)
             for t in all_types(tables.NONSO3_MAX_RANK) for orders in tables.S_TRIPLES]
 
 
@@ -56,9 +56,9 @@ def _judge_nonso3(case):
     only the non-Saturated cases are rows."""
     t, orders, in_table = case
     status = ladder_verdict(t, Triple(*orders)).status
-    want = (Status.RIGID_ZERO if str(t) == "A1" else Status.UNKNOWN) \
+    want = (Status.RIGID_ZERO if t.label == "A1" else Status.UNKNOWN) \
         if in_table else Status.SATURATED
-    key = {"type": str(t), "triple": list(orders)}
+    key = {"type": t.label, "triple": list(orders)}
     row = None if status == Status.SATURATED else {**key, "status": status}
     bad = None if status == want else {**key, "expected": want, "got": status}
     return row, bad, f"nonso3 {t} {orders}: {status}"

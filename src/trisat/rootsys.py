@@ -61,9 +61,9 @@ class DynkinType:
         """Parse a label like "E8" or "D13".
 
         Every label of one type gives the same shared instance, so the
-        memos keyed on a type find it by identity and its principal_dims
-        table is built once.  The result is memoised per label text, up to
-        1,024 texts; a refusal is not memoised.
+        memos keyed on a type find it by identity, and its principal_dims
+        table and its label are built once.  The result is memoised per
+        label text, up to 1,024 texts; a refusal is not memoised.
         """
         m = _TYPE_RE.match(text.strip())
         if not m:
@@ -91,8 +91,14 @@ class DynkinType:
             at_least[v] += at_least[v + 1]
         return (None,) + tuple(self.rank + 2 * sum(at_least[n::n]) for n in range(1, top + 1))
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """The type's name, e.g. "D7": formed once per instance, on first
+        read, and what str() and every certificate give."""
         return f"{self.family}{self.rank}"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 #: DynkinType memoised per (family, rank): the instance parse and all_types hand out.

@@ -50,7 +50,7 @@ def classify_ladder(t: DynkinType) -> tuple[DynkinType, ...]:
     The chain is memoised per type and returned as a tuple, so callers
     share it; a refusal is not memoised, so every call on A1 raises again.
     """
-    if t == _A1:
+    if t.label == "A1":
         raise ValueError("A1 has no ladder: T is locally rigid in PGL_2")
     below = _below(t)
     return (_A1, t) if below is None else classify_ladder(below) + (t,)
@@ -63,7 +63,7 @@ def ladder_verdict(t: DynkinType, tr: Triple) -> Verdict:
     means type A1 itself is never saturated and reports RigidZero).  Any
     equality in the chain leaves the verdict Unknown.
     """
-    if t == _A1:
+    if t.label == "A1":
         return Verdict(
             Status.RIGID_ZERO,
             "ladder",
@@ -72,13 +72,13 @@ def ladder_verdict(t: DynkinType, tr: Triple) -> Verdict:
     path = classify_ladder(t)
     chain = [0] + [h1_principal(rung, tr).h1 for rung in path[1:]]
     cert = {
-        "path": [str(rung) for rung in path],
+        "path": [rung.label for rung in path],
         "h1_chain": chain,
         "triple": list(tr.orders),
     }
     for i in range(len(chain) - 1):
         if not chain[i] < chain[i + 1]:
-            cert["failed_at"] = [str(path[i]), str(path[i + 1])]
+            cert["failed_at"] = [path[i].label, path[i + 1].label]
             cert["reason"] = "no strict H^1 increase"
             return Verdict(Status.UNKNOWN, "ladder", cert)
     return Verdict(Status.SATURATED, "ladder", cert)
@@ -95,7 +95,7 @@ def decide(t: DynkinType, tr: Triple, *, alt_search: bool = False) -> Verdict:
     with the reason it does not apply.  If nothing certifies saturation the
     verdict is Unknown, or RigidZero when the principal H^1 itself vanishes.
     """
-    if t == _A1:
+    if t.label == "A1":
         return Verdict(
             Status.RIGID_ZERO,
             "rigid",

@@ -37,13 +37,15 @@ class Triple:
     c: int
 
     def __post_init__(self):
-        vals = (self.a, self.b, self.c)
-        if not all(isinstance(v, int) and v >= 2 for v in vals):
-            raise ValueError(f"triple entries must be integers >= 2, got {vals}")
-        a, b, c = sorted(vals)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        a, b, c = self.a, self.b, self.c
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
+                and a >= 2 and b >= 2 and c >= 2):
+            raise ValueError(f"triple entries must be integers >= 2, got {(a, b, c)}")
+        if not a <= b <= c:
+            a, b, c = sorted((a, b, c))
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "c", c)
         # hyperbolic: 1/a + 1/b + 1/c < 1, exactly
         if b * c + a * c + a * b >= a * b * c:
             raise ValueError(f"({a},{b},{c}) is not hyperbolic")

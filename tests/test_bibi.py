@@ -1,7 +1,7 @@
 import pytest
 
 from trisat import BibiConfig, Status, Triple, bibi_criterion, h1_bibi, h1_principal, search_bibi
-from trisat.bibi import _block_type, so_fixed_dim
+from trisat.bibi import _block_type, _side_conditions, so_fixed_dim
 from trisat.rootsys import DynkinType, adjoint_dim
 from trisat.weil import principal_fixed_dim
 
@@ -93,6 +93,21 @@ class TestCriterion:
         assert v.status == Status.UNKNOWN
         assert any("(2, 5)" in s for s in v.certificate["side_conditions"])
 
+    def test_side_conditions_as_the_theorem_states_them(self):
+        # the rule over the set of factor ranks, for every admissible pair
+        triples = [Triple(a, b, c) for a in range(2, 9) for b in range(a, 9)
+                   for c in range(b, 9) if b * c + a * c + a * b < a * b * c]
+        for r in range(4, 13):
+            for k in range(1, r // 2):
+                factors = set(BibiConfig(r, k).ranks)
+                for tr in triples:
+                    want = []
+                    if tr.b == 3 and factors & {2, 3}:
+                        want.append("b = 3 requires factor ranks disjoint from {2, 3}")
+                    if (tr.a, tr.c) == (2, 5) and 3 in factors:
+                        want.append("(a, c) = (2, 5) requires no factor of rank 3")
+                    assert _side_conditions(k, r - k - 1, tr) == want, (r, k, tr)
+
     def test_b3_factor_uses_principal_value(self):
         v = bibi_criterion(BibiConfig(13, 3), Triple(2, 4, 5))
         assert v.certificate["lhs_parts"][0] == h1_principal(DynkinType("B", 3), Triple(2, 4, 5)).h1
@@ -107,6 +122,13 @@ class TestSearch:
         v = search_bibi(5, Triple(2, 3, 7))
         assert v.status == Status.UNKNOWN
         assert v.certificate["attempts"][0]["k"] == 1
+
+    @pytest.mark.parametrize("r", [7.0, True, "7"])
+    def test_refuses_a_rank_that_is_not_an_int(self, r):
+        # 7.0 and "7" used to raise TypeError; True was refused only as below 4
+        with pytest.raises(ValueError) as err:
+            search_bibi(r, Triple(2, 3, 7))
+        assert str(err.value) == "need r >= 4"
 
     def test_d4_255(self):
         v = search_bibi(4, Triple(2, 5, 5))

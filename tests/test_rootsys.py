@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from trisat.rootsys import DynkinType, adjoint_dim, all_types, exponents
+from trisat.rootsys import MAX_RANK, DynkinType, adjoint_dim, all_types, exponents
 
 
 def T(label):
@@ -127,6 +129,18 @@ def test_rank_cap():
     DynkinType("A", 512)
     with pytest.raises(ValueError):
         DynkinType("A", 513)
+
+
+def test_label_is_formed_once_and_is_no_field():
+    for t in all_types(MAX_RANK):
+        twin = DynkinType(t.family, t.rank)  # equal to the shared instance, not it
+        assert twin is not t and twin == t and hash(twin) == hash(t)
+        for x in (t, twin):
+            assert str(x) == x.label == f"{x.family}{x.rank}"
+            assert x.label is x.label
+            assert "label" not in {f.name for f in fields(x)}
+            assert "label" not in repr(x)
+        assert repr(twin) == f"DynkinType(family={t.family!r}, rank={t.rank})"
 
 
 def test_parse_roundtrip():

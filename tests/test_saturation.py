@@ -8,6 +8,8 @@ from trisat import DynkinType, Status, Triple, decide, h1_principal, ladder_verd
 from trisat.rootsys import adjoint_dim, all_types
 from trisat.saturation import classify_ladder
 
+from closed_form_grid import hyperbolic_triples, run_grid
+
 
 def T(label):
     return DynkinType.parse(label)
@@ -96,6 +98,21 @@ class TestLadderVerdict:
                     assert ladder_verdict(t, tr).status != Status.SATURATED
 
 
+class TestUnsharedA1:
+    """A1 built apart from the shared instance is still A1 to every route."""
+
+    @pytest.mark.parametrize("orders", [(2, 3, 7), (2, 4, 6), (3, 3, 4)])
+    def test_routes_treat_it_as_the_shared_a1(self, orders):
+        twin, tr = DynkinType("A", 1), Triple(*orders)
+        assert twin is not T("A1")
+        assert decide(twin, tr) == decide(T("A1"), tr)
+        assert decide(twin, tr).status == Status.RIGID_ZERO
+        assert ladder_verdict(twin, tr) == ladder_verdict(T("A1"), tr)
+        assert ladder_verdict(twin, tr).status == Status.RIGID_ZERO
+        with pytest.raises(ValueError, match="A1 has no ladder"):
+            classify_ladder(twin)
+
+
 class TestDecide:
     def test_bibi_wins_for_d5_344(self):
         v = decide(T("D5"), Triple(3, 4, 4))
@@ -161,3 +178,13 @@ def test_decide_stages_pinned(pin):
     # stage that ends Unknown.  json.dumps also pins the key order.
     v = decide(T(pin["type"]), Triple(*pin["triple"]), alt_search=pin["alt_search"])
     assert json.dumps(v.as_dict()) == json.dumps(pin["verdict"])
+
+
+def test_closed_form_grid_slice():
+    # the slice c <= 14 of tests/closed_form_grid.py: decide over all_types(20)
+    # x 436 triples, 34,880 cases; the digest covers every verdict and certificate
+    triples = hyperbolic_triples(14)
+    assert len(triples) == 436
+    statuses, sha = run_grid(all_types(20), triples)
+    assert statuses == {Status.SATURATED: 34090, Status.RIGID_ZERO: 565, Status.UNKNOWN: 225}
+    assert sha == "67c6a908372decfdb31977aed065bb10577ddf8a84e8d3358beb9456b71ce555"

@@ -1,4 +1,4 @@
-from itertools import groupby
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +38,28 @@ class TestTriple:
     def test_rejects_small_entries(self):
         with pytest.raises(ValueError):
             Triple(1, 8, 9)
+
+    @pytest.mark.parametrize("orders", [(2, 3, 7), (3, 4, 5)])
+    def test_every_ordering_gives_one_triple(self, orders):
+        base = Triple(*orders)
+        for perm in permutations(orders):
+            tr = Triple(*perm)
+            assert tr.orders == orders == (tr.a, tr.b, tr.c)
+            assert tr == base and hash(tr) == hash(base)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "3", 1])
+    def test_entry_message(self, bad):
+        for vals in ((bad, 3, 7), (2, bad, 7), (2, 3, bad), (7, 3, bad)):
+            with pytest.raises(ValueError) as err:
+                Triple(*vals)
+            assert str(err.value) == f"triple entries must be integers >= 2, got {vals}"
+
+    @pytest.mark.parametrize("bad", [(2, 3, 6), (6, 3, 2), (4, 2, 4), (3, 3, 3), (7, 2, 2)])
+    def test_non_hyperbolic_message(self, bad):
+        a, b, c = sorted(bad)
+        with pytest.raises(ValueError) as err:
+            Triple(*bad)
+        assert str(err.value) == f"({a},{b},{c}) is not hyperbolic"
 
     def test_parse(self):
         assert Triple.parse("2, 3, 7").orders == (2, 3, 7)
