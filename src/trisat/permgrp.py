@@ -10,9 +10,11 @@ pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
 and whose product AB is of an allowed class.  That cuts the pairs walked
 and changes no witness or answer; find_generating_triple states it with
 the cheaper filters.  A walked pair that passes them gets a Sims-table
-call only if B is the first of its C(A)-orbit in the walk.  A search
-keeps one orbit key per C(A)-orbit met in the walk of the current A,
-and nothing from one search to the next.
+call only if B is the first of its C(A)-orbit in the walk.  When a = b
+an A representative walks no B class that is the type of a representative
+walked before it: the swap (A, B) -> (B, A) settled that class pair then.
+A search keeps one orbit key per C(A)-orbit met in the walk of the
+current A, and nothing from one search to the next.
 
 A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
 The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
@@ -194,7 +196,8 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
 
     Sorted by parts tuple, largest first; CycleType.is_even picks out the
     even ones.  The partitions of m into divisors of n are counted first
-    (coin change); more than MAX_CYCLE_TYPES is refused with ValueError.
+    (coin change); more than MAX_CYCLE_TYPES is refused with ValueError,
+    and so is m over MAX_DEGREE, before the count's table is allocated.
     The listing is flat: the parts above 1 grow divisor by divisor, largest
     divisor and multiplicity first, and fixed points fill the rest.  Each
     head padded with fixed points is a partition of m, so the count bounds
@@ -202,6 +205,8 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     so callers share it and cannot mutate it; a refusal is not memoised, so
     every call over the cap raises again.
     """
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     ways = [1] + [0] * m
     for d in divisors:
@@ -502,10 +507,11 @@ def _orbit_key(a):
 
 #: Most candidate (A representative, B) pairs a search may walk, counted from
 #: class sizes before anything is built.  It prices whole classes, though the
-#: backtrack builds only the B's the walk reads and a first hit stops at its
-#: witness's A representative.  Alt_12 (3,3,4), priced at 985,600, builds
-#: and walks 193 B's in about 0.03 s CPU with a 16 MB peak, the interpreter's
-#: own (8 fresh processes on a 2-vCPU Xeon VM);
+#: backtrack builds only the B's the walk reads, a first hit stops at its
+#: witness's A representative, and with a = b the B classes settled under the
+#: swap A <-> B are priced but not walked.  Alt_12 (3,3,4), priced at
+#: 985,600, builds and walks 109 B's in about 0.014 s CPU with a 16 MB peak,
+#: the interpreter's own (median of 8 fresh processes on a 2-vCPU Xeon VM);
 #: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every class
 #: element was walked.
 MAX_PAIRS = 1_000_000
@@ -591,6 +597,13 @@ def find_generating_triple(
       kept classes that keep that rule and whose AB is an allowed class
       (the right order and class), and a hit leaves the later A
       representatives unbuilt;
+    - with a == b, an A representative drops each kept B class that is the
+      type of a representative taken before it, and builds no walk if
+      none is left.  Exact: (A, B) -> (B, A) keeps <A, B> and sends AB
+      to BA = A^-1 (AB) A, of the same class, and the plan is symmetric in
+      the two types, so a generating pair of the dropped class pair gives
+      one of the mirrored pair, which the earlier walk, whose filters are
+      exact, would have returned.  A witness is never in a dropped pair;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
     - a pair whose B has the orbit key (_orbit_key, built once per A
@@ -637,9 +650,16 @@ def find_generating_triple(
     held = []
 
     reps = {ta.lex_min(): ta for ta in types_a if kept[ta]}
+    # the types of the A representatives taken so far; a B class, of order
+    # b, can be one of them only when a == b
+    settled = set()
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
+        classes_b = [tb.parts for tb in kept[ta] if tb.parts not in settled]
+        settled.add(ta.parts)
+        if not classes_b:
+            continue
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        walk = _class_images(a_img, [tb.parts for tb in kept[ta]], classes_c)
+        walk = _class_images(a_img, classes_b, classes_c)
         held.append(walk)
         key, met = _orbit_key(a_img), set()  # the key of each C(A)-orbit met in this walk
         for b_img in walk:

@@ -11,7 +11,8 @@ count, a SHA-256 of the results, the number of Sims-table calls
 and witnesses print the same digest; two that prune the search alike
 print the same call count.  With --expect, a digest other than the one
 given is reported on stderr and the exit status is 1.  pytest does not
-collect this file.
+collect this file, but tests/test_permgrp.py runs run_grid on the slice
+with m <= 9.
 """
 
 import argparse
@@ -27,10 +28,11 @@ GRID = [(m, (a, b, c)) for m in range(5, 11) for a in range(2, 8)
 PROOFS = [(11, (2, 3, 11)), (11, (3, 3, 4)), (11, (2, 4, 5)), (12, (3, 3, 4))]
 
 
-def main():
-    parser = argparse.ArgumentParser(description="Digest the unhinted Alt_m search grid.")
-    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
-    args = parser.parse_args()
+def run_grid(searches, proofs) -> tuple[str, int]:
+    """find_generating_triple on each (m, orders) of searches, then
+    prove_non_generation on each of proofs: the SHA-256 of the results and
+    the number of Sims-table calls they made."""
+    digest = hashlib.sha256()
     calls = 0
     real = permgrp._bsgs_order
 
@@ -40,11 +42,9 @@ def main():
         return real(gens, m)
 
     permgrp._bsgs_order = counted
-    digest = hashlib.sha256()
-    start = time.process_time()
     try:
-        for search, cases in ((permgrp.find_generating_triple, GRID),
-                              (permgrp.prove_non_generation, PROOFS)):
+        for search, cases in ((permgrp.find_generating_triple, searches),
+                              (permgrp.prove_non_generation, proofs)):
             for m, orders in cases:
                 try:
                     found = search(m, Triple(*orders))
@@ -54,12 +54,21 @@ def main():
                 digest.update(json.dumps([search.__name__, m, orders, result]).encode() + b"\n")
     finally:
         permgrp._bsgs_order = real
+    return digest.hexdigest(), calls
+
+
+def main():
+    parser = argparse.ArgumentParser(description="Digest the unhinted Alt_m search grid.")
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
+    args = parser.parse_args()
+    start = time.process_time()
+    sha, calls = run_grid(GRID, PROOFS)
     cpu = time.process_time() - start
     print(f"cases {len(GRID) + len(PROOFS)}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256 {sha}")
     print(f"bsgs_calls {calls}")
     print(f"cpu_s {cpu:.2f}")
-    if args.expect is not None and args.expect != digest.hexdigest():
+    if args.expect is not None and args.expect != sha:
         sys.exit(f"digest mismatch: expected {args.expect}")
 
 

@@ -2,10 +2,13 @@ import functools
 import gc
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
-from math import factorial, lcm
+from math import factorial, inf, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +29,7 @@ from trisat.permgrp import (
     scott_min_sum,
 )
 from trisat import permgrp
-from trisat.tables import generating_pair_hint
+from trisat.tables import ALT_NONGEN_ROWS, expand_triples, generating_pair_hint
 
 from oracles import (
     centraliser,
@@ -39,10 +42,18 @@ from oracles import (
     partitions,
     reaches_every_point,
 )
+from search_grid import GRID, run_grid
 
 # The triples of the decide --alt-search benchmark grid.
 SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
                        (2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 3, 7))
+
+
+# The cases with a == b of tests/search_grid.py at m <= 9, and the Alt_9
+# (3,3,c) rows of the alt-nongen table at c <= 60.
+SWAP_CASES = sorted({(m, orders) for m, orders in GRID if m <= 9 and orders[0] == orders[1]} | {
+    (m, tr.orders) for m, a, b, c_spec in ALT_NONGEN_ROWS if (m, a, b) == (9, 3, 3)
+    for tr in expand_triples(a, b, c_spec, 60)})
 
 
 # The cases of test_matches_unpruned_search whose walk takes an A that moves 0
@@ -66,9 +77,10 @@ def dotted(parts):
     return ".".join(f"{n}^{k}" if k > 1 else str(n) for n, k in Counter(parts).items())
 
 
-def unpruned_search(m, tr):
+def unpruned_search(m, tr, only=None):
     """Reference generation search: every B class is enumerated up front and
-    Scott's bound is only applied pair by pair."""
+    Scott's bound is only applied pair by pair.  ``only``, a list of
+    (A representative, B class parts), searches those class pairs instead."""
     a, b, c = tr.orders
     types_a, types_b, types_c = [
         [t for t in cycle_types_of_order(m, n) if t.is_even] for n in (a, b, c)]
@@ -76,9 +88,12 @@ def unpruned_search(m, tr):
         return NotFound("no elements of required order")
     target = factorial(m) // 2
     allowed_c = {t.parts: t.cycle_count for t in types_c}
-    reps = sorted(t.lex_min() for t in types_a)
-    b_imgs = sorted(b for t in types_b for b in class_elements(m, t.parts))
-    for a_img in reps:
+    if only is None:
+        b_imgs = sorted(b for t in types_b for b in class_elements(m, t.parts))
+        only = [(a_img, b_imgs) for a_img in sorted(t.lex_min() for t in types_a)]
+    else:
+        only = [(a_img, class_elements(m, parts)) for a_img, parts in only]
+    for a_img, b_imgs in only:
         count_a = len(permgrp._cycle_lengths(a_img))
         for b_img in b_imgs:
             prod = tuple(b_img[i] for i in a_img)
@@ -104,6 +119,28 @@ def classes_of(m, c):
 
 def search_outcome(found):
     return found.reason if isinstance(found, NotFound) else found.as_dict()
+
+
+def swap_plan(m, tr):
+    """The search plan as this file reads it: for each A representative
+    that Scott's bound leaves a B class, in sorted order, (A, the B classes
+    walked, the B classes dropped).  With a == b a representative drops
+    each B class that is the type of an earlier one: (A, B) -> (B, A) keeps
+    <A, B> and the class of AB, so that class pair was settled when the
+    earlier representative was walked."""
+    types_a, types_b, types_c = [
+        [t for t in cycle_types_of_order(m, n) if t.is_even] for n in tr.orders]
+    if not (types_a and types_b and types_c):
+        return []
+    fewest_c = min(t.cycle_count for t in types_c)
+    plan, earlier = [], set()
+    for ta in sorted(types_a, key=CycleType.lex_min):
+        kept = [tb.parts for tb in types_b if ta.cycle_count + tb.cycle_count + fewest_c <= m + 2]
+        if kept:
+            dropped = [parts for parts in kept if tr.a == tr.b and parts in earlier]
+            plan.append((ta.lex_min(), [parts for parts in kept if parts not in dropped], dropped))
+            earlier.add(ta.parts)
+    return plan
 
 
 class TestPermutation:
@@ -593,13 +630,14 @@ class TestClassImages:
         self.check_against_the_oracle(a, classes_b, [two])
 
     @pytest.mark.parametrize("m,orders,nodes", [
-        (8, (4, 4, 6), 2_385), (9, (2, 3, 9), 526), (9, (3, 3, 6), 1_501), (12, (6, 7, 7), 14_198)])
+        (8, (4, 4, 6), 2_385), (9, (2, 3, 9), 526), (9, (3, 3, 6), 834), (12, (6, 7, 7), 14_198)])
     def test_nodes_entered_pinned(self, alarm, m, orders, nodes):
         # Each check prunes only what would fail at the end, so a check that
         # prunes too little keeps every output; only the count of backtrack
         # nodes entered (calls of the inner rec) shows it.  Without the
         # fixed-point spares Alt_9 (3,3,6) entered 1,822 and Alt_12 (6,7,7)
-        # 5,347,687.
+        # 5,347,687; before the a == b rule dropped B classes already settled
+        # under the swap A <-> B, Alt_9 (3,3,6) entered 1,501.
         rec = next(c for c in permgrp._class_images.__code__.co_consts
                    if getattr(c, "co_name", None) == "rec")
         entered = 0
@@ -768,6 +806,30 @@ class TestTypesOfOrder:
         # a lister recursing once per part overflows the stack from m = 990 on
         assert len(cycle_types_of_order(1026, 2)) == 513
 
+    def test_degree_past_the_cap_is_refused(self):
+        for _ in range(2):  # a refusal is not memoised
+            with pytest.raises(ValueError, match="degree 1027 exceeds supported cap 1026"):
+                cycle_types_of_order(permgrp.MAX_DEGREE + 1, 2)
+
+    def test_huge_degree_is_refused_under_a_memory_cap(self):
+        # Under 1 GB of address space the coin-change table for m = 10**9 used
+        # to die of MemoryError in all three entry points; the child sets the cap
+        child = ("import resource\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from trisat import Triple, permgrp\n"
+                 "for f in permgrp.prove_non_generation, permgrp.find_generating_triple, "
+                 "permgrp.scott_min_sum:\n"
+                 "    try:\n"
+                 "        f(10**9, Triple(2, 3, 7))\n"
+                 "    except ValueError as exc:\n"
+                 "        print(exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "degree 1000000000 exceeds supported cap 1026\n" * 3
+
 
 class TestTypesOfOrderMemo:
     def test_repeated_call_returns_the_same_tuple(self):
@@ -868,18 +930,21 @@ class TestGenerationSearch:
         assert found == search_outcome(unpruned_search(m, tr))
         unpruned = iter(sims_calls)
         assert all(call in unpruned for call in pruned_calls)  # an in-order subsequence
+        # ... less the pairs of the class pairs that the a == b rule drops
+        dropped = {(a, parts) for a, _, parts_b in swap_plan(m, tr) for parts in parts_b}
         minima, met = set(), set()
         for a, b in sims_calls:
-            if (a, b) not in met:
+            if (a, b) not in met and (a, cycle_type(b).parts) not in dropped:
                 minima.add((a, b))
                 met.update((a, conjugate(b, c)) for c in group_elements(centraliser_gens(a)))
         assert minima == set(pruned_calls)
 
-    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 99, 13)])
+    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 54, 8)])
     def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, transitive, calls):
         # Alt_9 (2,3,9): the walk meets 63 transitive pairs, which fall into
         # 4 C(A)-orbits; only the least pair of each orbit gets a Sims-table
-        # call.  Alt_9 (3,3,6) meets 99, in 13 orbits.
+        # call.  Alt_9 (3,3,6) meets 54, in 8 orbits (99 in 13 before the
+        # a == b rule dropped the class pairs settled under the swap).
         seen, accepted = [], []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: seen.append(gens) or real(gens, m))
@@ -889,6 +954,64 @@ class TestGenerationSearch:
         assert find_generating_triple(9, Triple(*orders)) == NotFound("exhausted all class pairs")
         assert sum(accepted) == transitive
         assert len(seen) == calls
+
+    def test_swap_rule_drops_only_pairs_that_do_not_generate(self, monkeypatch):
+        # With a == b the walks are swap_plan's, up to the witness's A, and
+        # every class pair dropped on the way holds no generating pair
+        walks = []
+        real = permgrp._class_images
+        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab: (
+            walks.append((a, classes_b)) or real(a, classes_b, classes_ab)))
+        dropped = []
+        for m, orders in SWAP_CASES:
+            tr = Triple(*orders)
+            walks.clear()
+            found = find_generating_triple(m, tr)
+            plan = [step for step in swap_plan(m, tr)
+                    if isinstance(found, NotFound) or step[0] <= found.gen_a]
+            assert walks == [(a, walked) for a, walked, _ in plan if walked], (m, orders)
+            for a, _, parts_b in plan:
+                for parts in parts_b:
+                    assert unpruned_search(m, tr, only=[(a, parts)]) == NotFound(
+                        "exhausted all class pairs"), (m, orders, a, parts)
+                    dropped.append((m, orders, parts))
+        assert len(SWAP_CASES) == 297
+        assert dropped == [(9, (3, 3, 4), (3, 3, 1, 1, 1)), (9, (3, 3, 6), (3, 3, 1, 1, 1))]
+
+    @pytest.mark.parametrize("m,orders,drops", [
+        (12, (6, 6, 6), [0, 0, 1, 2, 4, 5, 6]), (13, (6, 6, 7), [0, 0, 2, 1])])
+    def test_swap_rule_at_every_representative(self, monkeypatch, m, orders, drops):
+        # Priced over MAX_PAIRS, so searched here with the cap lifted and
+        # nothing built: every A representative is reached and asks for its
+        # kept classes less the types of those before it.  The last of Alt_13
+        # (6,6,7)'s four keeps only earlier types and builds no walk.
+        walks = []
+        monkeypatch.setattr(permgrp, "MAX_PAIRS", inf)
+        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab: (
+            walks.append((a, classes_b)) or []))
+        tr = Triple(*orders)
+        assert find_generating_triple(m, tr) == NotFound("exhausted all class pairs")
+        plan = swap_plan(m, tr)
+        assert [len(parts_b) for _, _, parts_b in plan] == drops
+        assert walks == [(a, walked) for a, walked, _ in plan if walked]
+
+    def test_a_dropped_class_pair_generates_as_its_mirror_does(self):
+        # The rule's premise, on the class pairs swap_plan drops at m <= 8,
+        # reached by the search or not: A of type T2 and a B of type T1
+        # generate exactly when the representative of T1 and a B of type T2
+        # do.  All 11 generate, so the premise is tested on pairs that hold
+        # a witness, where dropping a pair without one in its mirror would
+        # lose it.
+        exhausted = []
+        for m, orders in SWAP_CASES:
+            tr = Triple(*orders)
+            for a, _, parts_b in swap_plan(m, tr) if m <= 8 else ():
+                for parts in parts_b:
+                    mirror = (CycleType(parts).lex_min(), cycle_type(a).parts)
+                    none = isinstance(unpruned_search(m, tr, only=[(a, parts)]), NotFound)
+                    assert none == isinstance(unpruned_search(m, tr, only=[mirror]), NotFound)
+                    exhausted.append(none)
+        assert exhausted == [False] * 11
 
     def test_no_elements_reason(self):
         out = find_generating_triple(9, Triple(2, 3, 8))  # Alt_9 has no order-8 element
@@ -1001,6 +1124,16 @@ class TestSearchBudget:
             prove_non_generation(14, Triple(2, 3, 7))
 
 
+def test_search_grid_slice():
+    # the slice m <= 9 of tests/search_grid.py: 1,470 unhinted searches,
+    # about 0.6 s.  The digest was taken before the a == b rule, which keeps
+    # every answer and witness; the rule cut the Sims-table calls 320 -> 314.
+    searches = [(m, orders) for m, orders in GRID if m <= 9]
+    assert len(searches) == 1470
+    assert run_grid(searches, []) == (
+        "c5fc7f034453e31f683bc0257bbc7d6d1403058c51436e0a0c638fe270e9d2c9", 314)
+
+
 class TestProveNonGeneration:
     def test_scott_route(self):
         out = prove_non_generation(19, Triple(2, 3, 7))
@@ -1014,13 +1147,14 @@ class TestProveNonGeneration:
 
     def test_alt12_exhaustive_route(self, monkeypatch):
         # alt --m 12 --triple 3,3,4: priced at 985,600 pairs, exhausted with
-        # one Sims-table call for each C(A)-orbit of its 60 transitive pairs
+        # one Sims-table call for each C(A)-orbit of its 48 transitive pairs
+        # (60 pairs and 8 calls before the a == b rule)
         calls = []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: calls.append(gens) or real(gens, m))
         out = prove_non_generation(12, Triple(3, 3, 4))
         assert out == NonGenerated("exhaustive", {"reason": "exhausted all class pairs"})
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_refuted(self):
         out = prove_non_generation(9, Triple(3, 3, 7))
