@@ -13,8 +13,12 @@ the cheaper filters.  A walked pair that passes them gets a Sims-table
 call only if B is the first of its C(A)-orbit in the walk.  When a = b
 an A representative walks no B class that is the type of a representative
 walked before it: the swap (A, B) -> (B, A) settled that class pair then.
-A search keeps one orbit key per C(A)-orbit met in the walk of the
-current A, and nothing from one search to the next.
+The walk of each A goes one root branch (one value of B[0]) at a time, so
+a first hit builds no branch after its witness's.  A search keeps one
+orbit key per C(A)-orbit met in the walk of the current A.  What lasts
+from one search to the next is set-up, kept per process: what each A
+representative gives the backtrack (_frame), each class list's room
+(_room) and the even types of each order, never a B.
 
 A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
 The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
@@ -190,7 +194,13 @@ def cycle_type(p: tuple[int, ...]) -> CycleType:
 MAX_CYCLE_TYPES = 10_000
 
 
-@lru_cache(maxsize=None)
+def _int_degree(m) -> None:
+    """Refuse a degree m that is not an int, before any memo reads it:
+    lru_cache keys 9.0 as it keys 9, and True as 1."""
+    if type(m) is not int:
+        raise ValueError(f"degree must be an int, got {m!r}")
+
+
 def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     """All cycle types on m points whose element order is exactly n.
 
@@ -202,11 +212,18 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     divisor and multiplicity first, and fixed points fill the rest.  Each
     head padded with fixed points is a partition of m, so the count bounds
     every step.  The listing is memoised per (m, n) and returned as a tuple,
-    so callers share it and cannot mutate it; a refusal is not memoised, so
-    every call over the cap raises again.
+    so callers share it and cannot mutate it; a refusal, and a degree that
+    is not an int, is not memoised, so every such call raises again.
     """
+    _int_degree(m)
     if m > MAX_DEGREE:
         raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
+    return _types_of_order(m, n)
+
+
+@lru_cache(maxsize=None)
+def _types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
+    """cycle_types_of_order past its refusals of the degree, memoised per (m, n)."""
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     ways = [1] + [0] * m
     for d in divisors:
@@ -319,15 +336,58 @@ def _leads(cycles, fixed) -> set[int]:
     return leads.union(firsts.values())
 
 
-def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
+class _Leads(dict):
+    """The sorted _leads of A's ``cycles`` by the bitmask of the A-cycles
+    that F meets, on which alone they depend; each made when first asked for."""
+
+    def __init__(self, cycles):
+        super().__init__()
+        self.cycles = cycles
+
+    def __missing__(self, touched):
+        fixed = {cyc[0] for i, cyc in enumerate(self.cycles) if touched >> i & 1}
+        leads = self[touched] = sorted(_leads(self.cycles, fixed))
+        return leads
+
+
+@lru_cache(maxsize=None)
+def _frame(a):
+    """What _class_images reads off A = ``a`` alone, memoised per A: bit[x],
+    the bit of A's cycle through x (bit[m] is 0, for the last step), A's
+    inverse, and A's _Leads table.  0 is on A's first cycle, so the leads
+    of B[0] are table[1]."""
+    cycles = _cycles(a)
+    bit = [0] * (len(a) + 1)
+    for i, cyc in enumerate(cycles):
+        for x in cyc:
+            bit[x] = 1 << i
+    return tuple(bit), _inv(a), _Leads(cycles)
+
+
+@lru_cache(maxsize=None)
+def _room(classes):
+    """The room of the class list ``classes``, a tuple of parts, memoised per
+    list: the most cycles of each length 0..m any class has, the set of
+    rooms left by each class, the longest length in the room, and the fewest
+    fixed points of a class."""
+    counts = [Counter(parts) for parts in classes]
+    full = tuple(max(c[n] for c in counts) for n in range(sum(classes[0]) + 1))
+    left = frozenset(tuple(r - c[n] for n, r in enumerate(full)) for c in counts)
+    return full, left, max(n for n, r in enumerate(full) if r), min(c[1] for c in counts)
+
+
+def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]:
     """The image tuples B that the search walks against A = ``a``, sorted.
 
     These are the B of a class in ``classes_b`` whose AB is of a class in
-    ``classes_ab`` (both non-empty lists of parts) and whose every point is
-    a C(A) lead.  Per cycle length, the room of a list is the most cycles
-    of that length any of its classes has.  A backtrack sets B[0], B[1],
-    ... in turn, each to its values in ascending order, so the B's come out
-    sorted.  It tries v at position k only if v is unused and
+    ``classes_ab`` (both non-empty lists of parts of degree m) and whose
+    every point is a C(A) lead; with ``first`` given, only those with
+    B[0] == first, one root branch of the walk.  Per cycle length, the room
+    of a list is the most cycles of that length any of its classes has.  A
+    backtrack sets B[0], B[1], ... in turn, each to its values in ascending
+    order, so the B's come out sorted, and the branches of the root leads,
+    in ascending order, concatenate to the whole list.  It tries v at
+    position k only if v is unused and
     - v is in _leads of F = {0..k} and B[0..k-1] (the C(A) rule);
     - the edge k -> v closes a B-cycle only of a length with room left in
       the room of ``classes_b``, and opens no path longer than the longest
@@ -344,44 +404,29 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
     class.  Every kept B passes the cycle and fixed-point checks at every
     k, so what they prune would fail at the end.  Each child restores what
     it changed, so a node reads what the ends at k and x give once for all
-    its values.  The leads depend only on which A-cycles F meets, so one
-    call keeps them by a bitmask of those.
+    its values.  What A alone gives (_frame, whose lead table grows as
+    walks ask) and each list's room (_room) are kept per process, so a
+    call builds only its B's.
     """
     m = len(a)
-    cycles = _cycles(a)
-    bit = [0] * (m + 1)  # bit[x]: A's cycle through x; bit[m] stays 0 for the last step
-    for i, cyc in enumerate(cycles):
-        for x in cyc:
-            bit[x] = 1 << i
-    a_inv = _inv(a)
-
-    def room(classes):
-        # the room, the room left by each class, the longest length in room
-        # and the fewest fixed points of a class
-        counts = [Counter(parts) for parts in classes]
-        full = [max(c[n] for c in counts) for n in range(m + 1)]
-        left = {tuple(r - c[n] for n, r in enumerate(full)) for c in counts}
-        return full, left, max(n for n, r in enumerate(full) if r), min(c[1] for c in counts)
-
-    (room_b, left_b, top_b, fewest_b), (room_ab, left_ab, top_ab, fewest_ab) = (
-        room(classes_b), room(classes_ab))
+    bit, a_inv, leads_of = _frame(a)
+    full_b, left_b, top_b, fewest_b = _room(tuple(classes_b))
+    full_ab, left_ab, top_ab, fewest_ab = _room(tuple(classes_ab))
+    room_b, room_ab = list(full_b), list(full_ab)  # the room left, restored by each child
     # B and AB so far, as paths of the edges set: each path's two ends
     # name each other in `end` and hold its point count in `size`
     end_b, size_b = list(range(m)), [1] * m
     end_ab, size_ab = list(range(m)), [1] * m
     b, free = [0] * m, [True] * m
-    leads_of: dict[int, list[int]] = {}
     out: list[tuple[int, ...]] = []
 
-    def rec(k, touched, spare_b, spare_ab):
+    def rec(k, touched, spare_b, spare_ab, leads=None):
         if k == m:
             if tuple(room_b) in left_b and tuple(room_ab) in left_ab:
                 out.append(tuple(b))
             return
-        leads = leads_of.get(touched)
         if leads is None:
-            fixed = {cyc[0] for i, cyc in enumerate(cycles) if touched >> i & 1}
-            leads = leads_of[touched] = sorted(_leads(cycles, fixed))
+            leads = leads_of[touched]
         x = a_inv[k]  # B[k] = v sets AB[x] = v
         # each child restores what it changes, so these hold for every v:
         # k ends the B-path from s, and x ends the AB-path from sa
@@ -428,7 +473,10 @@ def _class_images(a, classes_b, classes_ab) -> list[tuple[int, ...]]:
                 end_b[s], end_b[t] = k, v
                 size_b[s], size_b[t] = nk, nv
 
-    rec(0, bit[0], m - fewest_b, m - fewest_ab)
+    roots = leads_of[bit[0]]
+    if first is not None:
+        roots = [first] if first in roots else []
+    rec(0, bit[0], m - fewest_b, m - fewest_ab, roots)
     del rec  # it refers to itself; empty its cell so `out` is freed by refcount
     return out
 
@@ -555,12 +603,18 @@ class NotFound:
     reason: str
 
 
+@lru_cache(maxsize=None)
+def _even_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
+    """The even types of cycle_types_of_order(m, n), memoised per (m, n)."""
+    return tuple(t for t in cycle_types_of_order(m, n) if t.is_even)
+
+
 def _even_types(m, n, hint, slot):
     """The even types of order n, or just the shape hint if CycleType.check_slot takes it."""
     if hint is None:
-        return [t for t in cycle_types_of_order(m, n) if t.is_even]
+        return _even_types_of_order(m, n)
     hint.check_slot(m, n, slot)
-    return [hint]
+    return (hint,)
 
 
 def find_generating_triple(
@@ -593,10 +647,11 @@ def find_generating_triple(
       its orbit, and the witness with it;
     - a B class outside the plan for A is never built for it, and an A
       representative whose plan keeps no class is not built at all.  For
-      each other one a single _class_images call builds the B's of its
-      kept classes that keep that rule and whose AB is an allowed class
-      (the right order and class), and a hit leaves the later A
-      representatives unbuilt;
+      each other one _class_images builds the B's of its kept classes that
+      keep that rule and whose AB is an allowed class (the right order and
+      class), one call per root lead of A as B[0], in ascending order, so
+      the walk reads the B's in lexicographic order.  A hit leaves the
+      later branches and the later A representatives unbuilt;
     - with a == b, an A representative drops each kept B class that is the
       type of a representative taken before it, and builds no walk if
       none is left.  Exact: (A, B) -> (B, A) keeps <A, B> and sends AB
@@ -617,7 +672,8 @@ def find_generating_triple(
     fresh tuple) and on B, _is_transitive if Scott's test passes, and
     _bsgs_order if <A, B> is transitive and B's key is new: bench/tracing.py
     reads the funnel off these calls, and tells B from AB by the identity
-    of the tuples _class_images returned.  Every AB is of an allowed class,
+    of the tuples _class_images returned, so every branch's list is held
+    until the search returns.  Every AB is of an allowed class,
     so the tracer's product-class pass counts every pair tried; it reads
     its transitive pass off the Sims-table calls, so that counts one
     transitive pair per C(A)-orbit only; _orbit_key, which it does not
@@ -625,8 +681,12 @@ def find_generating_triple(
     read through cycle_type, never by _cycle_lengths directly, which the
     tracer would count as pairs tried.
     """
+    _int_degree(m)
     if m < 5:
         raise ValueError("need m >= 5")
+    if shape_hint is not None and len(shape_hint) != 3:
+        raise ValueError(f"shape hint ({', '.join(map(str, shape_hint))}) gives "
+                         f"{len(shape_hint)} cycle types, not one each for A, B and AB")
     types_a, types_b, types_c = [
         _even_types(m, n, hint, slot)
         for n, hint, slot in zip(tr.orders, shape_hint or (None,) * 3, ("A", "B", "AB"))]
@@ -634,7 +694,7 @@ def find_generating_triple(
         return NotFound("no elements of required order")
 
     target = factorial(m) // 2
-    classes_c = [t.parts for t in types_c]
+    classes_c = tuple(t.parts for t in types_c)
     scott_cap = m + 2
     min_count_c = min(t.cycle_count for t in types_c)
     # every allowed product has at least min_count_c cycles, so a B class
@@ -654,27 +714,28 @@ def find_generating_triple(
     # b, can be one of them only when a == b
     settled = set()
     for a_img, ta in sorted(reps.items()):  # images differ, so types are never compared
-        classes_b = [tb.parts for tb in kept[ta] if tb.parts not in settled]
+        classes_b = tuple(tb.parts for tb in kept[ta] if tb.parts not in settled)
         settled.add(ta.parts)
         if not classes_b:
             continue
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        walk = _class_images(a_img, classes_b, classes_c)
-        held.append(walk)
         key, met = _orbit_key(a_img), set()  # the key of each C(A)-orbit met in this walk
-        for b_img in walk:
-            lengths = _cycle_lengths(times_a(b_img))
-            if ta.cycle_count + len(_cycle_lengths(b_img)) + len(lengths) > scott_cap:
-                continue
-            if not _is_transitive(a_img, b_img, m):
-                continue
-            orbit = key(b_img)
-            if orbit in met:
-                continue
-            met.add(orbit)
-            if _bsgs_order([a_img, b_img], m) == target:
-                return GenerationWitness(a_img, b_img, tr.orders, (
-                    cycle_type(a_img), cycle_type(b_img), CycleType(tuple(lengths))))
+        for first in _frame(a_img)[2][1]:  # the leads of B[0], ascending
+            walk = _class_images(a_img, classes_b, classes_c, first)
+            held.append(walk)
+            for b_img in walk:
+                lengths = _cycle_lengths(times_a(b_img))
+                if ta.cycle_count + len(_cycle_lengths(b_img)) + len(lengths) > scott_cap:
+                    continue
+                if not _is_transitive(a_img, b_img, m):
+                    continue
+                orbit = key(b_img)
+                if orbit in met:
+                    continue
+                met.add(orbit)
+                if _bsgs_order([a_img, b_img], m) == target:
+                    return GenerationWitness(a_img, b_img, tr.orders, (
+                        cycle_type(a_img), cycle_type(b_img), CycleType(tuple(lengths))))
     return NotFound("exhausted all class pairs")
 
 
@@ -704,6 +765,7 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     check for class triples inside Alt_m: an even permutation on m points
     always has cycle count congruent to m mod 2.
     """
+    _int_degree(m)
     if m < 3:
         raise ValueError("need m >= 3")
     fewest = [_fewest_cycles(m, n) for n in tr.orders]
@@ -741,6 +803,7 @@ def prove_non_generation(m: int, tr: Triple) -> NonGenerated | Refuted:
     search of find_generating_triple, whose ValueError above MAX_PAIRS
     passes through: an unfinished search proves nothing.
     """
+    _int_degree(m)
     if m < 5:
         raise ValueError("need m >= 5")
     bound = scott_min_sum(m, tr)

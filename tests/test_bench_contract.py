@@ -58,19 +58,22 @@ def test_traced_search_funnel(monkeypatch):
 
 
 def test_traced_first_hit_funnel():
-    # Hinted Alt_11 (2,3,11) goes the first-hit route: 54 B's of the
-    # (3)^3(1)^2 class are built, and the first pair walked is the witness.
+    # Hinted Alt_11 (2,3,11) goes the first-hit route: the walk goes one
+    # root branch at a time, B[0] = 0 holds no B and B[0] = 1 holds 6 of
+    # the (3)^3(1)^2 class (54 in the whole walk), and the first pair walked
+    # is the witness.
     with _load("tracing").Tracer() as tracer:
         permgrp.find_generating_triple(11, Triple(2, 3, 11),
                                        shape_hint=tables.generating_pair_hint(11, (2, 3, 11)))
     assert tracer.funnel() == {"pairs_tried": 1, "product_class_pass": 1, "scott_pass": 1,
                                "transitive_pass": 1, "bsgs_calls": 1, "accepted": 1}
-    assert tracer.counters["class_images.elements"] == 54
+    assert tracer.counters["class_images.elements"] == 6
 
 
 def test_traced_funnels_of_a_repeated_search():
-    # A search keeps nothing for the next one: a second traced run reads
-    # the same funnel and the same element count as the first.
+    # A search keeps what it reads off each A and each class list, never a
+    # B: a second traced run reads the same funnel and the same element
+    # count as the first.
     tracing = _load("tracing")
     hint = tables.generating_pair_hint(11, (2, 3, 11))
     for _ in range(2):
@@ -83,7 +86,7 @@ def test_traced_funnels_of_a_repeated_search():
             permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
         assert tracer.funnel() == {"pairs_tried": 1, "product_class_pass": 1, "scott_pass": 1,
                                    "transitive_pass": 1, "bsgs_calls": 1, "accepted": 1}
-        assert tracer.counters["class_images.elements"] == 54
+        assert tracer.counters["class_images.elements"] == 6
 
 
 def test_traced_exhaustive_searches_walk_every_b_built():

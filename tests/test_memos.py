@@ -2,25 +2,36 @@
 
 weil.weil_h1, rootsys.exponents, bibi.so_fixed_dim and
 saturation.classify_ladder are memoised per argument, and so are
-permgrp._fewest_cycles, which Scott's bound reads, and DynkinType.parse,
-which hands out one shared instance per type.  weil.principal_fixed_dim and
+permgrp._fewest_cycles, which Scott's bound reads, DynkinType.parse,
+which hands out one shared instance per type, and the search's set-up:
+permgrp._frame per A, permgrp._room per class list and
+permgrp._even_types_of_order per (m, n).  weil.principal_fixed_dim and
 rootsys.adjoint_dim read each type's principal_dims table, built once per
 instance.  Cold, warm, keyed by an equal but distinct type, or computed
 without the cache (a memo's bare function, or the exponent sum the table
-holds), each gives the same value; a refusal raises on every call.
+holds), each gives the same value; a refusal raises on every call.  The
+lead table in a frame is filled as walks ask for it, and each entry is the
+oracle's.
 """
 
 import dataclasses
 
 import pytest
 
-from trisat import DynkinType, altmethod, bibi, fixtures, permgrp, rootsys, saturation, weil
+from trisat import DynkinType, Triple, altmethod, bibi, fixtures, permgrp, rootsys, saturation, weil
+from trisat.permgrp import CycleType
 from trisat.rootsys import all_types
+
+from oracles import centraliser_leads, partitions
 
 A1 = DynkinType("A", 1)
 TYPES = all_types(20)
 ORDERS = range(2, 61)
 TRIPLES = [(2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 60), (7, 11, 13), (29, 31, 60)]
+#: The class lists of the search: the even types of each order, and every class.
+CLASS_LISTS = [lists for m in range(5, 10) for lists in (
+    *(tuple(t.parts for t in permgrp.cycle_types_of_order(m, n) if t.is_even) for n in range(2, 13)),
+    tuple(partitions(m))) if lists]
 #: (dim g, fixed dims) of each type's principal action on each triple.
 H1_ARGS = [(rootsys.adjoint_dim(t), tuple(weil.principal_fixed_dim(t, n) for n in tr))
            for t in TYPES for tr in TRIPLES]
@@ -47,6 +58,11 @@ SWEEPS = {
                                          for r2 in range(1, 20 - r1) for n in ORDERS], None),
     "fewest_cycles": (permgrp._fewest_cycles, [(m, n) for m in range(3, 13) for n in ORDERS],
                       None),
+    "frame": (permgrp._frame, [(CycleType(p).lex_min(),) for m in range(1, 10)
+                               for p in partitions(m)], None),
+    "room": (permgrp._room, [(lists,) for lists in CLASS_LISTS], None),
+    "even_types_of_order": (permgrp._even_types_of_order,
+                            [(m, n) for m in range(3, 13) for n in ORDERS], None),
     "parse": (DynkinType.parse, [(text,) for t in TYPES for text in (str(t), f" {t}\n")], None),
 }
 
@@ -88,6 +104,24 @@ def test_memo_is_transparent(name):
     assert _built(fn) == built  # equal types hit the memo; a table is built once
     computed = computed or fn.__wrapped__
     assert cold == warm == fresh == [computed(*args) for args in sweep]
+
+
+def test_lead_tables_hold_the_leads():
+    # each entry a walk left in a frame's lead table, keyed by the mask of
+    # the A-cycles F meets, is the oracle's leads of F = the first points
+    # of those cycles
+    permgrp._frame.cache_clear()
+    filled = 0
+    for m, orders in [(9, (2, 3, 9)), (9, (3, 3, 6)), (8, (4, 4, 6)), (10, (2, 5, 5))]:
+        permgrp.find_generating_triple(m, Triple(*orders))
+        for t in permgrp._even_types_of_order(m, orders[0]):
+            a = t.lex_min()
+            cycles = permgrp._cycles(a)
+            for touched, leads in permgrp._frame(a)[2].items():
+                fixed = {cyc[0] for i, cyc in enumerate(cycles) if touched >> i & 1}
+                assert leads == sorted(centraliser_leads(a, fixed)), (a, touched)
+                filled += 1
+    assert filled > 20
 
 
 def test_parse_shares_one_instance_per_type():

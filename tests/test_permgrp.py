@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -42,7 +43,7 @@ from oracles import (
     partitions,
     reaches_every_point,
 )
-from search_grid import GRID, run_grid
+from search_grid import GRID, PROOFS, run_grid
 
 # The triples of the decide --alt-search benchmark grid.
 SEARCH_GRID_TRIPLES = ((2, 3, 7), (2, 3, 8), (2, 3, 10), (2, 4, 5),
@@ -110,6 +111,23 @@ def unpruned_search(m, tr, only=None):
                     a_img, b_img, (a, b, c), (cycle_type(a_img), cycle_type(b_img), CycleType(parts))
                 )
     return NotFound("exhausted all class pairs")
+
+
+def walks_by_a(calls, witness):
+    """The (A, B classes) that the _class_images ``calls``, each (A, B
+    classes, first), walk, one per A representative in call order.  Each
+    asks for one root lead of A as B[0], in ascending order, and for all of
+    them unless A is the witness's, whose calls stop at the witness's B[0]:
+    ``witness`` is (A, B[0]), or None for a search without a hit."""
+    walks = {}
+    for a, classes_b, first in calls:
+        walks.setdefault((a, tuple(classes_b)), []).append(first)
+    for (a, classes_b), firsts in walks.items():
+        roots = sorted(permgrp._leads(permgrp._cycles(a), {0}))
+        if witness is not None and a == witness[0]:
+            roots = roots[:roots.index(witness[1]) + 1]
+        assert firsts == roots, (a, classes_b, firsts)
+    return [(a, list(classes_b)) for a, classes_b in walks]
 
 
 def classes_of(m, c):
@@ -577,13 +595,20 @@ class TestClassImages:
     # _class_images builds, in lex order, exactly the led B's of the listed
     # classes whose AB is of a listed AB class; every class lets AB be any
     # permutation.
+    # Asked for one root lead v as B[0], it builds that branch: the B's that
+    # start with v, and the branches of the sorted root leads concatenate
+    # to the whole list.
     @staticmethod
     def check_against_the_oracle(a, classes_b, lists_ab):
         led = led_images(a, classes_b)
         assert permgrp._class_images(a, classes_b, partitions(len(a))) == led, (a, classes_b)
+        roots = sorted(permgrp._leads(permgrp._cycles(a), {0}))
         for classes_ab in lists_ab:
             fits = [b for b in led if product_class(a, b) in classes_ab]
             assert permgrp._class_images(a, classes_b, classes_ab) == fits, (a, classes_b, classes_ab)
+            branches = [permgrp._class_images(a, classes_b, classes_ab, v) for v in roots]
+            assert [b for branch in branches for b in branch] == fits, (a, classes_b, classes_ab)
+            assert all(b[0] == v for v, branch in zip(roots, branches) for b in branch)
 
     @staticmethod
     def lists_ab(m):
@@ -630,14 +655,19 @@ class TestClassImages:
         self.check_against_the_oracle(a, classes_b, [two])
 
     @pytest.mark.parametrize("m,orders,nodes", [
-        (8, (4, 4, 6), 2_385), (9, (2, 3, 9), 526), (9, (3, 3, 6), 834), (12, (6, 7, 7), 14_198)])
+        (8, (4, 4, 6), 568), (9, (2, 3, 9), 529), (9, (3, 3, 6), 839), (12, (6, 7, 7), 2_849)],
+        ids=["8-4,4,6", "9-2,3,9", "9-3,3,6", "12-6,7,7"])
     def test_nodes_entered_pinned(self, alarm, m, orders, nodes):
         # Each check prunes only what would fail at the end, so a check that
         # prunes too little keeps every output; only the count of backtrack
         # nodes entered (calls of the inner rec) shows it.  Without the
         # fixed-point spares Alt_9 (3,3,6) entered 1,822 and Alt_12 (6,7,7)
         # 5,347,687; before the a == b rule dropped B classes already settled
-        # under the swap A <-> B, Alt_9 (3,3,6) entered 1,501.
+        # under the swap A <-> B, Alt_9 (3,3,6) entered 1,501.  Since the
+        # walk goes one root branch at a time, a first hit stops at its
+        # witness's branch (Alt_8 (4,4,6) 2,385 -> 568, Alt_12 (6,7,7)
+        # 14,198 -> 2,849), and an exhaustive walk enters the root once more
+        # per extra branch (Alt_9 (2,3,9) 526 -> 529, (3,3,6) 834 -> 839).
         rec = next(c for c in permgrp._class_images.__code__.co_consts
                    if getattr(c, "co_name", None) == "rec")
         entered = 0
@@ -872,8 +902,10 @@ class TestGenerationSearch:
         assert calls == []
 
     def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
-        # the one A representative keeps the one hinted B class: 54 of its
-        # 123,200 elements are built, and the first of them is the witness
+        # the one A representative keeps the one hinted B class of 123,200
+        # elements: its root branch B[0] = 0 holds none, the branch B[0] = 1
+        # holds 6, and the first of them is the witness, so no later branch
+        # is built (the whole walk holds 54)
         built = []
         real = permgrp._class_images
         monkeypatch.setattr(permgrp, "_class_images",
@@ -881,8 +913,8 @@ class TestGenerationSearch:
         w = find_generating_triple(11, Triple(2, 3, 11), shape_hint=generating_pair_hint(11, (2, 3, 11)))
         assert w.as_dict()["A"] == [0, 1, 2, 4, 3, 6, 5, 8, 7, 10, 9]
         assert w.as_dict()["B"] == [1, 3, 4, 0, 5, 2, 7, 9, 8, 6, 10]
-        assert [len(imgs) for imgs in built] == [54]
-        assert built[0][0] == w.gen_b
+        assert [len(imgs) for imgs in built] == [0, 6]
+        assert built[1][0] == w.gen_b
 
     def test_slow_first_hit_alt12_677(self, alarm):
         # B and AB are both of class (7)(1)^5, so a B needs 5 fixed points and
@@ -939,7 +971,8 @@ class TestGenerationSearch:
                 met.update((a, conjugate(b, c)) for c in group_elements(centraliser_gens(a)))
         assert minima == set(pruned_calls)
 
-    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 54, 8)])
+    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 54, 8)],
+                             ids=["9-2,3,9", "9-3,3,6"])
     def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, transitive, calls):
         # Alt_9 (2,3,9): the walk meets 63 transitive pairs, which fall into
         # 4 C(A)-orbits; only the least pair of each orbit gets a Sims-table
@@ -958,18 +991,20 @@ class TestGenerationSearch:
     def test_swap_rule_drops_only_pairs_that_do_not_generate(self, monkeypatch):
         # With a == b the walks are swap_plan's, up to the witness's A, and
         # every class pair dropped on the way holds no generating pair
-        walks = []
+        calls = []
         real = permgrp._class_images
-        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab: (
-            walks.append((a, classes_b)) or real(a, classes_b, classes_ab)))
+        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab, first: (
+            calls.append((a, classes_b, first)) or real(a, classes_b, classes_ab, first)))
         dropped = []
         for m, orders in SWAP_CASES:
             tr = Triple(*orders)
-            walks.clear()
+            calls.clear()
             found = find_generating_triple(m, tr)
             plan = [step for step in swap_plan(m, tr)
                     if isinstance(found, NotFound) or step[0] <= found.gen_a]
-            assert walks == [(a, walked) for a, walked, _ in plan if walked], (m, orders)
+            witness = None if isinstance(found, NotFound) else (found.gen_a, found.gen_b[0])
+            assert walks_by_a(calls, witness) == [(a, walked) for a, walked, _ in plan if walked], (
+                m, orders)
             for a, _, parts_b in plan:
                 for parts in parts_b:
                     assert unpruned_search(m, tr, only=[(a, parts)]) == NotFound(
@@ -985,15 +1020,15 @@ class TestGenerationSearch:
         # nothing built: every A representative is reached and asks for its
         # kept classes less the types of those before it.  The last of Alt_13
         # (6,6,7)'s four keeps only earlier types and builds no walk.
-        walks = []
+        calls = []
         monkeypatch.setattr(permgrp, "MAX_PAIRS", inf)
-        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab: (
-            walks.append((a, classes_b)) or []))
+        monkeypatch.setattr(permgrp, "_class_images", lambda a, classes_b, classes_ab, first: (
+            calls.append((a, classes_b, first)) or []))
         tr = Triple(*orders)
         assert find_generating_triple(m, tr) == NotFound("exhausted all class pairs")
         plan = swap_plan(m, tr)
         assert [len(parts_b) for _, _, parts_b in plan] == drops
-        assert walks == [(a, walked) for a, walked, _ in plan if walked]
+        assert walks_by_a(calls, None) == [(a, walked) for a, walked, _ in plan if walked]
 
     def test_a_dropped_class_pair_generates_as_its_mirror_does(self):
         # The rule's premise, on the class pairs swap_plan drops at m <= 8,
@@ -1047,6 +1082,17 @@ class TestGenerationSearch:
         short = tuple(CycleType.parse(s) for s in ("3^3", "3^3", "7"))
         with pytest.raises(ValueError, match="AB slot"):
             find_generating_triple(9, Triple(3, 3, 7), shape_hint=short)
+
+    @pytest.mark.parametrize("texts", [("3^3", "3^3"), ("3^3", "3^3", "7.1^2", "3^3"), ()],
+                             ids=["two", "four", "none"])
+    def test_hint_of_other_than_three_types_is_refused(self, texts):
+        # two types could not be unpacked, the fourth of four was dropped
+        # unread, and an empty hint was taken for no hint
+        hint = tuple(CycleType.parse(text) for text in texts)
+        named = ", ".join(str(t) for t in hint)
+        with pytest.raises(ValueError, match=rf"shape hint \({re.escape(named)}\) gives "
+                                             rf"{len(hint)} cycle types, not one each"):
+            find_generating_triple(9, Triple(3, 3, 7), shape_hint=hint)
 
 
 class TestScott:
@@ -1125,13 +1171,15 @@ class TestSearchBudget:
 
 
 def test_search_grid_slice():
-    # the slice m <= 9 of tests/search_grid.py: 1,470 unhinted searches,
-    # about 0.6 s.  The digest was taken before the a == b rule, which keeps
-    # every answer and witness; the rule cut the Sims-table calls 320 -> 314.
-    searches = [(m, orders) for m, orders in GRID if m <= 9]
-    assert len(searches) == 1470
-    assert run_grid(searches, []) == (
-        "c5fc7f034453e31f683bc0257bbc7d6d1403058c51436e0a0c638fe270e9d2c9", 314)
+    # the whole of tests/search_grid.py: 1,764 unhinted searches and 4
+    # proofs, about 2 s.  The digest has stood since the orbit key; the
+    # a == b rule, which keeps every answer and witness, cut the Sims-table
+    # calls 545 -> 538.  The _class_images calls and B's built are not
+    # pinned: they measure how the walk is split, not what it finds.
+    assert len(GRID) + len(PROOFS) == 1768
+    sha, calls, _, _ = run_grid(GRID, PROOFS)
+    assert (sha, calls) == (
+        "b30f386be2a58f45f326bcef84341f538c04a2d9c307bd40531e4524c90d0b6a", 538)
 
 
 class TestProveNonGeneration:
@@ -1166,3 +1214,38 @@ class TestProveNonGeneration:
             proof = prove_non_generation(m, Triple(*orders))
             found = find_generating_triple(m, Triple(*orders))
             assert isinstance(proof, Refuted) == (not isinstance(found, NotFound))
+
+
+#: Each entry point that takes a degree, called at degree m.
+DEGREE_TAKERS = {
+    "find_generating_triple": lambda m: find_generating_triple(m, Triple(2, 3, 7)),
+    "prove_non_generation": lambda m: prove_non_generation(m, Triple(2, 3, 7)),
+    "scott_min_sum": lambda m: scott_min_sum(m, Triple(2, 3, 7)),
+    "cycle_types_of_order": lambda m: cycle_types_of_order(m, 7),
+}
+
+
+class TestDegreeIsAnInt:
+    # lru_cache keys 9.0 as it keys 9, and True as 1: a degree that is not
+    # an int is refused before any memo is read, so a cold memo raises no
+    # TypeError, and a warm one hands it no answer
+    @pytest.mark.parametrize("m", [37.0, True, "37"])  # no other test asks for degree 37
+    @pytest.mark.parametrize("name", DEGREE_TAKERS)
+    def test_refused_cold(self, name, m):
+        with pytest.raises(ValueError, match=f"degree must be an int, got {m!r}"):
+            DEGREE_TAKERS[name](m)
+
+    @pytest.mark.parametrize("m", [9.0, 11.0, True])
+    @pytest.mark.parametrize("name", DEGREE_TAKERS)
+    def test_refused_after_the_int_warmed_the_memo(self, name, m):
+        try:
+            DEGREE_TAKERS[name](int(m))
+        except ValueError:  # True as 1 is below every search's least degree
+            pass
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"degree must be an int, got {m!r}"):
+                DEGREE_TAKERS[name](m)
+
+    def test_scott_min_sum_of_an_int_degree(self):
+        # the warm case of the float: scott_min_sum(9, ...) is 11
+        assert scott_min_sum(9, Triple(2, 3, 7)) == 11
