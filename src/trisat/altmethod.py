@@ -63,9 +63,13 @@ def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -
     """H^1 of T on so_{m-1} through an Alt_m quotient with the given shapes.
 
     Each shape must be a class of Alt_m (even, on m points, of exact order its
-    triple entry); CycleType.check_slot refuses anything else.  Irreducibility
-    kills the invariants, so H^1 = dim so_{m-1} minus the three fixed dims.
+    triple entry); CycleType.check_slot refuses anything else, and a degree
+    that is not an int is refused first, as the search refuses it.
+    Irreducibility kills the invariants, so H^1 = dim so_{m-1} minus the
+    three fixed dims.
     """
+    if type(m) is not int:  # weil_h1 would key 28.0 as it keys 28
+        raise ValueError(f"degree must be an int, got {m!r}")
     if m < 7:
         raise ValueError("need m >= 7 for Alt_m to be irreducible on so_{m-1}")
     for shape, n, slot in zip(shapes, tr.orders, ("A", "B", "AB")):

@@ -7,10 +7,11 @@ generating pairs of prescribed orders in Alt_m, and non-generation proofs
 the search builds, by one backtrack in lexicographic order, only the B of
 a kept class whose every point B[k] is the least of its orbit under the
 pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
-and whose product AB is of an allowed class.  That cuts the pairs walked
-and changes no witness or answer; find_generating_triple states it with
-the cheaper filters.  A walked pair that passes them gets a Sims-table
-call only if B is the first of its C(A)-orbit in the walk.  When a = b
+that no c in C(A) with c[k] = 0 sends below B[0], and whose product AB is
+of an allowed class.  That cuts the pairs walked and changes no witness
+or answer; find_generating_triple states it with the cheaper filters.  A
+walked pair that passes them gets a Sims-table call only if B is the
+first of its C(A)-orbit in the walk.  When a = b
 an A representative walks no B class that is the type of a representative
 walked before it: the swap (A, B) -> (B, A) settled that class pair then.
 The walk of each A goes one root branch (one value of B[0]) at a time, so
@@ -40,15 +41,8 @@ from . import rootsys
 from .weil import Triple
 
 
-# Image-tuple kernel: _inv for _class_images, _cycle_lengths for cycle_type
-# and the search.  The Sims table keeps its own byte strings.
-
-
-def _inv(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+# Image-tuple kernel: _cycle_lengths for cycle_type and the search.  The
+# Sims table keeps its own byte strings.
 
 
 def _cycle_lengths(images) -> list[int]:
@@ -194,11 +188,11 @@ def cycle_type(p: tuple[int, ...]) -> CycleType:
 MAX_CYCLE_TYPES = 10_000
 
 
-def _int_degree(m) -> None:
-    """Refuse a degree m that is not an int, before any memo reads it:
-    lru_cache keys 9.0 as it keys 9, and True as 1."""
-    if type(m) is not int:
-        raise ValueError(f"degree must be an int, got {m!r}")
+def _require_int(value, what: str) -> None:
+    """Refuse a ``what`` (a degree, an order) that is not an int, before any
+    memo reads it: lru_cache keys 9.0 as it keys 9, and True as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
@@ -212,10 +206,11 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     divisor and multiplicity first, and fixed points fill the rest.  Each
     head padded with fixed points is a partition of m, so the count bounds
     every step.  The listing is memoised per (m, n) and returned as a tuple,
-    so callers share it and cannot mutate it; a refusal, and a degree that
-    is not an int, is not memoised, so every such call raises again.
+    so callers share it and cannot mutate it; a refusal, and a degree or an
+    order that is not an int, is not memoised, so every such call raises again.
     """
-    _int_degree(m)
+    _require_int(m, "degree")
+    _require_int(n, "order")
     if m > MAX_DEGREE:
         raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
     return _types_of_order(m, n)
@@ -354,14 +349,40 @@ class _Leads(dict):
 def _frame(a):
     """What _class_images reads off A = ``a`` alone, memoised per A: bit[x],
     the bit of A's cycle through x (bit[m] is 0, for the last step), A's
-    inverse, and A's _Leads table.  0 is on A's first cycle, so the leads
-    of B[0] are table[1]."""
+    inverse, A's _Leads table, and the floor table.  0 is on A's first
+    cycle, so the leads of B[0] are table[1].
+
+    floor[x][v] is the least c[v] over the c in C(A) with c[x] = 0, for x
+    != 0 on an A-cycle as long as 0's; floor[x] is None for every other x.
+    Such a c sends x's cycle onto 0's, A^j(x) to A^j(0), and every other
+    cycle onto any cycle of its length but 0's, rotated freely.  So
+    floor[x] is one row, each v's entry the first point of the first cycle
+    of v's length other than 0's, with x's cycle overwritten."""
+    m = len(a)
     cycles = _cycles(a)
-    bit = [0] * (len(a) + 1)
+    other: dict[int, int] = {}  # length -> least point of its first cycle but 0's
+    for cyc in cycles[1:]:
+        other.setdefault(len(cyc), cyc[0])
+    # row[v] is v's floor off x's cycle: m where 0's cycle is alone of its
+    # length, and then every row overwrites it
+    bit, inv, row = [0] * (m + 1), [0] * m, [0] * m
     for i, cyc in enumerate(cycles):
+        here, least, prev = 1 << i, other.get(len(cyc), m), cyc[-1]
         for x in cyc:
-            bit[x] = 1 << i
-    return tuple(bit), _inv(a), _Leads(cycles)
+            bit[x], inv[x], row[x] = here, prev, least
+            prev = x
+    home = cycles[0]  # read along A from 0
+    n = len(home)
+    floor: list[tuple[int, ...] | None] = [None] * m
+    for cyc in cycles:
+        if len(cyc) == n:
+            for i, x in enumerate(cyc):
+                if x != 0:
+                    own = row.copy()
+                    for j in range(n):
+                        own[cyc[(i + j) % n]] = home[j]
+                    floor[x] = tuple(own)
+    return tuple(bit), tuple(inv), _Leads(cycles), tuple(floor)
 
 
 @lru_cache(maxsize=None)
@@ -381,14 +402,16 @@ def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]
 
     These are the B of a class in ``classes_b`` whose AB is of a class in
     ``classes_ab`` (both non-empty lists of parts of degree m) and whose
-    every point is a C(A) lead; with ``first`` given, only those with
-    B[0] == first, one root branch of the walk.  Per cycle length, the room
-    of a list is the most cycles of that length any of its classes has.  A
-    backtrack sets B[0], B[1], ... in turn, each to its values in ascending
-    order, so the B's come out sorted, and the branches of the root leads,
-    in ascending order, concatenate to the whole list.  It tries v at
-    position k only if v is unused and
+    every point keeps the C(A) and floor rules below; with ``first`` given,
+    only those with B[0] == first, one root branch of the walk.  Per cycle
+    length, the room of a list is the most cycles of that length any of its
+    classes has.  A backtrack sets B[0], B[1], ... in turn, each to its
+    values in ascending order, so the B's come out sorted, and the branches
+    of the root leads, in ascending order, concatenate to the whole list.
+    It tries v at position k only if v is unused and
     - v is in _leads of F = {0..k} and B[0..k-1] (the C(A) rule);
+    - no c in C(A) with c[k] = 0 sends v below B[0] (the floor rule, read
+      off _frame's floor[k]): c^-1 B c would start with c[v] < B[0];
     - the edge k -> v closes a B-cycle only of a length with room left in
       the room of ``classes_b``, and opens no path longer than the longest
       length there;
@@ -409,7 +432,7 @@ def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]
     call builds only its B's.
     """
     m = len(a)
-    bit, a_inv, leads_of = _frame(a)
+    bit, a_inv, leads_of, floor = _frame(a)
     full_b, left_b, top_b, fewest_b = _room(tuple(classes_b))
     full_ab, left_ab, top_ab, fewest_ab = _room(tuple(classes_ab))
     room_b, room_ab = list(full_b), list(full_ab)  # the room left, restored by each child
@@ -436,8 +459,11 @@ def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]
         # an edge k -> v != k (x -> v != x in AB) leaves both ends unable to become fixed
         lose_b, lose_ab = spare_b - free[k], spare_ab - free[x]
         below = touched | bit[k + 1]
+        fl, b0 = floor[k], b[0]
         for v in leads:
             if not free[v]:
+                continue
+            if fl is not None and fl[v] < b0:
                 continue
             nv, nva = size_b[v], size_ab[v]
             if (not close_b) if s == v else nv > cap_b:
@@ -558,8 +584,8 @@ def _orbit_key(a):
 #: backtrack builds only the B's the walk reads, a first hit stops at its
 #: witness's A representative, and with a = b the B classes settled under the
 #: swap A <-> B are priced but not walked.  Alt_12 (3,3,4), priced at
-#: 985,600, builds and walks 109 B's in about 0.014 s CPU with a 16 MB peak,
-#: the interpreter's own (median of 8 fresh processes on a 2-vCPU Xeon VM);
+#: 985,600, builds and walks 21 B's in about 0.005 s CPU with a 15 MB peak,
+#: the interpreter's own (median of 5 fresh processes on a 2-vCPU Xeon VM);
 #: Alt_14 (2,3,7), at 22,422,400, ran out of 1 GB of memory when every class
 #: element was walked.
 MAX_PAIRS = 1_000_000
@@ -610,9 +636,12 @@ def _even_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
 
 
 def _even_types(m, n, hint, slot):
-    """The even types of order n, or just the shape hint if CycleType.check_slot takes it."""
+    """The even types of order n, or just the shape hint if it is a
+    CycleType and CycleType.check_slot takes it."""
     if hint is None:
         return _even_types_of_order(m, n)
+    if not isinstance(hint, CycleType):
+        raise ValueError(f"shape hint {hint!r} for the {slot} slot is not a CycleType")
     hint.check_slot(m, n, slot)
     return (hint,)
 
@@ -639,12 +668,15 @@ def find_generating_triple(
     - a B is walked only if each B[k] is the least point of its orbit
       under the pointwise stabiliser of F = {0..k} and B[0..k-1] in C(A),
       the centraliser of A in Sym_m (_leads reads these points off A's
-      cycles, and _class_images keeps to them as it sets each B[k]).
-      Exact: if c fixes F, commutes with A and sends B[k] = v below v,
-      then c^-1 B c agrees with B before k, has c[v] at k, so sorts before
-      B, and keeps A, the classes of B and AB, transitivity and the order
-      of <A, B>.  So the least B of each C(A)-orbit is walked, first of
-      its orbit, and the witness with it;
+      cycles, and _class_images keeps to them as it sets each B[k]), and
+      no c in C(A) with c[k] = 0 sends B[k] below B[0] (_frame's floor
+      table).  Exact: if c fixes F, commutes with A and sends B[k] = v
+      below v, then c^-1 B c agrees with B before k, has c[v] at k, so
+      sorts before B; if c sends k to 0 and v below B[0], then c^-1 B c
+      starts with c[v], so sorts before B too.  Either conjugate keeps A,
+      the classes of B and AB, transitivity and the order of <A, B>.  So
+      the least B of each C(A)-orbit is walked, first of its orbit, and
+      the witness with it;
     - a B class outside the plan for A is never built for it, and an A
       representative whose plan keeps no class is not built at all.  For
       each other one _class_images builds the B's of its kept classes that
@@ -681,7 +713,7 @@ def find_generating_triple(
     read through cycle_type, never by _cycle_lengths directly, which the
     tracer would count as pairs tried.
     """
-    _int_degree(m)
+    _require_int(m, "degree")
     if m < 5:
         raise ValueError("need m >= 5")
     if shape_hint is not None and len(shape_hint) != 3:
@@ -765,7 +797,7 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     check for class triples inside Alt_m: an even permutation on m points
     always has cycle count congruent to m mod 2.
     """
-    _int_degree(m)
+    _require_int(m, "degree")
     if m < 3:
         raise ValueError("need m >= 3")
     fewest = [_fewest_cycles(m, n) for n in tr.orders]
@@ -803,7 +835,7 @@ def prove_non_generation(m: int, tr: Triple) -> NonGenerated | Refuted:
     search of find_generating_triple, whose ValueError above MAX_PAIRS
     passes through: an unfinished search proves nothing.
     """
-    _int_degree(m)
+    _require_int(m, "degree")
     if m < 5:
         raise ValueError("need m >= 5")
     bound = scott_min_sum(m, tr)

@@ -14,7 +14,9 @@ search's transitivity filter and on the C(A)-orbits its tests close;
 ``centraliser`` builds a centraliser element by element, and
 ``centraliser_gens`` names generators of it, checked against it;
 ``centraliser_leads`` reads orbits off ``centraliser``, the check on
-which points the backtrack sets each B[k] to; ``lawther_closed_form`` is
+which points the backtrack sets each B[k] to, and ``centraliser_floor``
+reads off it where the elements that send a point to 0 send each point,
+the check on the values the backtrack refuses for B[k] below B[0]; ``lawther_closed_form`` is
 Lawther's closed form for the codimension of the elements of order
 dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test: of
@@ -342,6 +344,16 @@ def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
     """
     stabiliser = [c for c in centraliser(a) if all(c[x] == x for x in fixed)]
     return {min(c[x] for c in stabiliser) for x in range(len(a))}
+
+
+def centraliser_floor(a: tuple[int, ...]) -> list[tuple[int, ...] | None]:
+    """For each x, the least c[v] for each v over the c in centraliser(a)
+    with c[x] == 0, or None where no such c exists."""
+    floor: list[list[int] | None] = [None] * len(a)
+    for c in centraliser(a):
+        x = c.index(0)
+        floor[x] = [min(pair) for pair in zip(floor[x], c)] if floor[x] is not None else list(c)
+    return [None if row is None else tuple(row) for row in floor]
 
 
 def lawther_closed_form(t: DynkinType, a: int) -> int:

@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt
+from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt, weil
 from trisat.altmethod import alt_degree, alt_target, perm_fixed_dim
 from trisat.permgrp import NotFound, cycle_types_of_order, find_generating_triple
 from trisat.rootsys import all_types
@@ -29,6 +30,22 @@ class TestDegreeMap:
             h1_alt(6, shapes(6, "3^2", "3^2", "4.1^2"), Triple(3, 3, 4))
         with pytest.raises(ValueError, match="m >= 8"):
             alt_target(6)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("m", [9.0, True, "9"])
+    def test_degree_that_is_not_an_int_is_refused(self, m, warm):
+        # weil_h1 keys 28.0 as it keys 28: a float degree that reached it
+        # cold would store a report that later certificates print
+        weil.weil_h1.cache_clear()
+        hint = shapes(9, "3^3", "3^3", "7.1^2")
+        if warm:
+            h1_alt(9, hint, Triple(3, 3, 7))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"degree must be an int, got {m!r}"):
+                h1_alt(m, hint, Triple(3, 3, 7))
+        cert = alt_saturation_check(9, Triple(3, 3, 7)).certificate
+        assert all(type(n) is int for n in (cert["dim_v"], cert["h1"], *cert["fixed"]))
+        assert '"dim_v": 28, "fixed": [' in json.dumps(cert)
 
     def test_m7_target_outside_bd(self):
         with pytest.raises(ValueError, match="m >= 8"):

@@ -45,16 +45,17 @@ def test_traced_search_funnel(monkeypatch):
     # the calls the search makes, so a change in those calls shows here.
     # The tracer reads transitive_pass off the Sims-table calls, which the
     # search makes only on the least transitive pair of each C(A)-orbit, so
-    # it reads the 4 orbits; the search's transitivity test accepts all 63.
+    # it reads the 4 orbits; the search's transitivity test accepts all 13
+    # B's the walk builds (63 before the floor rule).
     accepted = []
     real = permgrp._is_transitive
     monkeypatch.setattr(permgrp, "_is_transitive",
                         lambda a, b, m: accepted.append(ok := real(a, b, m)) or ok)
     with _load("tracing").Tracer() as tracer:
         permgrp.prove_non_generation(9, Triple(2, 3, 9))
-    assert tracer.funnel() == {"pairs_tried": 63, "product_class_pass": 63, "scott_pass": 63,
+    assert tracer.funnel() == {"pairs_tried": 13, "product_class_pass": 13, "scott_pass": 13,
                                "transitive_pass": 4, "bsgs_calls": 4, "accepted": 0}
-    assert sum(accepted) == 63
+    assert sum(accepted) == 13
 
 
 def test_traced_first_hit_funnel():
@@ -79,9 +80,9 @@ def test_traced_funnels_of_a_repeated_search():
     for _ in range(2):
         with tracing.Tracer() as tracer:
             permgrp.prove_non_generation(9, Triple(2, 3, 9))
-        assert tracer.funnel() == {"pairs_tried": 63, "product_class_pass": 63, "scott_pass": 63,
+        assert tracer.funnel() == {"pairs_tried": 13, "product_class_pass": 13, "scott_pass": 13,
                                    "transitive_pass": 4, "bsgs_calls": 4, "accepted": 0}
-        assert tracer.counters["class_images.elements"] == 63
+        assert tracer.counters["class_images.elements"] == 13
         with tracing.Tracer() as tracer:
             permgrp.find_generating_triple(11, Triple(2, 3, 11), shape_hint=hint)
         assert tracer.funnel() == {"pairs_tried": 1, "product_class_pass": 1, "scott_pass": 1,

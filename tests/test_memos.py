@@ -9,9 +9,10 @@ permgrp._even_types_of_order per (m, n).  weil.principal_fixed_dim and
 rootsys.adjoint_dim read each type's principal_dims table, built once per
 instance.  Cold, warm, keyed by an equal but distinct type, or computed
 without the cache (a memo's bare function, or the exponent sum the table
-holds), each gives the same value; a refusal raises on every call.  The
-lead table in a frame is filled as walks ask for it, and each entry is the
-oracle's.
+holds), each gives the same value; a refusal raises on every call.  A frame
+is compared whole: A's cycle bits, inverse, lead table and floor table.
+The lead table in a frame is filled as walks ask for it, and each entry is
+the oracle's.
 """
 
 import dataclasses

@@ -34,6 +34,7 @@ from trisat.tables import ALT_NONGEN_ROWS, expand_triples, generating_pair_hint
 
 from oracles import (
     centraliser,
+    centraliser_floor,
     centraliser_gens,
     centraliser_leads,
     class_elements,
@@ -525,6 +526,52 @@ class TestSliceLeads:
         assert self.leads(a, {0, 1, 3}) == {0, 1, 2, 3, 4, 5} == centraliser_leads(a, {0, 1, 3})
 
 
+@functools.lru_cache(maxsize=None)
+def zero_floor(a):
+    """centraliser_floor, kept per A."""
+    return centraliser_floor(a)
+
+
+class TestFloor:
+    # _class_images refuses B[k] = v when a c in C(A) with c[k] = 0 sends v
+    # below B[0]: c^-1 B c would then start below B.  _frame's floor[k][v]
+    # is the least such c[v], read off A's cycles; the oracle closes C(A)
+    # element by element and reads the least c[v] over the c with c[k] = 0.
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_lex_minimal_representatives(self, m):
+        for parts in partitions(m):
+            a = CycleType(parts).lex_min()
+            floor = permgrp._frame(a)[3]
+            assert floor[0] is None and list(floor[1:]) == zero_floor(a)[1:], a
+
+    def test_random_conjugates(self):
+        # the table reads A's cycles, so it must not rely on A being lex-minimal
+        rng = random.Random(41)
+        for m in range(2, 8):
+            for parts in partitions(m):
+                c = tuple(rng.sample(range(m), m))
+                a = conjugate(CycleType(parts).lex_min(), c)
+                floor = permgrp._frame.__wrapped__(a)[3]
+                assert floor[0] is None and list(floor[1:]) == centraliser_floor(a)[1:], a
+
+    def test_both_cases(self):
+        # A = (0)(1)(2 3)(4 5 6)(7 8 9): x = 1 is the only other fixed point,
+        # so c swaps 0 and 1, and each other point goes at best to the first
+        # point of its length's first cycle
+        a = CycleType((3, 3, 2, 1, 1)).lex_min()
+        floor = permgrp._frame(a)[3]
+        assert floor[1] == (1, 0, 2, 2, 4, 4, 4, 4, 4, 4)
+        assert floor[0] is None and floor[2:] == (None,) * 8
+        # A = (0 1)(2 3)(4 5 6): x = 1 sends 0's cycle onto itself, rotated;
+        # x = 2 swaps the two 2-cycles, so 0 goes at best to 2
+        a = CycleType((3, 2, 2)).lex_min()
+        floor = permgrp._frame(a)[3]
+        assert floor[1] == (1, 0, 2, 2, 4, 4, 4)
+        assert floor[2] == (2, 2, 0, 1, 4, 4, 4)
+        assert floor[3] == (2, 2, 1, 0, 4, 4, 4)
+        assert floor[4:] == (None,) * 3
+
+
 def orbit_minima(images, gens):
     """The least element of each orbit of the sorted ``images`` under conjugation
     by the group ``gens`` generate, closing each orbit generator by generator."""
@@ -580,10 +627,13 @@ class TestBlockWalk:
 
 def led_images(a, classes_b):
     """The oracle's B's of the listed classes whose every B[k] is in
-    centraliser_leads of {0..k} and B[0..k-1], sorted."""
+    centraliser_leads of {0..k} and B[0..k-1], and whose every B[x] no c in
+    C(A) with c[x] = 0 sends below B[0], sorted."""
+    floor = zero_floor(a)
     return sorted(b for parts in classes_b for b in class_elements(len(a), parts)
                   if all(b[k] in stabiliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
-                         for k in range(len(a))))
+                         for k in range(len(a)))
+                  and all(row is None or row[v] >= b[0] for row, v in zip(floor, b)))
 
 
 def product_class(a, b):
@@ -655,7 +705,7 @@ class TestClassImages:
         self.check_against_the_oracle(a, classes_b, [two])
 
     @pytest.mark.parametrize("m,orders,nodes", [
-        (8, (4, 4, 6), 568), (9, (2, 3, 9), 529), (9, (3, 3, 6), 839), (12, (6, 7, 7), 2_849)],
+        (8, (4, 4, 6), 568), (9, (2, 3, 9), 123), (9, (3, 3, 6), 390), (12, (6, 7, 7), 2_849)],
         ids=["8-4,4,6", "9-2,3,9", "9-3,3,6", "12-6,7,7"])
     def test_nodes_entered_pinned(self, alarm, m, orders, nodes):
         # Each check prunes only what would fail at the end, so a check that
@@ -668,6 +718,8 @@ class TestClassImages:
         # witness's branch (Alt_8 (4,4,6) 2,385 -> 568, Alt_12 (6,7,7)
         # 14,198 -> 2,849), and an exhaustive walk enters the root once more
         # per extra branch (Alt_9 (2,3,9) 526 -> 529, (3,3,6) 834 -> 839).
+        # The floor rule, which refuses a B[k] that a c in C(A) with c[k] = 0
+        # sends below B[0], cut Alt_9 (2,3,9) 529 -> 123 and (3,3,6) 839 -> 390.
         rec = next(c for c in permgrp._class_images.__code__.co_consts
                    if getattr(c, "co_name", None) == "rec")
         entered = 0
@@ -971,13 +1023,15 @@ class TestGenerationSearch:
                 met.update((a, conjugate(b, c)) for c in group_elements(centraliser_gens(a)))
         assert minima == set(pruned_calls)
 
-    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 63, 4), ((3, 3, 6), 54, 8)],
+    @pytest.mark.parametrize("orders,transitive,calls", [((2, 3, 9), 13, 4), ((3, 3, 6), 19, 8)],
                              ids=["9-2,3,9", "9-3,3,6"])
     def test_one_sims_table_call_per_centraliser_orbit(self, monkeypatch, orders, transitive, calls):
-        # Alt_9 (2,3,9): the walk meets 63 transitive pairs, which fall into
+        # Alt_9 (2,3,9): the walk meets 13 transitive pairs, which fall into
         # 4 C(A)-orbits; only the least pair of each orbit gets a Sims-table
-        # call.  Alt_9 (3,3,6) meets 54, in 8 orbits (99 in 13 before the
-        # a == b rule dropped the class pairs settled under the swap).
+        # call.  Alt_9 (3,3,6) meets 19, in 8 orbits (99 in 13 before the
+        # a == b rule dropped the class pairs settled under the swap, and 63
+        # and 54 before the floor rule dropped the B's that a C(A)-conjugate
+        # moving one of their points to 0 sends below B[0]).
         seen, accepted = [], []
         real = permgrp._bsgs_order
         monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: seen.append(gens) or real(gens, m))
@@ -1249,3 +1303,45 @@ class TestDegreeIsAnInt:
     def test_scott_min_sum_of_an_int_degree(self):
         # the warm case of the float: scott_min_sum(9, ...) is 11
         assert scott_min_sum(9, Triple(2, 3, 7)) == 11
+
+
+class TestOrderIsAnInt:
+    # the listing of cycle types is memoised per (m, n): an order that is
+    # not an int is refused before the memo is read, so a cold memo raises
+    # no TypeError, and a warm one, which keys 7.0 as 7, hands it no answer
+    @pytest.mark.parametrize("n", [7.0, True, "7"])
+    def test_refused_cold(self, n):
+        permgrp._types_of_order.cache_clear()
+        with pytest.raises(ValueError, match=f"order must be an int, got {re.escape(repr(n))}"):
+            cycle_types_of_order(9, n)
+
+    @pytest.mark.parametrize("n", [7.0, True])
+    def test_refused_after_the_int_warmed_the_memo(self, n):
+        assert cycle_types_of_order(9, int(n))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"order must be an int, got {re.escape(repr(n))}"):
+                cycle_types_of_order(9, n)
+
+
+class TestHintIsOfCycleTypes:
+    # a hint entry that is not a CycleType is refused with the slot it sits
+    # in, whether or not a search has filled the set-up memos
+    TEXTS = ("3^3", "3^3", "7.1^2")
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("given,slot", [((0, 1, 2), "A"), ((0,), "A"), ((1,), "B"),
+                                            ((2,), "AB")], ids=["all", "A", "B", "AB"])
+    def test_refused_naming_the_slot(self, given, slot, warm):
+        hint = [CycleType.parse(text) for text in self.TEXTS]
+        if warm:
+            assert not isinstance(find_generating_triple(9, Triple(3, 3, 7), tuple(hint)), NotFound)
+        else:
+            for memo in (permgrp._frame, permgrp._room, permgrp._even_types_of_order):
+                memo.cache_clear()
+        for i in given:
+            hint[i] = self.TEXTS[i]
+        text = self.TEXTS[given[0]]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"shape hint '{re.escape(text)}' for the "
+                                                 rf"{slot} slot is not a CycleType"):
+                find_generating_triple(9, Triple(3, 3, 7), shape_hint=tuple(hint))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trisat import DynkinType, Triple, h1_principal
+from trisat import DynkinType, Triple, decide, h1_principal
 from trisat.rootsys import MAX_RANK, adjoint_dim, all_types, exponents
 from trisat.weil import principal_fixed_dim, weil_h1
 
@@ -121,6 +121,21 @@ class TestWeilFormula:
     def test_out_of_range_fixed_raises(self):
         with pytest.raises(ValueError):
             weil_h1(10, (11, 0, 0))
+
+
+class TestIntDimensions:
+    # lru_cache keys 14.0 as it keys 14: a float that missed the memo and
+    # were computed would store a report that later int calls print
+    @pytest.mark.parametrize("dim_g,fixed", [(14.0, (6, 4, 2)), (14, (6.0, 4, 2)),
+                                             (14, (6, 4, True))], ids=["dim", "fixed", "bool"])
+    def test_refused_cold(self, dim_g, fixed):
+        weil_h1.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimensions must be ints"):
+                weil_h1(dim_g, fixed)
+        stage = decide(T("G2"), Triple(2, 3, 7)).as_dict()["certificate"]["stages"][0]
+        chain = stage["certificate"]["h1_chain"]
+        assert chain == [0, 2] and all(type(h) is int for h in chain)
 
 
 class TestH1Principal:
