@@ -142,6 +142,8 @@ def check_table(table_id: str, c_max: int = tables.DEFAULT_C_MAX, *,
     """Recompute one fixture by id and diff it; see TABLES for the ids."""
     if table_id not in TABLES:
         raise ValueError(f"unknown table id {table_id!r}; known: {', '.join(TABLES)}")
+    if type(c_max) is not int:  # 60.0 would fail later, and True would read as 1
+        raise ValueError(f"c_max must be an int, got {c_max!r}")
     if c_max > tables.MAX_C:
         raise ValueError(f"c_max {c_max} exceeds supported cap {tables.MAX_C}")
     if c_max < tables.MIN_C:

@@ -4,22 +4,21 @@ Covers what the alternating-group saturation method needs: cycle types and
 their conjugacy classes, exact group order via a Sims table, search for
 generating pairs of prescribed orders in Alt_m, and non-generation proofs
 (Scott's cycle-count bound, else exhaustion over class pairs).  For each A
-the search builds, by one backtrack in lexicographic order, only the B of
-a kept class whose every point B[k] is the least of its orbit under the
-pointwise stabiliser of 0..k and B[0..k-1] in the centraliser C(A) of A,
-that no c in C(A) with c[k] = 0 sends below B[0], and whose product AB is
-of an allowed class.  That cuts the pairs walked and changes no witness
-or answer; find_generating_triple states it with the cheaper filters.  A
-walked pair that passes them gets a Sims-table call only if B is the
-first of its C(A)-orbit in the walk.  When a = b
-an A representative walks no B class that is the type of a representative
-walked before it: the swap (A, B) -> (B, A) settled that class pair then.
-The walk of each A goes one root branch (one value of B[0]) at a time, so
-a first hit builds no branch after its witness's.  A search keeps one
-orbit key per C(A)-orbit met in the walk of the current A.  What lasts
-from one search to the next is set-up, kept per process: what each A
-representative gives the backtrack (_frame), each class list's room
-(_room) and the even types of each order, never a B.
+the search builds, by one backtrack in lexicographic order, only the B's
+of a kept class that keep the C(A) and floor rules (C(A) the centraliser of
+A in Sym_m) and whose product AB is of an allowed class.
+find_generating_triple states the rules, why they change no witness or
+answer, and the cheaper filters.  A walked pair that passes them gets a
+Sims-table call only if B is the first of its C(A)-orbit in the walk.
+When a = b an A representative walks no B class that is the type of a
+representative walked before it: the swap (A, B) -> (B, A) settled that
+class pair then.  The walk of each A goes one root branch (one value of
+B[0]) at a time, so a first hit builds no branch after its witness's.  A
+search keeps one orbit key per C(A)-orbit met in the walk of the current
+A.  What lasts from one search to the next is set-up, kept per process:
+what each A representative gives the backtrack and the orbit key
+(_frame), each class list's room (_room) and the even types of each
+order, never a B.
 
 A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
 The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
@@ -313,44 +312,40 @@ def _cycles(a) -> list[list[int]]:
     return cycles
 
 
-def _leads(cycles, fixed) -> set[int]:
-    """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(A).
+class _Leads(dict):
+    """The least point of each orbit of the pointwise stabiliser of F in
+    C(A), sorted, by the bitmask ``touched`` of the A-cycles that F meets,
+    on which alone they depend; each made when first asked for.
 
-    ``cycles`` are A's, read by _cycles.  That stabiliser fixes each point of
-    a cycle that meets ``fixed``, and moves the other cycles of each length
-    onto one another, rotated freely: one orbit per length, led by the first
+    ``cycles`` are A's, read by _cycles.  That stabiliser fixes each point
+    of a cycle that meets F, and moves the other cycles of each length onto
+    one another, rotated freely: one orbit per length, led by the first
     point of its first cycle.
     """
-    leads: set[int] = set()
-    firsts: dict[int, int] = {}
-    for cyc in cycles:
-        if fixed.isdisjoint(cyc):
-            firsts.setdefault(len(cyc), cyc[0])
-        else:
-            leads.update(cyc)
-    return leads.union(firsts.values())
-
-
-class _Leads(dict):
-    """The sorted _leads of A's ``cycles`` by the bitmask of the A-cycles
-    that F meets, on which alone they depend; each made when first asked for."""
 
     def __init__(self, cycles):
         super().__init__()
         self.cycles = cycles
 
     def __missing__(self, touched):
-        fixed = {cyc[0] for i, cyc in enumerate(self.cycles) if touched >> i & 1}
-        leads = self[touched] = sorted(_leads(self.cycles, fixed))
+        leads, firsts = [], {}
+        for i, cyc in enumerate(self.cycles):
+            if touched >> i & 1:
+                leads += cyc
+            else:
+                firsts.setdefault(len(cyc), cyc[0])
+        leads = self[touched] = sorted(leads + list(firsts.values()))
         return leads
 
 
 @lru_cache(maxsize=None)
 def _frame(a):
-    """What _class_images reads off A = ``a`` alone, memoised per A: bit[x],
+    """What the search reads off A = ``a`` alone, memoised per A: bit[x],
     the bit of A's cycle through x (bit[m] is 0, for the last step), A's
-    inverse, A's _Leads table, and the floor table.  0 is on A's first
-    cycle, so the leads of B[0] are table[1].
+    inverse, A's _Leads table, the floor table, and length[x], four times
+    the length of A's cycle through x, which _orbit_key's kinds start from.
+    0 is on A's first cycle, so the leads of B[0] are table[1].  No other
+    code reads A's cycles.
 
     floor[x][v] is the least c[v] over the c in C(A) with c[x] = 0, for x
     != 0 on an A-cycle as long as 0's; floor[x] is None for every other x.
@@ -365,11 +360,11 @@ def _frame(a):
         other.setdefault(len(cyc), cyc[0])
     # row[v] is v's floor off x's cycle: m where 0's cycle is alone of its
     # length, and then every row overwrites it
-    bit, inv, row = [0] * (m + 1), [0] * m, [0] * m
+    bit, inv, row, length = [0] * (m + 1), [0] * m, [0] * m, [0] * m
     for i, cyc in enumerate(cycles):
-        here, least, prev = 1 << i, other.get(len(cyc), m), cyc[-1]
+        here, least, prev, span = 1 << i, other.get(len(cyc), m), cyc[-1], 4 * len(cyc)
         for x in cyc:
-            bit[x], inv[x], row[x] = here, prev, least
+            bit[x], inv[x], row[x], length[x] = here, prev, least, span
             prev = x
     home = cycles[0]  # read along A from 0
     n = len(home)
@@ -382,7 +377,7 @@ def _frame(a):
                     for j in range(n):
                         own[cyc[(i + j) % n]] = home[j]
                     floor[x] = tuple(own)
-    return tuple(bit), tuple(inv), _Leads(cycles), tuple(floor)
+    return tuple(bit), tuple(inv), _Leads(cycles), tuple(floor), tuple(length)
 
 
 @lru_cache(maxsize=None)
@@ -397,21 +392,23 @@ def _room(classes):
     return full, left, max(n for n, r in enumerate(full) if r), min(c[1] for c in counts)
 
 
-def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]:
+def _class_images(a, classes_b, classes_ab, first) -> list[tuple[int, ...]]:
     """The image tuples B that the search walks against A = ``a``, sorted.
 
-    These are the B of a class in ``classes_b`` whose AB is of a class in
-    ``classes_ab`` (both non-empty lists of parts of degree m) and whose
-    every point keeps the C(A) and floor rules below; with ``first`` given,
-    only those with B[0] == first, one root branch of the walk.  Per cycle
-    length, the room of a list is the most cycles of that length any of its
-    classes has.  A backtrack sets B[0], B[1], ... in turn, each to its
-    values in ascending order, so the B's come out sorted, and the branches
-    of the root leads, in ascending order, concatenate to the whole list.
+    These are the B with B[0] == ``first``, a root lead of A (one root
+    branch of the walk), of a class in ``classes_b`` whose AB is of a class
+    in ``classes_ab`` (both non-empty lists of parts of degree m) and whose
+    every point keeps the C(A) and floor rules, which find_generating_triple
+    states.  Per cycle length, the room of a list is the most cycles of
+    that length any of its classes has.  A backtrack sets B[0], B[1], ...
+    in turn, each to its values in ascending order, so the B's come out
+    sorted, and the branches of the root leads, in ascending order,
+    concatenate to the sorted list of every such B.
     It tries v at position k only if v is unused and
-    - v is in _leads of F = {0..k} and B[0..k-1] (the C(A) rule);
-    - no c in C(A) with c[k] = 0 sends v below B[0] (the floor rule, read
-      off _frame's floor[k]): c^-1 B c would start with c[v] < B[0];
+    - v is in _frame's lead table at the A-cycles that F = {0..k} and
+      B[0..k-1] meet (the C(A) rule);
+    - floor[k] is None or floor[k][v] >= B[0], in _frame's floor table
+      (the floor rule);
     - the edge k -> v closes a B-cycle only of a length with room left in
       the room of ``classes_b``, and opens no path longer than the longest
       length there;
@@ -432,7 +429,7 @@ def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]
     call builds only its B's.
     """
     m = len(a)
-    bit, a_inv, leads_of, floor = _frame(a)
+    bit, a_inv, leads_of, floor, _ = _frame(a)
     full_b, left_b, top_b, fewest_b = _room(tuple(classes_b))
     full_ab, left_ab, top_ab, fewest_ab = _room(tuple(classes_ab))
     room_b, room_ab = list(full_b), list(full_ab)  # the room left, restored by each child
@@ -499,10 +496,7 @@ def _class_images(a, classes_b, classes_ab, first=None) -> list[tuple[int, ...]]
                 end_b[s], end_b[t] = k, v
                 size_b[s], size_b[t] = nk, nv
 
-    roots = leads_of[bit[0]]
-    if first is not None:
-        roots = [first] if first in roots else []
-    rec(0, bit[0], m - fewest_b, m - fewest_ab, roots)
+    rec(0, bit[0], m - fewest_b, m - fewest_ab, [first])
     del rec  # it refers to itself; empty its cell so `out` is freed by refcount
     return out
 
@@ -538,11 +532,11 @@ def _orbit_key(a):
     (A, B') alike, so mapping one numbering to the other is a c in C(A)
     that conjugates B to B'.  A walk stops once it reads past the best.
     """
-    m = len(a)
-    length = {p: 4 * len(cyc) for cyc in _cycles(a) for p in cyc}
+    m, length = len(a), _frame(a)[4]
 
     def key(b):
         # each point's kind, packed in one int that sorts as the tuple does
+        # (_frame's length[p] is 4 times the A-cycle length)
         kind = [length[p] + 2 * (b[p] == p) + (b[a[p]] == p) for p in range(m)]
         rare = min([(kind.count(k), k) for k in set(kind)])[1]
         best = None
@@ -667,16 +661,16 @@ def find_generating_triple(
 
     - a B is walked only if each B[k] is the least point of its orbit
       under the pointwise stabiliser of F = {0..k} and B[0..k-1] in C(A),
-      the centraliser of A in Sym_m (_leads reads these points off A's
-      cycles, and _class_images keeps to them as it sets each B[k]), and
-      no c in C(A) with c[k] = 0 sends B[k] below B[0] (_frame's floor
-      table).  Exact: if c fixes F, commutes with A and sends B[k] = v
-      below v, then c^-1 B c agrees with B before k, has c[v] at k, so
-      sorts before B; if c sends k to 0 and v below B[0], then c^-1 B c
-      starts with c[v], so sorts before B too.  Either conjugate keeps A,
-      the classes of B and AB, transitivity and the order of <A, B>.  So
-      the least B of each C(A)-orbit is walked, first of its orbit, and
-      the witness with it;
+      the centraliser of A in Sym_m (_frame's _Leads table reads these
+      points off A's cycles, and _class_images keeps to them as it sets
+      each B[k]: the C(A) rule), and no c in C(A) with c[k] = 0 sends
+      B[k] below B[0] (_frame's floor table: the floor rule).  Exact: if
+      c fixes F, commutes with A and sends B[k] = v below v, then c^-1 B c
+      agrees with B before k, has c[v] at k, so sorts before B; if c sends
+      k to 0 and v below B[0], then c^-1 B c starts with c[v], so sorts
+      before B too.  Either conjugate keeps A, the classes of B and AB,
+      transitivity and the order of <A, B>.  So the least B of each
+      C(A)-orbit is walked, first of its orbit, and the witness with it;
     - a B class outside the plan for A is never built for it, and an A
       representative whose plan keeps no class is not built at all.  For
       each other one _class_images builds the B's of its kept classes that

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, h1_alt, weil
+from trisat import CycleType, DynkinType, Status, Triple, alt_saturation_check, altmethod, h1_alt, weil
 from trisat.altmethod import alt_degree, alt_target, perm_fixed_dim
 from trisat.permgrp import NotFound, cycle_types_of_order, find_generating_triple
 from trisat.rootsys import all_types
@@ -46,6 +48,16 @@ class TestDegreeMap:
         cert = alt_saturation_check(9, Triple(3, 3, 7)).certificate
         assert all(type(n) is int for n in (cert["dim_v"], cert["h1"], *cert["fixed"]))
         assert '"dim_v": 28, "fixed": [' in json.dumps(cert)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_target_of_a_float_degree_is_refused(self, monkeypatch, warm):
+        # _shared's memo keys ("B", 3.0) as ("B", 3): once alt_target(8) had
+        # run, alt_target(8.0) was handed B3; here the memo starts empty
+        monkeypatch.setattr(altmethod, "_shared", functools.lru_cache(maxsize=None)(DynkinType))
+        if warm:
+            assert str(alt_target(8)) == "B3"
+        with pytest.raises(ValueError, match=re.escape("degree must be an int, got 8.0")):
+            alt_target(8.0)
 
     def test_m7_target_outside_bd(self):
         with pytest.raises(ValueError, match="m >= 8"):

@@ -8,6 +8,7 @@ too, by a hash of their rows.
 
 import hashlib
 import json
+import re
 import types
 
 import pytest
@@ -176,3 +177,10 @@ def test_min_c_is_the_least_open_lower_bound(monkeypatch):
 def test_c_max_below_min_c_is_refused(c_max):
     with pytest.raises(ValueError, match=f"c_max {c_max} is below supported minimum 4"):
         fixtures.check_table("alt-nongen", c_max)
+
+
+@pytest.mark.parametrize("c_max", [60.0, True, "60"], ids=["float", "bool", "str"])
+def test_c_max_that_is_not_an_int_is_refused(c_max):
+    # 60.0 raised TypeError deep in the table, and True was read as 1
+    with pytest.raises(ValueError, match=re.escape(f"c_max must be an int, got {c_max!r}")):
+        fixtures.check_table("rigid", c_max)

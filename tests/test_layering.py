@@ -8,6 +8,7 @@ CLI and README use.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import trisat
@@ -92,3 +93,31 @@ def test_only_shared_crosses_modules_privately():
                     if alias.name.startswith("_"):
                         private.setdefault(f"{node.module}.{alias.name}", set()).add(name)
     assert private == {"rootsys._shared": {"altmethod", "bibi", "saturation"}}
+
+
+def _reads(node):
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Each module-level private name of the package is read somewhere in
+    the package outside its own definition, so no helper lives on for the
+    tests alone."""
+    trees = _trees()
+    reads = sum(map(_reads, trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and reads[name] == own[name]]
+    assert unread == []

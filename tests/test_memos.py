@@ -10,7 +10,8 @@ rootsys.adjoint_dim read each type's principal_dims table, built once per
 instance.  Cold, warm, keyed by an equal but distinct type, or computed
 without the cache (a memo's bare function, or the exponent sum the table
 holds), each gives the same value; a refusal raises on every call.  A frame
-is compared whole: A's cycle bits, inverse, lead table and floor table.
+is compared whole: A's cycle bits, inverse, lead table, floor table and
+the cycle-length table the orbit key reads.
 The lead table in a frame is filled as walks ask for it, and each entry is
 the oracle's.
 """

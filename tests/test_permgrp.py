@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import operator
 import os
 import random
 import re
@@ -124,11 +125,19 @@ def walks_by_a(calls, witness):
     for a, classes_b, first in calls:
         walks.setdefault((a, tuple(classes_b)), []).append(first)
     for (a, classes_b), firsts in walks.items():
-        roots = sorted(permgrp._leads(permgrp._cycles(a), {0}))
+        roots = permgrp._frame(a)[2][1]
         if witness is not None and a == witness[0]:
             roots = roots[:roots.index(witness[1]) + 1]
         assert firsts == roots, (a, classes_b, firsts)
     return [(a, list(classes_b)) for a, classes_b in walks]
+
+
+def whole_walk(a, classes_b, classes_ab):
+    """Every B that _class_images builds against A = ``a``: its branches
+    over the root leads of A, in the ascending order the search asks for
+    them, concatenated."""
+    return [b for v in permgrp._frame(a)[2][1]
+            for b in permgrp._class_images(a, classes_b, classes_ab, v)]
 
 
 def classes_of(m, c):
@@ -317,7 +326,7 @@ class TestEnumerateClass:
         gc.collect()
         gc.disable()
         try:
-            imgs = permgrp._class_images(a, [(2, 2, 2, 2)], partitions(8))
+            imgs = whole_walk(a, [(2, 2, 2, 2)], partitions(8))
             assert len(imgs) == 10
             del imgs
             assert gc.collect() == 0
@@ -472,10 +481,11 @@ class TestCentraliser:
 
 
 class TestSliceLeads:
-    # Named for the B[0] slices it first checked; it checks _leads.
-    # The backtrack sets each B[k] only to a point of _leads(A's cycles, F);
-    # the oracle closes the pointwise stabiliser of F in C(A) element by
-    # element and reads its orbits.
+    # Named for the B[0] slices it first checked; it checks the lead table
+    # of _frame.  The backtrack sets each B[k] only to a point of that
+    # table's entry at the OR of bit[x] over F; the oracle closes the
+    # pointwise stabiliser of F in C(A) element by element and reads its
+    # orbits.
     @staticmethod
     def representatives():
         for m in range(5, 10):
@@ -485,7 +495,10 @@ class TestSliceLeads:
 
     @staticmethod
     def leads(a, fixed):
-        return permgrp._leads(permgrp._cycles(a), set(fixed))
+        bit, _, table = permgrp._frame(a)[:3]
+        leads = table[functools.reduce(operator.or_, (bit[x] for x in fixed), 0)]
+        assert leads == sorted(set(leads)), (a, fixed)
+        return set(leads)
 
     def test_lex_minimal_representatives(self):
         reps = list(self.representatives())
@@ -616,7 +629,7 @@ class TestBlockWalk:
             a = CycleType(parts_a).lex_min()
             gens = centraliser_gens(a)
             for parts_b in rng.sample(classes, 3):
-                walked = permgrp._class_images(a, [parts_b], partitions(m))
+                walked = whole_walk(a, [parts_b], partitions(m))
                 assert walked == sorted(set(walked))
                 whole = class_elements(m, parts_b)
                 assert orbit_minima(whole, gens) <= set(walked), (a, parts_b)
@@ -651,11 +664,10 @@ class TestClassImages:
     @staticmethod
     def check_against_the_oracle(a, classes_b, lists_ab):
         led = led_images(a, classes_b)
-        assert permgrp._class_images(a, classes_b, partitions(len(a))) == led, (a, classes_b)
-        roots = sorted(permgrp._leads(permgrp._cycles(a), {0}))
+        assert whole_walk(a, classes_b, partitions(len(a))) == led, (a, classes_b)
+        roots = permgrp._frame(a)[2][1]
         for classes_ab in lists_ab:
             fits = [b for b in led if product_class(a, b) in classes_ab]
-            assert permgrp._class_images(a, classes_b, classes_ab) == fits, (a, classes_b, classes_ab)
             branches = [permgrp._class_images(a, classes_b, classes_ab, v) for v in roots]
             assert [b for branch in branches for b in branch] == fits, (a, classes_b, classes_ab)
             assert all(b[0] == v for v, branch in zip(roots, branches) for b in branch)
@@ -951,6 +963,17 @@ class TestGenerationSearch:
         monkeypatch.setattr(permgrp, "_class_images", lambda *args: calls.append(args) or [])
         out = find_generating_triple(11, Triple(2, 4, 5))
         assert out == NotFound("exhausted all class pairs")
+        assert calls == []
+
+    def test_a_repeated_search_reads_no_cycles(self, monkeypatch):
+        # _frame, memoised per A, is the one reader of A's cycles, and the
+        # orbit key reads its length table from there, so a second,
+        # identical search reads none
+        find_generating_triple(9, Triple(2, 3, 9))
+        calls = []
+        real = permgrp._cycles
+        monkeypatch.setattr(permgrp, "_cycles", lambda a: calls.append(a) or real(a))
+        assert find_generating_triple(9, Triple(2, 3, 9)) == NotFound("exhausted all class pairs")
         assert calls == []
 
     def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
