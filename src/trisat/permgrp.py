@@ -17,8 +17,9 @@ B[0]) at a time, so a first hit builds no branch after its witness's.  A
 search keeps one orbit key per C(A)-orbit met in the walk of the current
 A.  What lasts from one search to the next is set-up, kept per process:
 what each A representative gives the backtrack and the orbit key
-(_frame), each class list's room (_room) and the even types of each
-order, never a B.
+(_frame), each class list's room (_room) and, per degree and order, the
+cycle types, their even part and their fewest cycles (_types_of_order),
+never a B.
 
 A permutation of {0..m-1} is its image tuple p, p[x] the image of x.
 The product pq applies p first, then q, so pq[x] == q[p[x]]: one gather,
@@ -200,7 +201,8 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     Sorted by parts tuple, largest first; CycleType.is_even picks out the
     even ones.  The partitions of m into divisors of n are counted first
     (coin change); more than MAX_CYCLE_TYPES is refused with ValueError,
-    and so is m over MAX_DEGREE, before the count's table is allocated.
+    and so are m over MAX_DEGREE and an m or n below 1, before the count's
+    table is allocated.
     The listing is flat: the parts above 1 grow divisor by divisor, largest
     divisor and multiplicity first, and fixed points fill the rest.  Each
     head padded with fixed points is a partition of m, so the count bounds
@@ -210,14 +212,19 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     """
     _require_int(m, "degree")
     _require_int(n, "order")
-    if m > MAX_DEGREE:
-        raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
-    return _types_of_order(m, n)
+    return _types_of_order(m, n)[0]
 
 
 @lru_cache(maxsize=None)
-def _types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
-    """cycle_types_of_order past its refusals of the degree, memoised per (m, n)."""
+def _types_of_order(m: int, n: int):
+    """The listing of cycle_types_of_order(m, n), its even types, and the
+    fewest cycles of an even type and of any type (None where there is no
+    such type), memoised per (m, n): the search reads the even types, Scott's
+    bound the counts.  Its refusals raise in the body, so none is memoised."""
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
+    if m < 1 or n < 1:
+        raise ValueError(f"degree {m} and order {n} must both be at least 1")
     divisors = [d for d in range(1, min(m, n) + 1) if n % d == 0]
     ways = [1] + [0] * m
     for d in divisors:
@@ -229,7 +236,10 @@ def _types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     heads: list[tuple[int, ...]] = [()]
     for d in reversed(divisors[1:]):
         heads = [h + (d,) * k for h in heads for k in range((m - sum(h)) // d, -1, -1)]
-    return tuple(CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n)
+    types = tuple(CycleType(h + (1,) * (m - sum(h))) for h in heads if reduce(math.lcm, h, 1) == n)
+    evens = tuple(t for t in types if t.is_even)
+    return (types, evens, min((t.cycle_count for t in evens), default=None),
+            min((t.cycle_count for t in types), default=None))
 
 
 def lex_min_of_type(ct: CycleType) -> tuple[int, ...]:
@@ -623,17 +633,11 @@ class NotFound:
     reason: str
 
 
-@lru_cache(maxsize=None)
-def _even_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
-    """The even types of cycle_types_of_order(m, n), memoised per (m, n)."""
-    return tuple(t for t in cycle_types_of_order(m, n) if t.is_even)
-
-
 def _even_types(m, n, hint, slot):
     """The even types of order n, or just the shape hint if it is a
     CycleType and CycleType.check_slot takes it."""
     if hint is None:
-        return _even_types_of_order(m, n)
+        return _types_of_order(m, n)[1]
     if not isinstance(hint, CycleType):
         raise ValueError(f"shape hint {hint!r} for the {slot} slot is not a CycleType")
     hint.check_slot(m, n, slot)
@@ -765,15 +769,6 @@ def find_generating_triple(
     return NotFound("exhausted all class pairs")
 
 
-@lru_cache(maxsize=None)
-def _fewest_cycles(m: int, n: int) -> tuple[int | None, int | None]:
-    """The fewest cycles of an even type, and of any type, of order n on m
-    points; None where there is no such type."""
-    types = cycle_types_of_order(m, n)
-    return (min((t.cycle_count for t in types if t.is_even), default=None),
-            min((t.cycle_count for t in types), default=None))
-
-
 def scott_min_sum(m: int, tr: Triple) -> int | None:
     """Lower bound for the total cycle count of any (a, b, c) triple in Alt_m.
 
@@ -784,8 +779,8 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     to all Sym_m classes of the exact order, so the result is a lower bound
     for the constrained minimum and still proves non-generation whenever it
     exceeds m + 2.  Returns None when some order has no even cycle type at
-    all, i.e. Alt_m has no element of that order.  Each term is one lookup
-    in _fewest_cycles, memoised per (m, n).
+    all, i.e. Alt_m has no element of that order.  Each term is one of
+    the two counts _types_of_order keeps per (m, n).
 
     The parity condition (count sum congruent to m mod 2) needs no separate
     check for class triples inside Alt_m: an even permutation on m points
@@ -794,10 +789,11 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     _require_int(m, "degree")
     if m < 3:
         raise ValueError("need m >= 3")
-    fewest = [_fewest_cycles(m, n) for n in tr.orders]
-    if any(even is None for even, _ in fewest):
+    # per order: (types, even types, fewest cycles of an even type, of any type)
+    a, b, c = [_types_of_order(m, n) for n in tr.orders]
+    if None in (a[2], b[2], c[2]):
         return None
-    return fewest[0][0] + fewest[1][1] + fewest[2][1]
+    return a[2] + b[3] + c[3]
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,36 @@
-"""The closed-form caches are transparent: a cached value is the computed one.
+"""The caches are transparent: a cached value is the computed one.
 
 weil.weil_h1, rootsys.exponents, bibi.so_fixed_dim and
 saturation.classify_ladder are memoised per argument, and so are
-permgrp._fewest_cycles, which Scott's bound reads, DynkinType.parse,
-which hands out one shared instance per type, and the search's set-up:
-permgrp._frame per A, permgrp._room per class list and
-permgrp._even_types_of_order per (m, n).  weil.principal_fixed_dim and
-rootsys.adjoint_dim read each type's principal_dims table, built once per
-instance.  Cold, warm, keyed by an equal but distinct type, or computed
-without the cache (a memo's bare function, or the exponent sum the table
-holds), each gives the same value; a refusal raises on every call.  A frame
-is compared whole: A's cycle bits, inverse, lead table, floor table and
-the cycle-length table the orbit key reads.
+DynkinType.parse, which hands out one shared instance per type,
+permgrp._types_of_order, the cycle types of each order with their even
+part and fewest cycles, which the search and Scott's bound read (each of
+those fields swept again on its own, as even_types_of_order and
+fewest_cycles), and the search's set-up: permgrp._frame per A and
+permgrp._room per class list.
+weil.principal_fixed_dim and rootsys.adjoint_dim read each type's
+principal_dims table, built once per instance.  Cold, warm, keyed by an
+equal but distinct type, or computed without the cache (a memo's bare
+function, or the exponent sum the table holds), each gives the same value;
+a refusal raises on every call.  A frame is compared whole: A's cycle
+bits, inverse, lead table, floor table and the cycle-length table the
+orbit key reads.
 The lead table in a frame is filled as walks ask for it, and each entry is
 the oracle's.
+MEMOS is every lru_cache in src/trisat, found by walking each module's
+names and its classes' bodies, so a new memo fails test_every_memo_is_swept
+until SWEEPS sweeps it; _clear_all clears them all.  rootsys._shared, the
+interning table of the shared types, is the one memo exempt: clearing it
+would break parse's and all_types' one instance per type.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import trisat
 from trisat import DynkinType, Triple, altmethod, bibi, fixtures, permgrp, rootsys, saturation, weil
 from trisat.permgrp import CycleType
 from trisat.rootsys import all_types
@@ -47,6 +58,17 @@ def _adjoint_sum(t):
     return sum(2 * e + 1 for e in rootsys.exponents(t))
 
 
+def _view(field):
+    """permgrp._types_of_order's ``field`` (an index or a slice), read
+    through the memo; its bare counterpart reads the unmemoised function,
+    and the memo's misses stand for its own."""
+    def read(m, n):
+        return permgrp._types_of_order(m, n)[field]
+    read.__wrapped__ = lambda m, n: permgrp._types_of_order.__wrapped__(m, n)[field]
+    read.cache_info = permgrp._types_of_order.cache_info
+    return read
+
+
 #: Every cache the closed-form routes read, the argument tuples swept, and the
 #: uncached computation: a memo's bare function, or the sum a table holds.
 SWEEPS = {
@@ -58,15 +80,37 @@ SWEEPS = {
     "weil_h1": (weil.weil_h1, H1_ARGS, None),
     "so_fixed_dim": (bibi.so_fixed_dim, [(r1, r2, n) for r1 in range(1, 19)
                                          for r2 in range(1, 20 - r1) for n in ORDERS], None),
-    "fewest_cycles": (permgrp._fewest_cycles, [(m, n) for m in range(3, 13) for n in ORDERS],
-                      None),
+    "types_of_order": (permgrp._types_of_order, [(m, n) for m in range(3, 13) for n in ORDERS],
+                       None),
+    # the fields Scott's bound and the search read, swept as views of it
+    "fewest_cycles": (_view(slice(2, 4)), [(m, n) for m in range(3, 13) for n in ORDERS], None),
+    "even_types_of_order": (_view(1), [(m, n) for m in range(3, 13) for n in ORDERS], None),
     "frame": (permgrp._frame, [(CycleType(p).lex_min(),) for m in range(1, 10)
                                for p in partitions(m)], None),
     "room": (permgrp._room, [(lists,) for lists in CLASS_LISTS], None),
-    "even_types_of_order": (permgrp._even_types_of_order,
-                            [(m, n) for m in range(3, 13) for n in ORDERS], None),
     "parse": (DynkinType.parse, [(text,) for t in TYPES for text in (str(t), f" {t}\n")], None),
 }
+
+
+def _memos():
+    """Every lru_cache of src/trisat but rootsys._shared, once each by
+    identity: each module's names, and the bodies of the classes it defines
+    (a staticmethod read through its function)."""
+    found = {}
+    for info in pkgutil.iter_modules(trisat.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"trisat.{info.name}")
+        for value in vars(module).values():
+            inner = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *inner):
+                obj = getattr(obj, "__func__", obj)
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("trisat."):
+                    found[id(obj)] = obj
+    return [fn for fn in found.values() if fn is not rootsys._shared]
+
+
+MEMOS = _memos()
 
 
 def _fresh(args):
@@ -80,9 +124,8 @@ def _clear_all():
     The shared instances stay, so parse and all_types still hand out one
     instance per type.
     """
-    for fn, _, _ in SWEEPS.values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    for fn in MEMOS:
+        fn.cache_clear()
     for t in all_types(rootsys.MAX_RANK):
         vars(t).pop("principal_dims", None)
 
@@ -108,6 +151,13 @@ def test_memo_is_transparent(name):
     assert cold == warm == fresh == [computed(*args) for args in sweep]
 
 
+def test_every_memo_is_swept():
+    swept = {id(fn) for fn, _, _ in SWEEPS.values()}
+    assert [f"{fn.__module__}.{fn.__qualname__}" for fn in MEMOS if id(fn) not in swept] == []
+    # the walk finds a module-level memo, a staticmethod's and a private one
+    assert {id(weil.weil_h1), id(DynkinType.parse), id(permgrp._frame)} <= {id(fn) for fn in MEMOS}
+
+
 def test_lead_tables_hold_the_leads():
     # each entry a walk left in a frame's lead table, keyed by the mask of
     # the A-cycles F meets, is the oracle's leads of F = the first points
@@ -116,7 +166,7 @@ def test_lead_tables_hold_the_leads():
     filled = 0
     for m, orders in [(9, (2, 3, 9)), (9, (3, 3, 6)), (8, (4, 4, 6)), (10, (2, 5, 5))]:
         permgrp.find_generating_triple(m, Triple(*orders))
-        for t in permgrp._even_types_of_order(m, orders[0]):
+        for t in permgrp._types_of_order(m, orders[0])[1]:
             a = t.lex_min()
             cycles = permgrp._cycles(a)
             for touched, leads in permgrp._frame(a)[2].items():

@@ -905,6 +905,18 @@ class TestTypesOfOrder:
             with pytest.raises(ValueError, match="degree 1027 exceeds supported cap 1026"):
                 cycle_types_of_order(permgrp.MAX_DEGREE + 1, 2)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("m,n", [(-1, 2), (5, 0), (5, -2), (0, 1)])
+    def test_degree_or_order_below_1_is_refused(self, m, n, warm):
+        # (-1, 2), (5, 0) and (5, -2) were listed as no types and memoised;
+        # (0, 1) died building an empty CycleType
+        permgrp._types_of_order.cache_clear()
+        if warm:
+            assert cycle_types_of_order(5, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"degree {m} and order {n} must both be at least 1"):
+                cycle_types_of_order(m, n)
+
     def test_huge_degree_is_refused_under_a_memory_cap(self):
         # Under 1 GB of address space the coin-change table for m = 10**9 used
         # to die of MemoryError in all three entry points; the child sets the cap
@@ -930,6 +942,20 @@ class TestTypesOfOrderMemo:
         listed = cycle_types_of_order(11, 6)
         assert isinstance(listed, tuple)
         assert cycle_types_of_order(11, 6) is listed
+
+    def test_four_fields_against_partitions(self):
+        # the listing, its even part, and the fewest cycles of an even type
+        # and of any type, read off every partition of m whose lcm is n
+        for m in range(1, 13):
+            every = partitions(m)
+            for n in range(1, 61):
+                exact = [p for p in every if lcm(*p) == n]
+                evens = [p for p in exact if sum(1 for x in p if x % 2 == 0) % 2 == 0]
+                types, even_types, fewest_even, fewest = permgrp._types_of_order(m, n)
+                assert [t.parts for t in types] == sorted(exact, reverse=True), (m, n)
+                assert [t.parts for t in even_types] == sorted(evens, reverse=True), (m, n)
+                assert fewest_even == min(map(len, evens), default=None), (m, n)
+                assert fewest == min(map(len, exact), default=None), (m, n)
 
     def test_refusal_is_not_memoised(self):
         # 7,173,704 partitions: over MAX_CYCLE_TYPES on every call, not just the first
@@ -1359,7 +1385,7 @@ class TestHintIsOfCycleTypes:
         if warm:
             assert not isinstance(find_generating_triple(9, Triple(3, 3, 7), tuple(hint)), NotFound)
         else:
-            for memo in (permgrp._frame, permgrp._room, permgrp._even_types_of_order):
+            for memo in (permgrp._frame, permgrp._room, permgrp._types_of_order):
                 memo.cache_clear()
         for i in given:
             hint[i] = self.TEXTS[i]

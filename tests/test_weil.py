@@ -138,6 +138,21 @@ class TestIntDimensions:
         assert chain == [0, 2] and all(type(h) is int for h in chain)
 
 
+class TestThreeFixedDims:
+    # one fixed dimension per generator: (3, (1, 1)) gave h1 = 1 and
+    # (10, (1, 1, 1, 1)) h1 = 6; refused, they are never stored
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("dim_g,fixed", [(3, (1, 1)), (10, (1, 1, 1, 1)), (3, ())],
+                             ids=["two", "four", "none"])
+    def test_refused(self, dim_g, fixed, warm):
+        weil_h1.cache_clear()
+        if warm:
+            assert weil_h1(dim_g, (1, 1, 1)).h1 == dim_g - 3
+        for _ in range(2):
+            with pytest.raises(ValueError, match="fixed must hold three dimensions"):
+                weil_h1(dim_g, fixed)
+
+
 class TestH1Principal:
     def test_examples(self):
         rep = h1_principal(T("G2"), Triple(2, 3, 7))
