@@ -36,16 +36,20 @@ def _block_type(rank: int) -> DynkinType:
     return _shared("A", 1) if rank == 1 else _shared("B", rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def so_fixed_dim(r1: int, r2: int, n: int) -> int:
     """dim of the fixed space on so_{2(r1+r2+1)} of the order-n element of
     SO(2*r1+1) x SO(2*r2+1) that is principal in each factor.
 
     The two so blocks give principal exponent sums; on V_1 (x) V_2 the pairs
     (j_1, j_2) with n | j_1 + j_2 are counted through the residues of j_1.
-    The value is memoised per (r1, r2, n), so callers share it; a refusal
-    is not memoised, so every call with n < 2 raises again.
+    The value is memoised per (r1, r2, n) and their types, so callers share
+    it and a float or a bool never reads an int's entry; a refusal is not
+    memoised, so every call with an r1, r2 or n that is not an int, or with
+    n < 2, raises again.
     """
+    if any(type(x) is not int for x in (r1, r2, n)):
+        raise ValueError(f"ranks and order must be ints, got {(r1, r2, n)!r}")
     blocks = principal_fixed_dim(_block_type(r1), n) + principal_fixed_dim(_block_type(r2), n)
     residues = Counter(j % n for j in range(-r1, r1 + 1))
     return blocks + sum(residues[-j % n] for j in range(-r2, r2 + 1))

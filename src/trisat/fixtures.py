@@ -96,7 +96,8 @@ def _judge_bibi_pairs(case):
 
 def _judge_alt_gen(case):
     """Every tabulated generating pair must be refound with the same shapes,
-    revalidate by exact group order, and have positive H^1."""
+    pass GenerationWitness.validate (Jordan's theorem on a short word, else
+    the exact group order), and have positive H^1."""
     m, orders, *shape_strs = case
     tr = Triple(*orders)
     hint = tables.generating_pair_hint(m, orders)

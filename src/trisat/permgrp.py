@@ -1,7 +1,8 @@
 """Exact permutation-group machinery on {0, ..., m-1}.
 
 Covers what the alternating-group saturation method needs: cycle types and
-their conjugacy classes, exact group order via a Sims table, search for
+their conjugacy classes, exact group order via a Sims table (which a
+witness's validation skips when Jordan's theorem settles it), search for
 generating pairs of prescribed orders in Alt_m, and non-generation proofs
 (Scott's cycle-count bound, else exhaustion over class pairs).  For each A
 the search builds, by one backtrack in lexicographic order, only the B's
@@ -528,6 +529,20 @@ def _is_transitive(imgs_a, imgs_b, m: int) -> bool:
     return len(reached) == m
 
 
+def _jordan(lengths, m: int) -> bool:
+    """Whether g, of cycle ``lengths`` in a transitive group G on m points,
+    proves G >= Alt_m: its longest cycle has prime length p, m < 2p and
+    p <= m - 3.  The other lengths are below p, so a power of g is a
+    p-cycle.  That makes G primitive: a p-cycle moves blocks in orbits of 1
+    or p, and p blocks of 2 or more points need 2p <= m, while one block
+    holding all p > m/2 moved points is everything.  Jordan's theorem
+    (Wielandt, Finite Permutation Groups, 1964, Thm 13.9; Dixon-Mortimer,
+    Permutation Groups, 1996, Thm 3.3E): a primitive group holding a p-cycle
+    with p <= m - 3 contains Alt_m."""
+    p = max(lengths)
+    return m < 2 * p and p <= m - 3 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def _orbit_key(a):
     """The orbit key of A = ``a``: for B, B' each generating a transitive
     group with A, key(b) == key(b') exactly when c^-1 B c, which sends c[x]
@@ -605,17 +620,26 @@ class GenerationWitness:
     shapes: tuple[CycleType, CycleType, CycleType]
 
     def validate(self) -> bool:
-        """Whether A and B are permutations of one degree m with the stated
-        shapes and orders, and generate Alt_m."""
+        """Whether A and B are permutations of one degree m >= 1 with the
+        stated shapes and orders, and generate Alt_m.  An odd A or B, or an
+        intransitive pair past m = 2, is refused; else _jordan on A, B, AB,
+        AAB or ABB proves it, and failing that the Sims table's order m!/2
+        decides.  Each answer is the Sims table's alone, except that a
+        degree-0 pair is refused and a Jordan pair past its cap of 256 points
+        accepted, where both raised."""
         a, b = self.gen_a, self.gen_b
         m = len(a)
-        if len(b) != m or sorted(a) != list(range(m)) or sorted(b) != list(range(m)):
+        if not m or len(b) != m or sorted(a) != list(range(m)) or sorted(b) != list(range(m)):
             return False
-        slots = zip((a, b, tuple(b[x] for x in a)), self.shapes, self.orders)
-        return (
-            all(cycle_type(g) == shape and shape.order == n for g, shape, n in slots)
-            and _bsgs_order([a, b], m) == factorial(m) // 2
-        )
+        ab = tuple(b[x] for x in a)
+        types = [cycle_type(g) for g in (a, b, ab)]
+        slots = zip(types, self.shapes, self.orders)
+        if not (all(t == shape and shape.order == n for t, shape, n in slots)
+                and types[0].is_even and types[1].is_even and (m == 2 or _is_transitive(a, b, m))):
+            return False
+        words = [t.parts for t in types]
+        words += [_cycle_lengths(tuple(ab[x] for x in a)), _cycle_lengths(tuple(b[x] for x in ab))]
+        return any(_jordan(w, m) for w in words) or _bsgs_order([a, b], m) == factorial(m) // 2
 
     def as_dict(self) -> dict:
         return {

@@ -77,6 +77,18 @@ MUTANTS = [
      "    if len(fixed) != 3:\n"
      '        raise ValueError(f"fixed must hold three dimensions, one per generator, '
      'got {fixed!r}")\n', "", "killed"),
+    ("validate-odd-generator-accepted", "src/trisat/permgrp.py",
+     "types[0].is_even and types[1].is_even and ", "", "killed"),
+    ("validate-intransitive-accepted", "src/trisat/permgrp.py",
+     "(m == 2 or _is_transitive(a, b, m))", "True", "killed"),
+    ("jordan-cycle-not-above-half", "src/trisat/permgrp.py",
+     "return m < 2 * p and p <= m - 3", "return p <= m - 3", "killed"),
+    ("jordan-limit-m-2", "src/trisat/permgrp.py",
+     "p <= m - 3 and", "p <= m - 2 and", "killed"),
+    ("so-fixed-dim-int-refusal-dropped", "src/trisat/bibi.py",
+     "    if any(type(x) is not int for x in (r1, r2, n)):\n"
+     '        raise ValueError(f"ranks and order must be ints, got {(r1, r2, n)!r}")\n', "",
+     "killed"),
 ]
 
 

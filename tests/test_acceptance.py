@@ -103,7 +103,7 @@ def test_criterion_5_generating_pairs_table():
             witness = find_generating_triple(m, Triple(*orders), shape_hint=hint)
             assert not isinstance(witness, NotFound), (m, orders)
             assert witness.shapes == hint, (m, orders)
-            assert witness.validate(), (m, orders)  # exact orders + BSGS order m!/2
+            assert witness.validate(), (m, orders)  # exact orders; Jordan, else order m!/2
 
 
 def test_criterion_6_alt_h1_positive_and_oracle_checked():

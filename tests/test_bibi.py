@@ -24,6 +24,28 @@ class TestSoFixedDim:
                     expected = principal_pair_fixed_dim(r1, r2, n)
                     assert so_fixed_dim(r1, r2, n) == expected, (r1, r2, n)
 
+    # the memo is typed and the body refuses a non-int, so a float or a bool
+    # is refused cold and warm alike: a float once read the int's entry
+    # warm, and True ran as rank 1
+    ODD_ARGS = [(2.0, 3, 7), (2, 3.0, 7), (2, 3, 7.0), (True, 3, 7), (2, True, 7), ("2", 3, 7)]
+
+    @pytest.mark.parametrize("args", ODD_ARGS, ids=str)
+    def test_refused_cold(self, args):
+        so_fixed_dim.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"ranks and order must be ints, got "):
+                so_fixed_dim(*args)
+        assert so_fixed_dim.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("args", ODD_ARGS, ids=str)
+    def test_refused_after_the_int_warmed_the_memo(self, args):
+        ints = tuple(int(x) for x in args)
+        value = so_fixed_dim(*ints)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"ranks and order must be ints, got "):
+                so_fixed_dim(*args)
+        assert so_fixed_dim(*ints) == value
+
 
 class TestPrincipalBlocks:
     def test_examples(self):

@@ -31,7 +31,7 @@ from trisat.permgrp import (
     scott_min_sum,
 )
 from trisat import permgrp
-from trisat.tables import ALT_NONGEN_ROWS, expand_triples, generating_pair_hint
+from trisat.tables import ALT_GEN_ROWS, ALT_NONGEN_ROWS, expand_triples, generating_pair_hint
 
 from oracles import (
     centraliser,
@@ -73,6 +73,48 @@ def naive_order(gens):
 def sims_order(gens):
     """The Sims table's order of the group the image tuples ``gens`` generate."""
     return permgrp._bsgs_order(gens, len(gens[0]))
+
+
+def primitive_groups():
+    """Generators of three primitive groups that do not contain Alt_m: M11
+    on 11 points, PGL(2,7) on 8 and PGammaL(2,8) on 9."""
+    m11 = [from_cycles(11, [tuple(range(11))]),
+           from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+    # PGL(2,7) on the projective line {0..6, inf = 7}: x+1, 3x, -1/x.
+    inf = 7
+    pgl27 = [tuple([(x + 1) % 7 for x in range(7)] + [inf]),
+             tuple([3 * x % 7 for x in range(7)] + [inf]),
+             tuple([inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0])]
+    # PGammaL(2,8) on {GF(8), inf = 8}, GF(8) = GF(2)[w]/(w^3 + w + 1):
+    # x+1, wx, 1/x and the Frobenius x^2.
+    def gf8_mul(x, y):
+        prod = 0
+        for i in range(3):
+            if y >> i & 1:
+                prod ^= x << i
+        for i in (4, 3):
+            if prod >> i & 1:
+                prod ^= 0b1011 << (i - 3)
+        return prod
+
+    inv8 = {x: next(y for y in range(1, 8) if gf8_mul(x, y) == 1) for x in range(1, 8)}
+    inf = 8
+    pgaml28 = [tuple([x ^ 1 for x in range(8)] + [inf]),
+               tuple([gf8_mul(2, x) for x in range(8)] + [inf]),
+               tuple([inf] + [inv8[x] for x in range(1, 8)] + [0]),
+               tuple([gf8_mul(x, x) for x in range(8)] + [inf])]
+    return m11, pgl27, pgaml28
+
+
+def times(*perms):
+    """The product of image tuples, the first applied first."""
+    return functools.reduce(lambda p, q: tuple(q[x] for x in p), perms)
+
+
+def witness_of(a, b):
+    """The GenerationWitness of A and B with their true shapes and orders."""
+    shapes = (cycle_type(a), cycle_type(b), cycle_type(times(a, b)))
+    return GenerationWitness(a, b, tuple(s.order for s in shapes), shapes)
 
 
 def dotted(parts):
@@ -408,31 +450,7 @@ class TestGroupOrder:
             assert order == naive_order(gens)
 
     def test_primitive_non_alternating_groups(self):
-        m11 = [from_cycles(11, [tuple(range(11))]),
-               from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
-        # PGL(2,7) on the projective line {0..6, inf = 7}: x+1, 3x, -1/x.
-        inf = 7
-        pgl27 = [tuple([(x + 1) % 7 for x in range(7)] + [inf]),
-                 tuple([3 * x % 7 for x in range(7)] + [inf]),
-                 tuple([inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0])]
-        # PGammaL(2,8) on {GF(8), inf = 8}, GF(8) = GF(2)[w]/(w^3 + w + 1):
-        # x+1, wx, 1/x and the Frobenius x^2.
-        def gf8_mul(x, y):
-            prod = 0
-            for i in range(3):
-                if y >> i & 1:
-                    prod ^= x << i
-            for i in (4, 3):
-                if prod >> i & 1:
-                    prod ^= 0b1011 << (i - 3)
-            return prod
-
-        inv8 = {x: next(y for y in range(1, 8) if gf8_mul(x, y) == 1) for x in range(1, 8)}
-        inf = 8
-        pgaml28 = [tuple([x ^ 1 for x in range(8)] + [inf]),
-                   tuple([gf8_mul(2, x) for x in range(8)] + [inf]),
-                   tuple([inf] + [inv8[x] for x in range(1, 8)] + [0]),
-                   tuple([gf8_mul(x, x) for x in range(8)] + [inf])]
+        m11, pgl27, pgaml28 = primitive_groups()
         for gens, order in ((m11, 7920), (pgl27, 336), (pgaml28, 1512)):
             assert sims_order(gens) == order == naive_order(gens)
 
@@ -443,6 +461,105 @@ class TestGroupOrder:
         # m is even, so (0 1 2) and the (m-1)-cycle (1 2 ... m-1) generate Alt_m.
         alt = [from_cycles(m, [(0, 1, 2)]), from_cycles(m, [tuple(range(1, m))])]
         assert sims_order(alt) == factorial(m) // 2
+
+
+def random_even(rng, m, blocks=None):
+    """A seeded random even permutation of 0..m-1; with ``blocks`` (a divisor
+    of m) one of the wreath product that keeps the blocks of that many
+    consecutive points."""
+    if blocks is None:
+        p = rng.sample(range(m), m)
+    else:
+        tops = rng.sample(range(m // blocks), m // blocks)
+        inner = [rng.sample(range(blocks), blocks) for _ in tops]
+        p = [tops[x // blocks] * blocks + inner[x // blocks][x % blocks] for x in range(m)]
+    if not cycle_type(tuple(p)).is_even:  # times a transposition inside a block
+        p[0], p[1] = p[1], p[0]
+    return tuple(p)
+
+
+def five_words(a, b):
+    """The cycle lengths of A, B, AB, AAB and ABB, the words validate reads."""
+    return [permgrp._cycle_lengths(w) for w in (a, b, times(a, b), times(a, a, b), times(a, b, b))]
+
+
+class TestJordan:
+    # validate accepts a transitive pair of even permutations when one of
+    # five short words has a longest cycle of prime length p, m < 2p and
+    # p <= m - 3 (_jordan), and asks the Sims table otherwise
+    def test_jordan_pairs_generate_by_the_sims_table(self):
+        # random pairs, and pairs of one imprimitive wreath product, on
+        # which _jordan must never fire
+        rng = random.Random(44)
+        fired = imprimitive = 0
+        for m in range(8, 14):
+            sizes = [None] * 3 + [k for k in range(2, m // 2 + 1) if m % k == 0]
+            for _ in range(150):
+                blocks = rng.choice(sizes)
+                a, b = random_even(rng, m, blocks), random_even(rng, m, blocks)
+                if not reaches_every_point([a, b], m):
+                    continue
+                jordan = any(permgrp._jordan(lengths, m) for lengths in five_words(a, b))
+                alt = permgrp._bsgs_order([a, b], m) == factorial(m) // 2
+                assert alt or not jordan, (a, b)
+                assert witness_of(a, b).validate() == alt, (a, b)
+                fired += jordan
+                imprimitive += blocks is not None
+        assert fired > 250 and imprimitive > 100
+
+    def test_primitive_groups_are_refused(self):
+        # even, transitive pairs whose longest cycles are 11 = m, 7 = m - 1
+        # and 7 = m - 2: _jordan's p <= m - 3 keeps them off, and the Sims
+        # table reads M11, PSL(2,7) and PGammaL(2,8).  3x, then -1/x, is odd,
+        # so its pair with x+1, generating PGL(2,7), is refused for that.
+        (m11_a, m11_b), (t7, s7, i7), (t8, w8, i8, f8) = primitive_groups()
+        pairs = [(m11_a, m11_b, 7920), (t7, i7, 168), (times(i8, w8, t8, f8), w8, 1512),
+                 (t7, times(s7, i7), 336)]
+        for a, b, order in pairs:
+            assert reaches_every_point([a, b], len(a))
+            assert sims_order([a, b]) == order
+            assert witness_of(a, b).validate() is False, order
+        assert max(cycle_type(w8).parts) == 7 and not cycle_type(times(s7, i7)).is_even
+
+    @pytest.mark.parametrize("a,b,group", [
+        # blocks {0..3} and {4..7}: 3 is prime but not above m/2
+        (((0, 1, 2), (4, 5, 6)), ((0, 4), (1, 5), (2, 7), (3, 6)), 24),
+        # a 5-cycle in a transitive group with an odd A: Sym_8
+        (((0, 1, 2, 3, 4), (5, 6)), ((0, 1), (4, 5, 6, 7)), factorial(8)),
+        # a 5-cycle in an intransitive group
+        (((0, 1, 2, 3, 4),), ((5, 6, 7),), 15),
+    ], ids=["imprimitive", "odd", "intransitive"])
+    def test_not_alt8_though_a_short_cycle_is_prime(self, a, b, group):
+        a, b = from_cycles(8, a), from_cycles(8, b)
+        assert sims_order([a, b]) == group
+        assert witness_of(a, b).validate() is False
+
+    @pytest.mark.parametrize("m,orders", [(m, orders) for m, orders, *_ in ALT_GEN_ROWS])
+    def test_sims_table_calls_of_each_table_witness(self, monkeypatch, m, orders):
+        # only Alt_9 (3,3,12) and Alt_11 (2,3,11) have no Jordan word
+        hint = generating_pair_hint(m, orders)
+        found = find_generating_triple(m, Triple(*orders), shape_hint=hint)
+        calls = []
+        real = permgrp._bsgs_order
+        monkeypatch.setattr(permgrp, "_bsgs_order", lambda gens, m: calls.append(gens) or real(gens, m))
+        assert found.validate()
+        assert len(calls) == ((m, orders) in {(9, (3, 3, 12)), (11, (2, 3, 11))})
+
+    def test_degree_zero_pair_is_refused(self):
+        # it raised ValueError from CycleType(()); Alt_2, trivial, is the one
+        # intransitive alternating group
+        one = CycleType((1,))
+        assert GenerationWitness((), (), (1, 1, 1), (one, one, one)).validate() is False
+        assert witness_of((0, 1), (0, 1)).validate() is True
+
+    def test_jordan_pair_past_the_sims_table_cap(self):
+        # a 293-cycle and a 9-cycle on 300 points: the Sims table refuses
+        # the degree, and Jordan's theorem needs no table
+        a = from_cycles(300, [tuple(range(293))])
+        b = from_cycles(300, [(0,) + tuple(range(292, 300))])
+        assert witness_of(a, b).validate() is True
+        with pytest.raises(ValueError, match="exceeds the Sims table's cap"):
+            sims_order([a, b])
 
 
 class TestCentraliser:
