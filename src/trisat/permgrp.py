@@ -543,10 +543,11 @@ def _jordan(lengths, m: int) -> bool:
     return m < 2 * p and p <= m - 3 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _orbit_key(a):
-    """The orbit key of A = ``a``: for B, B' each generating a transitive
-    group with A, key(b) == key(b') exactly when c^-1 B c, which sends c[x]
-    to c[B[x]], is B' for some c in C(A).  Otherwise key(b) raises ValueError.
+def _orbit_key(a, b):
+    """The orbit key of (A, B) = (``a``, ``b``): for B, B' each generating a
+    transitive group with A, _orbit_key(a, b) == _orbit_key(a, b') exactly
+    when c^-1 B c, which sends c[x] to c[B[x]], is B' for some c in C(A).
+    Otherwise it raises ValueError.
 
     A walk from p numbers the points as it meets them, reading A, then B,
     at each point in turn, and reads off the numbers of each point's two
@@ -555,43 +556,32 @@ def _orbit_key(a):
     (count, kind).  Exact: such a c keeps each kind and sends the walk
     from p to the walk from c[p]; two equal readings number (A, B) and
     (A, B') alike, so mapping one numbering to the other is a c in C(A)
-    that conjugates B to B'.  A walk stops once it reads past the best.
+    that conjugates B to B'.
     """
     m, length = len(a), _frame(a)[4]
-
-    def key(b):
-        # each point's kind, packed in one int that sorts as the tuple does
-        # (_frame's length[p] is 4 times the A-cycle length)
-        kind = [length[p] + 2 * (b[p] == p) + (b[a[p]] == p) for p in range(m)]
-        rare = min([(kind.count(k), k) for k in set(kind)])[1]
-        best = None
-        for p in range(m):
-            if kind[p] != rare:
-                continue
-            label, order, reading = [-1] * m, [p], []
-            label[p] = 0
-            tied = best is not None
-            for i, x in enumerate(order):  # `order` grows while it is walked
-                y, z = a[x], b[x]
-                if label[y] < 0:
-                    label[y] = len(order)
-                    order.append(y)
-                if label[z] < 0:
-                    label[z] = len(order)
-                    order.append(z)
-                step = label[y] * m + label[z]  # packed, as kind is
-                if tied and step != best[i]:
-                    if step > best[i]:
-                        break
-                    tied = False
-                reading.append(step)
-            else:
-                if len(order) < m:
-                    raise ValueError(f"<A, B> is not transitive: A = {a}, B = {b}")
-                best = reading
-        return tuple(best)
-
-    return key
+    # each point's kind, packed in one int that sorts as the tuple does
+    # (_frame's length[p] is 4 times the A-cycle length)
+    kind = [length[p] + 2 * (b[p] == p) + (b[a[p]] == p) for p in range(m)]
+    rare = min([(kind.count(k), k) for k in set(kind)])[1]
+    readings = []
+    for p in range(m):
+        if kind[p] != rare:
+            continue
+        label, order, reading = [-1] * m, [p], []
+        label[p] = 0
+        for x in order:  # `order` grows while it is walked
+            y, z = a[x], b[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+            if label[z] < 0:
+                label[z] = len(order)
+                order.append(z)
+            reading.append(label[y] * m + label[z])  # packed, as kind is
+        if len(order) < m:
+            raise ValueError(f"<A, B> is not transitive: A = {a}, B = {b}")
+        readings.append(reading)
+    return tuple(min(readings))
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +611,17 @@ class GenerationWitness:
 
     def validate(self) -> bool:
         """Whether A and B are permutations of one degree m >= 1 with the
-        stated shapes and orders, and generate Alt_m.  An odd A or B, or an
-        intransitive pair past m = 2, is refused; else _jordan on A, B, AB,
-        AAB or ABB proves it, and failing that the Sims table's order m!/2
-        decides.  Each answer is the Sims table's alone, except that a
-        degree-0 pair is refused and a Jordan pair past its cap of 256 points
-        accepted, where both raised."""
+        stated shapes and orders, three of each, and generate Alt_m.  An odd
+        A or B, or an intransitive pair past m = 2, is refused; else _jordan
+        on A, B, AB, AAB or ABB proves it, and failing that the Sims table's
+        order m!/2 decides.  Each answer is the Sims table's alone, except
+        that a degree-0 pair is refused and a Jordan pair past its cap of 256
+        points accepted, where both raised."""
         a, b = self.gen_a, self.gen_b
         m = len(a)
         if not m or len(b) != m or sorted(a) != list(range(m)) or sorted(b) != list(range(m)):
+            return False
+        if len(self.shapes) != 3 or len(self.orders) != 3:  # zip would drop AB's check
             return False
         ab = tuple(b[x] for x in a)
         types = [cycle_type(g) for g in (a, b, ab)]
@@ -715,11 +707,11 @@ def find_generating_triple(
       exact, would have returned.  A witness is never in a dropped pair;
     - a pair whose own cycle counts exceed Scott's bound is skipped;
     - a pair with <A, B> not transitive is skipped;
-    - a pair whose B has the orbit key (_orbit_key, built once per A
-      representative) of a B met earlier in the walk is skipped: the two
-      are C(A)-conjugate, so the earlier one settled the same order of
-      <A, B>.  The least B of each orbit is walked and passes every
-      filter, so it is the one that reaches the Sims table;
+    - a pair whose B has the orbit key (_orbit_key) of a B met earlier in
+      the walk of the same A is skipped: the two are C(A)-conjugate, so
+      the earlier one settled the same order of <A, B>.  The least B of
+      each orbit is walked and passes every filter, so it is the one that
+      reaches the Sims table;
     - each survivor is settled by the exact group order from the Sims table.
 
     Each walked pair calls _cycle_lengths on AB (one itemgetter gather, a
@@ -773,7 +765,7 @@ def find_generating_triple(
         if not classes_b:
             continue
         times_a = operator.itemgetter(*a_img)  # times_a(b) is the product A*B, a fresh tuple
-        key, met = _orbit_key(a_img), set()  # the key of each C(A)-orbit met in this walk
+        met = set()  # the orbit key of each C(A)-orbit met in this walk
         for first in _frame(a_img)[2][1]:  # the leads of B[0], ascending
             walk = _class_images(a_img, classes_b, classes_c, first)
             held.append(walk)
@@ -783,7 +775,7 @@ def find_generating_triple(
                     continue
                 if not _is_transitive(a_img, b_img, m):
                     continue
-                orbit = key(b_img)
+                orbit = _orbit_key(a_img, b_img)
                 if orbit in met:
                     continue
                 met.add(orbit)

@@ -127,16 +127,18 @@ def weil_h1(dim_g: int, fixed: tuple[int, int, int]) -> CohomologyReport:
     formula here has trivial invariants (dense or principal image in a
     simple adjoint group).  The report is memoised per (dim_g, fixed), so
     callers share it (it is frozen) and ``fixed`` must be a tuple of three,
-    one per generator; a refusal is not memoised, so every call with
-    inconsistent fixed dims raises again.
+    one per generator, else ValueError; a refusal is not memoised, so every
+    call with inconsistent fixed dims raises again.  An unhashable
+    ``fixed``, such as a list, raises TypeError from the memo before the
+    body runs: a check ahead of the memo would cost every call a frame.
     lru_cache keys 28.0 as it keys 28, so a dimension that is not an int is
     refused here, before anything is stored under it; one that hits a report
     an int call stored gets that report.
     """
+    if type(fixed) is not tuple or len(fixed) != 3:
+        raise ValueError(f"fixed must hold three dimensions, one per generator, got {fixed!r}")
     if type(dim_g) is not int or any(type(f) is not int for f in fixed):
         raise ValueError(f"dimensions must be ints, got dim_g {dim_g!r} and fixed {fixed!r}")
-    if len(fixed) != 3:
-        raise ValueError(f"fixed must hold three dimensions, one per generator, got {fixed!r}")
     if any(f < 0 or f > dim_g for f in fixed):
         raise ValueError(f"fixed dims {fixed} out of range [0, {dim_g}]")
     total = sum(fixed)

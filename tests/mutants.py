@@ -56,6 +56,12 @@ MUTANTS = [
      "if not _is_transitive(a_img, b_img, m):", "if False:", "killed"),
     ("orbit-key-never-skips", "src/trisat/permgrp.py",
      "if orbit in met:", "if False:", "killed"),
+    ("orbit-key-drops-b", "src/trisat/permgrp.py",
+     "label[y] * m + label[z]", "label[y] * m + label[y]", "killed"),
+    ("orbit-key-greatest-reading", "src/trisat/permgrp.py",
+     "tuple(min(readings))", "tuple(max(readings))",
+     "equivalent: the full readings from the rarest kind are C(A)-invariant as a set, so any "
+     "fixed choice among them is canonical"),
     ("orbit-key-coarse-kinds", "src/trisat/permgrp.py",
      "cyc[-1], 4 * len(cyc)", "cyc[-1], len(cyc)",
      "equivalent: coarser kinds are still C(A)-invariant, so the orbit key stays exact"),
@@ -74,13 +80,16 @@ MUTANTS = [
      '        raise ValueError(f"degree {m} and order {n} must both be at least 1")\n', "",
      "killed"),
     ("weil-h1-any-length", "src/trisat/weil.py",
-     "    if len(fixed) != 3:\n"
-     '        raise ValueError(f"fixed must hold three dimensions, one per generator, '
-     'got {fixed!r}")\n', "", "killed"),
+     "if type(fixed) is not tuple or len(fixed) != 3:", "if type(fixed) is not tuple:", "killed"),
+    ("weil-h1-any-sized-fixed", "src/trisat/weil.py",
+     "if type(fixed) is not tuple or len(fixed) != 3:", "if len(fixed) != 3:", "killed"),
     ("validate-odd-generator-accepted", "src/trisat/permgrp.py",
      "types[0].is_even and types[1].is_even and ", "", "killed"),
     ("validate-intransitive-accepted", "src/trisat/permgrp.py",
      "(m == 2 or _is_transitive(a, b, m))", "True", "killed"),
+    ("validate-short-shapes-or-orders", "src/trisat/permgrp.py",
+     "        if len(self.shapes) != 3 or len(self.orders) != 3:  # zip would drop AB's check\n"
+     "            return False\n", "", "killed"),
     ("jordan-cycle-not-above-half", "src/trisat/permgrp.py",
      "return m < 2 * p and p <= m - 3", "return p <= m - 3", "killed"),
     ("jordan-limit-m-2", "src/trisat/permgrp.py",

@@ -552,6 +552,17 @@ class TestJordan:
         assert GenerationWitness((), (), (1, 1, 1), (one, one, one)).validate() is False
         assert witness_of((0, 1), (0, 1)).validate() is True
 
+    @pytest.mark.parametrize("orders,cut", [((3, 3, 7), 2), ((3, 3), 3)],
+                             ids=["two-shapes", "two-orders"])
+    def test_fewer_than_three_shapes_or_orders_are_refused(self, orders, cut):
+        # validate zips A, B and AB with the shapes and orders, so two of
+        # either dropped AB's check: both were accepted
+        found = find_generating_triple(8, Triple(3, 3, 15),
+                                       shape_hint=generating_pair_hint(8, (3, 3, 15)))
+        assert found.validate()
+        a, b, shapes = found.gen_a, found.gen_b, found.shapes
+        assert GenerationWitness(a, b, orders, shapes[:cut]).validate() is False
+
     def test_jordan_pair_past_the_sims_table_cap(self):
         # a 293-cycle and a 9-cycle on 300 points: the Sims table refuses
         # the degree, and Jordan's theorem needs no table
@@ -955,7 +966,7 @@ class TestOrbitLeast:
         # the whole of C(A) agree, and each conjugate keeps B's key; a B at
         # random is made transitive, and one from symmetric_transitive may tie
         m, pairs = len(a), centraliser_pairs(a)
-        key = permgrp._orbit_key(a)
+        key = functools.partial(permgrp._orbit_key, a)
         drawn = [st.permutations(range(m)).map(lambda p: transitive_with(a, tuple(p)))]
         if symmetric_transitive(a):
             drawn.append(st.sampled_from(symmetric_transitive(a)))
@@ -975,7 +986,7 @@ class TestOrbitLeast:
         whole = sorted(itertools.permutations(range(m)))
         for a in EVEN_REPS:
             if len(a) == m:
-                key, firsts = permgrp._orbit_key(a), {}
+                key, firsts = functools.partial(permgrp._orbit_key, a), {}
                 transitive = [b for b in whole if reaches_every_point([a, b], m)]
                 for b in transitive:
                     firsts.setdefault(key(b), b)
@@ -987,7 +998,7 @@ class TestOrbitLeast:
         # a key read off one orbit could merge two C(A)-orbits, and the
         # search would skip a pair that generates
         m, a, b = pair
-        key = permgrp._orbit_key(a)
+        key = functools.partial(permgrp._orbit_key, a)
         if reaches_every_point([a, b], m):
             assert len(key(b)) == m
         else:

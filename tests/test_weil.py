@@ -140,10 +140,11 @@ class TestIntDimensions:
 
 class TestThreeFixedDims:
     # one fixed dimension per generator: (3, (1, 1)) gave h1 = 1 and
-    # (10, (1, 1, 1, 1)) h1 = 6; refused, they are never stored
+    # (10, (1, 1, 1, 1)) h1 = 6, and (3, 5) raised TypeError; refused, they
+    # are never stored
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    @pytest.mark.parametrize("dim_g,fixed", [(3, (1, 1)), (10, (1, 1, 1, 1)), (3, ())],
-                             ids=["two", "four", "none"])
+    @pytest.mark.parametrize("dim_g,fixed", [(3, (1, 1)), (10, (1, 1, 1, 1)), (3, ()), (3, 5)],
+                             ids=["two", "four", "none", "int"])
     def test_refused(self, dim_g, fixed, warm):
         weil_h1.cache_clear()
         if warm:
@@ -151,6 +152,11 @@ class TestThreeFixedDims:
         for _ in range(2):
             with pytest.raises(ValueError, match="fixed must hold three dimensions"):
                 weil_h1(dim_g, fixed)
+
+    def test_a_list_is_refused_by_the_memo(self):
+        # the memo hashes its key before the body runs
+        with pytest.raises(TypeError, match="unhashable"):
+            weil_h1(3, [1, 1, 1])
 
 
 class TestH1Principal:
