@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from . import permgrp, tables
-from .permgrp import CycleType, NotFound, find_generating_triple
+from . import tables
+from .permgrp import CycleType, NotFound, find_generating_triple, require_int
 from .rootsys import DynkinType, _shared
 from .weil import CohomologyReport, Status, Triple, Verdict, weil_h1
 
@@ -39,7 +39,7 @@ def alt_degree(t: DynkinType) -> int | None:
 def alt_target(m: int) -> DynkinType:
     """B_r for m = 2r+2, D_r for m = 2r+1; refused below 8 (so_6 is of type
     A3), and refused if not an int before _shared's memo keys 8.0 as 8."""
-    permgrp._require_int(m, "degree")
+    require_int(m, "degree")
     if m < 8:
         raise ValueError("need m >= 8: the m = 7 target so_6 is not of type B or D")
     if m % 2 == 0:
@@ -70,7 +70,7 @@ def h1_alt(m: int, shapes: tuple[CycleType, CycleType, CycleType], tr: Triple) -
     Irreducibility kills the invariants, so H^1 = dim so_{m-1} minus the
     three fixed dims.
     """
-    permgrp._require_int(m, "degree")  # weil_h1 would key 28.0 as it keys 28
+    require_int(m, "degree")  # weil_h1 would key 28.0 as it keys 28
     if m < 7:
         raise ValueError("need m >= 7 for Alt_m to be irreducible on so_{m-1}")
     for shape, n, slot in zip(shapes, tr.orders, ("A", "B", "AB")):

@@ -147,7 +147,8 @@ class CycleType:
         return factorial(self.m) // denom
 
     def padded(self, m: int) -> "CycleType":
-        """Pad with fixed points up to degree m."""
+        """Pad with fixed points up to degree m, refused if not an int."""
+        require_int(m, "degree")
         if m > MAX_DEGREE:
             raise ValueError(f"degree {m} exceeds supported cap {MAX_DEGREE}")
         if self.m > m:
@@ -189,7 +190,7 @@ def cycle_type(p: tuple[int, ...]) -> CycleType:
 MAX_CYCLE_TYPES = 10_000
 
 
-def _require_int(value, what: str) -> None:
+def require_int(value, what: str) -> None:
     """Refuse a ``what`` (a degree, an order) that is not an int, before any
     memo reads it: lru_cache keys 9.0 as it keys 9, and True as 1."""
     if type(value) is not int:
@@ -211,8 +212,8 @@ def cycle_types_of_order(m: int, n: int) -> tuple[CycleType, ...]:
     so callers share it and cannot mutate it; a refusal, and a degree or an
     order that is not an int, is not memoised, so every such call raises again.
     """
-    _require_int(m, "degree")
-    _require_int(n, "order")
+    require_int(m, "degree")
+    require_int(n, "order")
     return _types_of_order(m, n)[0]
 
 
@@ -306,29 +307,12 @@ def _bsgs_order(gens: list[tuple[int, ...]], m: int) -> int:
     return math.prod(len(r) for r in reps)
 
 
-def _cycles(a) -> list[list[int]]:
-    """The cycles of the image tuple ``a``, fixed points included, each read
-    along a from its least point, in the order of that point."""
-    seen = [False] * len(a)
-    cycles = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        cyc, x = [], start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = a[x]
-        cycles.append(cyc)
-    return cycles
-
-
 class _Leads(dict):
     """The least point of each orbit of the pointwise stabiliser of F in
     C(A), sorted, by the bitmask ``touched`` of the A-cycles that F meets,
     on which alone they depend; each made when first asked for.
 
-    ``cycles`` are A's, read by _cycles.  That stabiliser fixes each point
+    ``cycles`` are A's, as _frame read them.  That stabiliser fixes each point
     of a cycle that meets F, and moves the other cycles of each length onto
     one another, rotated freely: one orbit per length, led by the first
     point of its first cycle.
@@ -355,8 +339,9 @@ def _frame(a):
     the bit of A's cycle through x (bit[m] is 0, for the last step), A's
     inverse, A's _Leads table, the floor table, and length[x], four times
     the length of A's cycle through x, which _orbit_key's kinds start from.
-    0 is on A's first cycle, so the leads of B[0] are table[1].  No other
-    code reads A's cycles.
+    Its walk of A's cycles, the only one, reads each from its least point
+    along a, in the order of that point, fixed points included; _Leads
+    keeps them.  0 is on A's first cycle, so B[0]'s leads are table[1].
 
     floor[x][v] is the least c[v] over the c in C(A) with c[x] = 0, for x
     != 0 on an A-cycle as long as 0's; floor[x] is None for every other x.
@@ -365,7 +350,16 @@ def _frame(a):
     floor[x] is one row, each v's entry the first point of the first cycle
     of v's length other than 0's, with x's cycle overwritten."""
     m = len(a)
-    cycles = _cycles(a)
+    seen, cycles = [False] * m, []
+    for start in range(m):
+        if seen[start]:
+            continue
+        cyc, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = a[x]
+        cycles.append(cyc)
     other: dict[int, int] = {}  # length -> least point of its first cycle but 0's
     for cyc in cycles[1:]:
         other.setdefault(len(cyc), cyc[0])
@@ -727,7 +721,7 @@ def find_generating_triple(
     read through cycle_type, never by _cycle_lengths directly, which the
     tracer would count as pairs tried.
     """
-    _require_int(m, "degree")
+    require_int(m, "degree")
     if m < 5:
         raise ValueError("need m >= 5")
     if shape_hint is not None and len(shape_hint) != 3:
@@ -802,7 +796,7 @@ def scott_min_sum(m: int, tr: Triple) -> int | None:
     check for class triples inside Alt_m: an even permutation on m points
     always has cycle count congruent to m mod 2.
     """
-    _require_int(m, "degree")
+    require_int(m, "degree")
     if m < 3:
         raise ValueError("need m >= 3")
     # per order: (types, even types, fewest cycles of an even type, of any type)
@@ -841,7 +835,7 @@ def prove_non_generation(m: int, tr: Triple) -> NonGenerated | Refuted:
     search of find_generating_triple, whose ValueError above MAX_PAIRS
     passes through: an unfinished search proves nothing.
     """
-    _require_int(m, "degree")
+    require_int(m, "degree")
     if m < 5:
         raise ValueError("need m >= 5")
     bound = scott_min_sum(m, tr)

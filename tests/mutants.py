@@ -98,6 +98,13 @@ MUTANTS = [
      "    if any(type(x) is not int for x in (r1, r2, n)):\n"
      '        raise ValueError(f"ranks and order must be ints, got {(r1, r2, n)!r}")\n', "",
      "killed"),
+    ("padded-int-refusal-dropped", "src/trisat/permgrp.py",
+     '        require_int(m, "degree")\n        if m > MAX_DEGREE:', "        if m > MAX_DEGREE:",
+     "killed"),
+    ("frame-walk-starts-at-image", "src/trisat/permgrp.py",
+     "cyc, x = [], start", "cyc, x = [], a[start]", "killed"),
+    ("centraliser-oracle-mutable", "tests/oracles.py",
+     "return frozenset(elements)", "return elements", "killed"),
 ]
 
 

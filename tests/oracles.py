@@ -22,6 +22,15 @@ dividing a in the classical families, the check on the exponent sums.
 Deliberately shares no code with the integer formulas under test: of
 trisat it imports only ``rootsys.DynkinType``.
 
+``centraliser``, ``centraliser_leads``, ``centraliser_floor`` and
+``class_elements`` are memoised per argument by ``lru_cache``: the
+permutation-group tests ask for the same C(A) and the same class again
+and again, and each is built element by element.  So each returns a
+frozenset or a tuple, never a list or a set: a result is shared by every
+test that asks for it, and none can change it for the others.
+``centraliser_leads`` takes its fixed points as a frozenset, part of the
+memo's key.
+
 A fixed dimension over GF(p) equals the complex one when the element has
 order N with p not dividing N.  Then x^N - 1 has no repeated root mod p,
 so the element is diagonalisable over the algebraic closure of GF(p), and
@@ -213,7 +222,8 @@ def partitions(m: int, largest: int | None = None) -> list[tuple[int, ...]]:
     return [(first,) + rest for first in range(1, top + 1) for rest in partitions(m - first, first)]
 
 
-def class_elements(m: int, parts) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def class_elements(m: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Every permutation of 0..m-1 with cycle lengths ``parts``, as sorted image tuples.
 
     Cycles are laid one at a time: each is led by the least point on no
@@ -238,7 +248,7 @@ def class_elements(m: int, parts) -> list[tuple[int, ...]]:
                 lay(laid, [p for p in rest if p not in arm], others)
 
     lay([None] * m, list(range(m)), list(parts))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def reaches_every_point(gens: list[tuple[int, ...]], m: int) -> bool:
@@ -267,7 +277,8 @@ def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c[p[c_inv[x]]] for x in range(len(c)))
 
 
-def centraliser(a: tuple[int, ...]) -> set[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def centraliser(a: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Every element of C(a), the centraliser of ``a`` in Sym_m.
 
     Every c with c[a[x]] == a[c[x]] for all x is built point by point: once
@@ -293,7 +304,7 @@ def centraliser(a: tuple[int, ...]) -> set[tuple[int, ...]]:
                 grow(d)
 
     grow([None] * m)
-    return elements
+    return frozenset(elements)
 
 
 def centraliser_gens(a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -336,24 +347,26 @@ def centraliser_gens(a: tuple[int, ...]) -> list[tuple[int, ...]]:
     return gens
 
 
-def centraliser_leads(a: tuple[int, ...], fixed) -> set[int]:
+@lru_cache(maxsize=None)
+def centraliser_leads(a: tuple[int, ...], fixed: frozenset[int]) -> frozenset[int]:
     """The least point of each orbit of the pointwise stabiliser of ``fixed`` in C(a).
 
     The elements of centraliser(a) with c[x] == x for every x in ``fixed``
     form the stabiliser; the orbit of x is {c[x]} over them.
     """
     stabiliser = [c for c in centraliser(a) if all(c[x] == x for x in fixed)]
-    return {min(c[x] for c in stabiliser) for x in range(len(a))}
+    return frozenset(min(c[x] for c in stabiliser) for x in range(len(a)))
 
 
-def centraliser_floor(a: tuple[int, ...]) -> list[tuple[int, ...] | None]:
+@lru_cache(maxsize=None)
+def centraliser_floor(a: tuple[int, ...]) -> tuple[tuple[int, ...] | None, ...]:
     """For each x, the least c[v] for each v over the c in centraliser(a)
     with c[x] == 0, or None where no such c exists."""
     floor: list[list[int] | None] = [None] * len(a)
     for c in centraliser(a):
         x = c.index(0)
         floor[x] = [min(pair) for pair in zip(floor[x], c)] if floor[x] is not None else list(c)
-    return [None if row is None else tuple(row) for row in floor]
+    return tuple(None if row is None else tuple(row) for row in floor)
 
 
 def lawther_closed_form(t: DynkinType, a: int) -> int:

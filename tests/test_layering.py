@@ -84,14 +84,23 @@ def test_top_level_api():
 
 
 def test_only_shared_crosses_modules_privately():
-    """rootsys._shared is the one private name a module imports from another."""
+    """rootsys._shared is the one private name a module reads from another,
+    by a from-import or as an attribute of a sibling module it imports."""
     private = {}
     for name, tree in _trees().items():
+        siblings = {}  # local name -> sibling module, for each `from . import module`
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
                     if alias.name.startswith("_"):
                         private.setdefault(f"{node.module}.{alias.name}", set()).add(name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                private.setdefault(f"{siblings[node.value.id]}.{node.attr}", set()).add(name)
     assert private == {"rootsys._shared": {"altmethod", "bibi", "saturation"}}
 
 

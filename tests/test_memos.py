@@ -168,9 +168,9 @@ def test_lead_tables_hold_the_leads():
         permgrp.find_generating_triple(m, Triple(*orders))
         for t in permgrp._types_of_order(m, orders[0])[1]:
             a = t.lex_min()
-            cycles = permgrp._cycles(a)
-            for touched, leads in permgrp._frame(a)[2].items():
-                fixed = {cyc[0] for i, cyc in enumerate(cycles) if touched >> i & 1}
+            table = permgrp._frame(a)[2]
+            for touched, leads in table.items():
+                fixed = frozenset(cyc[0] for i, cyc in enumerate(table.cycles) if touched >> i & 1)
                 assert leads == sorted(centraliser_leads(a, fixed)), (a, touched)
                 filled += 1
     assert filled > 20

@@ -1,6 +1,7 @@
 """The exact oracles checked on their own: ranks by hand, the conditions
-that keep a fixed dimension over GF(p) equal to the complex one, and what
-``oracles.py`` may import."""
+that keep a fixed dimension over GF(p) equal to the complex one, that the
+memoised oracles hand out read-only results, and what ``oracles.py`` may
+import."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,10 @@ import pytest
 from oracles import (
     P,
     antisym_fixed_dim,
+    centraliser,
+    centraliser_floor,
+    centraliser_leads,
+    class_elements,
     from_cycles,
     principal_pair_fixed_dim,
     rank_mod_p,
@@ -95,6 +100,25 @@ class TestFieldConditions:
         assert antisym_fixed_dim(standard_module_matrix(swap), 2) == 2
         with pytest.raises(ValueError, match="divides the element order 2"):
             standard_module_fixed_dim(swap, p=2)
+
+
+# A = (0)(1 2)(3 4 5): each memoised oracle on its own arguments
+SWAP_AND_THREE = (0, 2, 1, 4, 5, 3)
+
+
+@pytest.mark.parametrize("oracle, args, kind", [
+    (centraliser, (SWAP_AND_THREE,), frozenset),
+    (centraliser_leads, (SWAP_AND_THREE, frozenset({0})), frozenset),
+    (centraliser_floor, (SWAP_AND_THREE,), tuple),
+    (class_elements, (6, (3, 2, 1)), tuple),
+], ids=["centraliser", "centraliser_leads", "centraliser_floor", "class_elements"])
+def test_shared_oracle_results_are_read_only(oracle, args, kind):
+    """A memoised oracle hands every caller the one object it built, so the
+    object must be immutable: a test that changed it would change it for
+    every later test."""
+    first = oracle(*args)
+    assert type(first) is kind and oracle(*args) is first
+    assert all(type(item) in (int, tuple, type(None)) for item in first)
 
 
 def test_oracles_import_nothing_from_trisat_but_dynkin_type():

@@ -306,6 +306,14 @@ class TestCycleType:
         with pytest.raises(ValueError):
             CycleType.parse("7").padded(6)
 
+    @pytest.mark.parametrize("shape, m", [("3^2", 9.0), ("1", True), ("3^2", "9")],
+                             ids=["float", "bool", "str"])
+    def test_padded_refuses_a_degree_that_is_not_an_int(self, shape, m):
+        # refused before it is compared or multiplied: 9.0 raised a TypeError,
+        # and True padded (1) to (1) as if it were 1
+        with pytest.raises(ValueError, match="degree must be an int, got"):
+            CycleType.parse(shape).padded(m)
+
     def test_padding_increases_cycle_count(self):
         for shape, m in [("7", 11), ("3^2", 9), ("5.3", 10)]:
             ct = CycleType.parse(shape)
@@ -323,10 +331,10 @@ class TestEnumerateClass:
     @pytest.mark.parametrize("m,shape", [(m, dotted(p)) for m in range(1, 8) for p in partitions(m)])
     def test_matches_brute_force(self, m, shape):
         ct = CycleType.parse(shape)
-        want = sorted(
+        want = tuple(sorted(
             perm for perm in itertools.permutations(range(m))
             if cycle_type(perm) == ct
-        )
+        ))
         assert class_elements(m, ct.parts) == want  # complete, exact, lexicographic
 
     # Every B class the alt workloads and acceptance criteria 5 and 7 walk,
@@ -632,7 +640,7 @@ class TestSliceLeads:
         reps = list(self.representatives())
         assert len(reps) == 79
         for a in reps:
-            assert self.leads(a, {0}) == centraliser_leads(a, {0}), a
+            assert self.leads(a, {0}) == centraliser_leads(a, frozenset({0})), a
 
     def test_random_conjugates(self):
         # the rule reads A's cycles, so it must not rely on A being lex-minimal
@@ -641,7 +649,7 @@ class TestSliceLeads:
             for _ in range(2):
                 c = tuple(rng.sample(range(len(a)), len(a)))
                 moved = conjugate(a, c)
-                assert self.leads(moved, {0}) == centraliser_leads(moved, {0}), moved
+                assert self.leads(moved, {0}) == centraliser_leads(moved, frozenset({0})), moved
 
     def test_fixed_sets(self):
         # deeper in the walk F = {0..k} and B[0..k-1]; here F is drawn at
@@ -650,7 +658,7 @@ class TestSliceLeads:
         for a in self.representatives():
             m = len(a)
             for size in (0, 1, 2, 3, m // 2, m - 1):
-                fixed = set(rng.sample(range(m), size))
+                fixed = frozenset(rng.sample(range(m), size))
                 assert self.leads(a, fixed) == centraliser_leads(a, fixed), (a, fixed)
 
     def test_both_branches(self):
@@ -660,17 +668,11 @@ class TestSliceLeads:
         # 0 on a longer cycle: each point of that cycle, and the first of the next
         for parts, leads in [((2, 2, 2, 2), {0, 1, 2}), ((4, 4), {0, 1, 2, 3, 4})]:
             a = CycleType(parts).lex_min()
-            assert a[0] != 0 and self.leads(a, {0}) == leads == centraliser_leads(a, {0})
+            assert a[0] != 0 and self.leads(a, {0}) == leads == centraliser_leads(a, frozenset({0}))
         # A = (0)(1 2)(3 4)(5 6)(7 8) with F = {0, 1, 3}: the touched cycles in
         # full, and 5 for the two untouched 2-cycles
         a = CycleType((2, 2, 2, 2, 1)).lex_min()
-        assert self.leads(a, {0, 1, 3}) == {0, 1, 2, 3, 4, 5} == centraliser_leads(a, {0, 1, 3})
-
-
-@functools.lru_cache(maxsize=None)
-def zero_floor(a):
-    """centraliser_floor, kept per A."""
-    return centraliser_floor(a)
+        assert self.leads(a, {0, 1, 3}) == {0, 1, 2, 3, 4, 5} == centraliser_leads(a, frozenset({0, 1, 3}))
 
 
 class TestFloor:
@@ -683,7 +685,7 @@ class TestFloor:
         for parts in partitions(m):
             a = CycleType(parts).lex_min()
             floor = permgrp._frame(a)[3]
-            assert floor[0] is None and list(floor[1:]) == zero_floor(a)[1:], a
+            assert floor[0] is None and floor[1:] == centraliser_floor(a)[1:], a
 
     def test_random_conjugates(self):
         # the table reads A's cycles, so it must not rely on A being lex-minimal
@@ -693,7 +695,7 @@ class TestFloor:
                 c = tuple(rng.sample(range(m), m))
                 a = conjugate(CycleType(parts).lex_min(), c)
                 floor = permgrp._frame.__wrapped__(a)[3]
-                assert floor[0] is None and list(floor[1:]) == centraliser_floor(a)[1:], a
+                assert floor[0] is None and floor[1:] == centraliser_floor(a)[1:], a
 
     def test_both_cases(self):
         # A = (0)(1)(2 3)(4 5 6)(7 8 9): x = 1 is the only other fixed point,
@@ -733,12 +735,6 @@ def orbit_minima(images, gens):
     return minima
 
 
-@functools.lru_cache(maxsize=None)
-def stabiliser_leads(a, fixed):
-    """centraliser_leads, kept per (A, F): the class-pair tests ask for few distinct ones."""
-    return centraliser_leads(a, fixed)
-
-
 class TestBlockWalk:
     # Named for the block walk _class_images replaced; it checks what
     # _class_images builds.
@@ -770,9 +766,9 @@ def led_images(a, classes_b):
     """The oracle's B's of the listed classes whose every B[k] is in
     centraliser_leads of {0..k} and B[0..k-1], and whose every B[x] no c in
     C(A) with c[x] = 0 sends below B[0], sorted."""
-    floor = zero_floor(a)
+    floor = centraliser_floor(a)
     return sorted(b for parts in classes_b for b in class_elements(len(a), parts)
-                  if all(b[k] in stabiliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
+                  if all(b[k] in centraliser_leads(a, frozenset(range(k + 1)) | frozenset(b[:k]))
                          for k in range(len(a)))
                   and all(row is None or row[v] >= b[0] for row, v in zip(floor, b)))
 
@@ -1119,16 +1115,14 @@ class TestGenerationSearch:
         assert out == NotFound("exhausted all class pairs")
         assert calls == []
 
-    def test_a_repeated_search_reads_no_cycles(self, monkeypatch):
-        # _frame, memoised per A, is the one reader of A's cycles, and the
+    def test_a_repeated_search_reads_no_cycles(self):
+        # _frame, memoised per A, is the one walk of A's cycles, and the
         # orbit key reads its length table from there, so a second,
-        # identical search reads none
+        # identical search builds no frame
         find_generating_triple(9, Triple(2, 3, 9))
-        calls = []
-        real = permgrp._cycles
-        monkeypatch.setattr(permgrp, "_cycles", lambda a: calls.append(a) or real(a))
+        misses = permgrp._frame.cache_info().misses
         assert find_generating_triple(9, Triple(2, 3, 9)) == NotFound("exhausted all class pairs")
-        assert calls == []
+        assert permgrp._frame.cache_info().misses == misses
 
     def test_first_hit_stops_at_the_witness_slice(self, monkeypatch):
         # the one A representative keeps the one hinted B class of 123,200
